@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import subsets
 from .errors import ModelValidationError, ValidationKind
-from .indices import NUM_TOL, SensitivityReport, lg_indices
+from .conditional import conditional_variance_tables
+# lg_indices is not called here; perfbench/tracing.py wraps it by this name.
+from .indices import (NUM_TOL, SensitivityReport, indices_from_table,
+                      lg_indices)
 from .model import LinearGaussianModel, total_variance, validate_model
 
 
@@ -104,11 +105,21 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
         raise ValueError("eps_block must be non-negative")
     adj = np.abs(gamma) > eps_block
     np.fill_diagonal(adj, False)
-    _, labels = connected_components(csr_array(adj), directed=False)
-    order: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        order.setdefault(int(lab), []).append(i + 1)
-    groups = sorted((tuple(g) for g in order.values()), key=lambda g: g[0])
+    # Breadth-first search from the smallest variable not yet grouped, so
+    # groups come out ordered by their smallest member.
+    groups = []
+    free = np.ones(p, dtype=bool)
+    for start in range(p):
+        if not free[start]:
+            continue
+        members = np.zeros(p, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        free &= ~members
+        groups.append(np.flatnonzero(members) + 1)
     return BlockPartition.from_groups(groups, p)
 
 
@@ -135,18 +146,25 @@ def _group_submodel(model: LinearGaussianModel, group: Sequence[int]) -> LinearG
         raise
 
 
-def lg_groups_indices(model: LinearGaussianModel, eps_block: float = 0.0, *,
-                      fast_sobol: bool = True) -> GroupedReport:
+def lg_groups_indices(model: LinearGaussianModel,
+                      eps_block: float = 0.0) -> GroupedReport:
     """Exact indices through the per-group decomposition.
 
     Detects the independent groups, runs the full lattice computation inside
     each group only, and rescales by the group variance shares. The number
     of conditional-variance evaluations is the sum of the per-group lattice
-    sizes rather than 2**p.
+    sizes rather than 2**p. Groups of one size build their tables together.
     """
     partition = detect_blocks(model.gamma, eps_block)
     var_y = total_variance(model)
     p = model.p
+    subs = [_group_submodel(model, group) for group in partition.groups]
+    tables = [None] * partition.k
+    for n in {sub.p for sub in subs}:
+        same = [j for j, sub in enumerate(subs) if sub.p == n]
+        for j, table in zip(same, conditional_variance_tables(
+                [subs[j] for j in same])):
+            tables[j] = table
 
     shapley = np.empty(p)
     weights = np.empty(partition.k)
@@ -154,8 +172,7 @@ def lg_groups_indices(model: LinearGaussianModel, eps_block: float = 0.0, *,
     scaled: list[np.ndarray] = []
     eval_count = 0
     for j, group in enumerate(partition.groups):
-        sub = _group_submodel(model, group)
-        rep = lg_indices(sub, fast_sobol=fast_sobol)
+        rep = indices_from_table(tables[j])
         w = rep.var_y / var_y
         weights[j] = w
         reports.append(rep)

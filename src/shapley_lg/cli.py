@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--eps-block", type=float, default=0.0,
                            help="threshold below which covariance entries "
                                 "count as zero for group detection")
-    p_compute.add_argument("--fast-sobol", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="use the lattice transform for Sobol indices")
 
     p_estimate = sub.add_parser(
         "estimate", help="permutation-based Shapley computation")
@@ -110,11 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_compute(args) -> int:
     model = files.read_model(args.model)
     if args.groups:
-        grouped = lg_groups_indices(model, args.eps_block,
-                                    fast_sobol=args.fast_sobol)
+        grouped = lg_groups_indices(model, args.eps_block)
         doc = files.report_from_grouped(grouped, "lg-groups-indices")
     else:
-        report = lg_indices(model, fast_sobol=args.fast_sobol)
+        report = lg_indices(model)
         doc = files.report_from_sensitivity(report, "lg-indices")
     files.write_report(doc, args.out)
     return EXIT_OK

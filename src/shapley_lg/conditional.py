@@ -9,10 +9,9 @@ table over all ``2**p`` subsets is the input to every index extraction.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -29,8 +28,10 @@ COND_LIMIT = 1e12
 #: warning instead of being silently zeroed.
 NEG_WARN_FACTOR = 1e-9
 
-#: Environment variable capping thread count for table evaluation (0 = auto).
-THREADS_ENV_VAR = "SHAPLEY_LG_THREADS"
+#: Upper bound, in bytes, on the stacked ``gamma[u, u]`` blocks gathered in
+#: one batch of the table build. At p = 25 the 12-element subsets alone
+#: would need about 6 GB in a single batch.
+BATCH_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,51 +135,104 @@ def conditional_variance(model: LinearGaussianModel, j: int, *,
     return q
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-    if threads < 0:
-        threads = 0
-    if threads == 0:
-        # Auto. Per-entry work is interpreter-bound for the matrix sizes the
-        # cap allows, so a single worker is the fastest safe default.
-        return 1
-    return threads
+def _subset_indices(masks: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Zero-based members of each mask, one row of ``k`` per mask, ascending."""
+    bits = (masks[:, None] >> np.arange(p)) & 1
+    return np.nonzero(bits)[1].reshape(masks.size, k)
 
 
-def all_conditional_variances(model: LinearGaussianModel, *,
-                              threads: int | None = None) -> CondVarTable:
+def _pseudo_explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
+    """``c_u' pinv(block) c_u`` per block, through the stacked ``eigh``."""
+    w, q = np.linalg.eigh(blocks)
+    tau = PINV_RTOL * np.maximum(w[:, -1:], 0.0)
+    inv_w = np.zeros_like(w)
+    np.divide(1.0, w, out=inv_w, where=w > tau)
+    proj = np.einsum("nji,nj->ni", q, c_u)
+    return np.einsum("ni,ni->n", inv_w * proj, proj)
+
+
+def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
+    """``c_u' block^{-1} c_u`` per block of a stack.
+
+    One stacked Cholesky serves the whole batch; blocks failing the
+    ``COND_LIMIT`` test, or the whole batch when the factorization fails,
+    go through the generalized inverse as in :func:`conditional_variance`.
+    """
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return _pseudo_explained(blocks, c_u)
+    diag = chol.diagonal(0, 1, 2)
+    # (max/min diag)**2 lower-bounds the condition number of each block.
+    bad = diag.max(axis=1) ** 2 > COND_LIMIT * diag.min(axis=1) ** 2
+    # Forward substitution with L, one column at a time across the stack.
+    y = c_u / diag
+    for i in range(1, c_u.shape[1]):
+        y[:, i] = (c_u[:, i] - np.einsum("nj,nj->n", chol[:, i, :i],
+                                         y[:, :i])) / diag[:, i]
+    out = np.einsum("ni,ni->n", y, y)
+    if bad.any():
+        out[bad] = _pseudo_explained(blocks[bad], c_u[bad])
+    return out
+
+
+def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
     """Table of conditional variances for every subset mask of ``[1:p]``.
 
-    Entries are evaluated independently, optionally across ``threads``
-    workers (``None`` reads the ``SHAPLEY_LG_THREADS`` environment variable),
-    and the result is identical for any worker count.
+    Uses the explained-variance form ``var_y - c_u' gamma_uu^{-1} c_u`` with
+    ``c = gamma @ beta``, one subset cardinality at a time: the blocks
+    ``gamma[u, u]`` of a cardinality are stacked, in batches of at most
+    ``BATCH_BYTES``, and factorized together. Solver paths and clamping
+    match :func:`conditional_variance`.
     """
-    p = model.p
+    return conditional_variance_tables([model])[0]
+
+
+def conditional_variance_tables(
+        models: Sequence[LinearGaussianModel]) -> list[CondVarTable]:
+    """:func:`all_conditional_variances` of several models of one dimension.
+
+    The blocks of all models share each batch, so many small lattices (the
+    groups of a block-diagonal model) cost a few stacked calls, not a few
+    per model.
+    """
+    p = models[0].p
     subsets.check_lattice_cap(p)
     size = 1 << p
-    values = np.empty(size)
-    values[0] = total_variance(model)
-    values[size - 1] = 0.0
+    var_y = np.array([total_variance(m) for m in models])
+    gammas = np.stack([m.gamma for m in models])
+    c = np.stack([m.gamma @ m.beta for m in models])
+    values = np.empty((len(models), size))
+    values[:, 0] = var_y
+    values[:, size - 1] = 0.0
+    card = subsets.cardinality_table(p)
+    for k in range(1, p):
+        masks = np.flatnonzero(card == k)
+        step = max(1, BATCH_BYTES // (8 * k * k * len(models)))
+        for lo in range(0, masks.size, step):
+            batch = masks[lo:lo + step]
+            idx = _subset_indices(batch, p, k)
+            blocks = gammas[:, idx[:, :, None], idx[:, None, :]]
+            explained = _explained(blocks.reshape(-1, k, k),
+                                   c[:, idx].reshape(-1, k))
+            values[:, batch] = var_y[:, None] - explained.reshape(len(models), -1)
+    return [_clamped(row) for row in values]
 
-    def fill(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            values[j] = conditional_variance(model, j)
 
-    n_workers = _resolve_threads(threads)
-    if n_workers <= 1 or size < 4:
-        fill(1, size - 1)
-    else:
-        bounds = np.linspace(1, size - 1, n_workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(fill, int(bounds[w]), int(bounds[w + 1]))
-                for w in range(n_workers)
-            ]
-            for fut in futures:
-                fut.result()
-    return CondVarTable(values=values, var_y=float(values[0]))
+def _clamped(values: np.ndarray) -> CondVarTable:
+    """Zero the negative round-off of a table, warning when it is large."""
+    var_y = values[0]
+    inner = values[1:-1]
+    neg = inner < 0.0
+    if neg.any():
+        worst = int(np.argmin(inner))
+        if inner[worst] < -NEG_WARN_FACTOR * var_y:
+            warnings.warn(
+                f"{int(neg.sum())} conditional variances clamped to 0, the "
+                f"lowest {inner[worst]:.3e} for mask {worst + 1}; the "
+                "covariance appears badly conditioned",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        inner[neg] = 0.0
+    return CondVarTable(values=values, var_y=float(var_y))

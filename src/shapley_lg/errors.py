@@ -12,6 +12,7 @@ class ValidationKind(enum.Enum):
     NOT_PSD = "NotPSD"
     ZERO_OUTPUT_VARIANCE = "ZeroOutputVariance"
     DIMENSION_MISMATCH = "DimensionMismatch"
+    NOT_FINITE = "NotFinite"
 
 
 class ModelValidationError(ValueError):

@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -22,7 +23,8 @@ from .blocks import BlockPartition, GroupedReport
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
-from .model import LinearGaussianModel, validate_covariance, validate_model
+from .model import (LinearGaussianModel, _require_finite, validate_covariance,
+                    validate_model)
 from .montecarlo import BlackBoxModel, GaussianInput
 from .permutations import CvSummary
 
@@ -134,6 +136,16 @@ REPORT_SCHEMA = {
 }
 
 
+_MODEL_VALIDATOR = jsonschema.Draft202012Validator(MODEL_SCHEMA)
+_DISTRIBUTION_VALIDATOR = jsonschema.Draft202012Validator(DISTRIBUTION_SCHEMA)
+_EXPRESSION_VALIDATOR = jsonschema.Draft202012Validator(EXPRESSION_SCHEMA)
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+#: Report fields holding one row per subset; up to 2**p rows each.
+_ROW_FAMILIES = ("sobol", "closed_sobol")
+_ROW_KEYS = set(_SUBSET_ROW_SCHEMA["properties"])
+
+
 def _load_json(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -145,12 +157,60 @@ def _load_json(path) -> dict:
         raise FileFormatError(f"{path} is not valid JSON: {err}") from err
 
 
-def _check_schema(obj, schema, path, what: str) -> None:
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as err:
+def _check_schema(obj, validator, path, what: str) -> None:
+    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if err is not None:
         raise FileFormatError(f"{path} is not a valid {what} file: "
-                              f"{err.message}") from err
+                              f"{err.message}")
+
+
+def _numbers_of(types, kinds) -> bool:
+    return all(issubclass(t, kinds) and t is not bool for t in types)
+
+
+def _row_error(rows: list, p: int) -> str | None:
+    """Why ``rows`` are not valid subset rows, or None; one vectorised pass.
+
+    Besides what ``_SUBSET_ROW_SCHEMA`` requires, each subset must be the
+    decoding of its mask, masks must increase strictly within ``[0, 2**p)``
+    and values must be finite.
+    """
+    if not rows:
+        return None
+    if not all(type(r) is dict and r.keys() == _ROW_KEYS for r in rows):
+        return "each row needs exactly the keys 'subset', 'mask' and 'value'"
+    masks = [r["mask"] for r in rows]
+    subs = [r["subset"] for r in rows]
+    values = [r["value"] for r in rows]
+    if not (_numbers_of(set(map(type, masks)), int)
+            and set(map(type, subs)) == {list}
+            and _numbers_of(set(map(type, chain.from_iterable(subs))), int)
+            and _numbers_of(set(map(type, values)), (int, float))):
+        return "a row has a mask, subset or value of the wrong type"
+    # Masks of more than 62 variables do not fit an int64.
+    dtype = np.int64 if p < 63 else object
+    try:
+        mask = np.array(masks, dtype=dtype)
+        members = np.fromiter(chain.from_iterable(subs), dtype=np.int64)
+        value = np.array(values, dtype=float)
+    except OverflowError:
+        return "a row holds a number out of range"
+    if not np.isfinite(value).all():
+        return "a row value is not finite"
+    if mask[0] < 0 or mask[-1] >= 1 << p or np.any(np.diff(mask) <= 0):
+        return f"row masks must increase strictly within [0, 2**{p})"
+    if members.size and (members.min() < 1 or members.max() > p):
+        return f"a subset holds a variable outside [1:{p}]"
+    sizes = np.fromiter(map(len, subs), dtype=np.int64, count=len(subs))
+    row_of = np.repeat(np.arange(len(rows)), sizes)
+    if np.any((np.diff(members) <= 0) & (np.diff(row_of) == 0)):
+        return "subset members must increase strictly"
+    powers = np.array([1 << i for i in range(p)], dtype=dtype)
+    encoded = np.zeros(len(rows), dtype=dtype)
+    np.add.at(encoded, row_of, powers[members - 1])
+    if np.any(encoded != mask):
+        return "a row subset does not match its mask"
+    return None
 
 
 def render_json(obj) -> str:
@@ -168,7 +228,7 @@ def _write(text: str, path=None) -> None:
 def read_model(path) -> LinearGaussianModel:
     """Load and validate a model file."""
     obj = _load_json(path)
-    _check_schema(obj, MODEL_SCHEMA, path, "model")
+    _check_schema(obj, _MODEL_VALIDATOR, path, "model")
     return validate_model(obj["beta"], obj["gamma"], obj.get("mu"))
 
 
@@ -186,7 +246,7 @@ def write_model(model: LinearGaussianModel, path=None) -> None:
 def read_distribution(path) -> GaussianInput:
     """Load a Gaussian input distribution (covariance plus optional mean)."""
     obj = _load_json(path)
-    _check_schema(obj, DISTRIBUTION_SCHEMA, path, "distribution")
+    _check_schema(obj, _DISTRIBUTION_VALIDATOR, path, "distribution")
     gamma = validate_covariance(obj["gamma"])
     mu = obj.get("mu")
     if mu is None:
@@ -197,6 +257,7 @@ def read_distribution(path) -> GaussianInput:
             f"{path}: mu has length {mu.size} but gamma is "
             f"{gamma.shape[0]} x {gamma.shape[0]}"
         )
+    _require_finite("mu", mu)
     return GaussianInput(mu=mu, gamma=gamma)
 
 
@@ -211,7 +272,7 @@ def input_names(p: int) -> list[str]:
 def read_expression_file(path) -> dict:
     """Load and schema-check an expression file; compilation happens later."""
     obj = _load_json(path)
-    _check_schema(obj, EXPRESSION_SCHEMA, path, "expression")
+    _check_schema(obj, _EXPRESSION_VALIDATOR, path, "expression")
     reserved = set(FUNCTIONS)
     declared = list(obj.get("consts", {})) + list(obj.get("defs", {}))
     for name in declared:
@@ -412,12 +473,25 @@ def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,
 
 
 def write_report(doc: dict, path=None) -> None:
-    """Schema-check and write a report document (stdout when no path)."""
-    _check_schema(doc, REPORT_SCHEMA, path or "<stdout>", "report")
+    """Check and write a report document (stdout when no path).
+
+    The schema checks the document with its subset rows left out; those
+    can number 2**p per family and are checked by :func:`_row_error`.
+    """
+    where = path or "<stdout>"
+    rows = {f: doc[f] for f in _ROW_FAMILIES
+            if isinstance(doc.get(f), list)}
+    _check_schema({**doc, **dict.fromkeys(rows, [])}, _REPORT_VALIDATOR,
+                  where, "report")
+    for family, family_rows in rows.items():
+        why = _row_error(family_rows, int(doc["metadata"]["p"]))
+        if why is not None:
+            raise FileFormatError(f"{where} is not a valid report file: "
+                                  f"{family}: {why}")
     _write(render_json(doc), path)
 
 
 def read_report(path) -> dict:
     obj = _load_json(path)
-    _check_schema(obj, REPORT_SCHEMA, path, "report")
+    _check_schema(obj, _REPORT_VALIDATOR, path, "report")
     return obj

@@ -2,10 +2,9 @@
 
 All three families are linear functionals of the conditional-variance table,
 so once the table is available each extraction is a pass over the subset
-lattice. The interaction (Sobol) indices admit two routes: the literal
-superset-accumulation loop, kept as a validation oracle, and a subset-sum
-lattice transform that lowers the cost from 3**p to p * 2**p and is the
-default.
+lattice. The interaction (Sobol) indices use a subset-sum lattice transform,
+which costs p * 2**p instead of the 3**p of the literal superset
+accumulation.
 """
 
 from __future__ import annotations
@@ -67,38 +66,18 @@ def _sign_from_parity(card: np.ndarray) -> np.ndarray:
     return np.where(card % 2 == 0, 1.0, -1.0)
 
 
-def sobol_from_table(table: CondVarTable, *, fast: bool = True) -> np.ndarray:
+def sobol_from_table(table: CondVarTable) -> np.ndarray:
     """Interaction index of every subset, from the conditional-variance table.
 
     Entry ``j`` is the alternating subset sum of the table scaled by the
-    output variance; the empty set is fixed to 0. ``fast=False`` runs the
-    literal superset-accumulation loop instead of the lattice transform;
-    both agree to within round-off and the slow path exists as an oracle.
+    output variance; the empty set is fixed to 0.
     """
     p = table.p
-    if fast:
-        card = subsets.cardinality_table(p)
-        sign_v = -_sign_from_parity(card)          # (-1)^(|v|+1)
-        acc = _subset_sum_transform(sign_v * table.values, p)
-        out = _sign_from_parity(card) * acc / table.var_y
-        out[0] = 0.0
-        return out
-    return _sobol_naive(table)
-
-
-def _sobol_naive(table: CondVarTable) -> np.ndarray:
-    """Superset-accumulation route, cost 3**p; validation oracle for the fast path."""
-    p = table.p
-    values = table.values
-    out = np.zeros(1 << p)
-    for j in range(1 << p):
-        term = values[j] if subsets.cardinality(j) % 2 else -values[j]
-        for u in subsets.iterate_supersets(j, p):
-            out[u] += term
+    card = subsets.cardinality_table(p)
+    sign_v = -_sign_from_parity(card)          # (-1)^(|v|+1)
+    acc = _subset_sum_transform(sign_v * table.values, p)
+    out = _sign_from_parity(card) * acc / table.var_y
     out[0] = 0.0
-    for j in range(1, 1 << p):
-        sign = 1.0 if subsets.cardinality(j) % 2 == 0 else -1.0
-        out[j] *= sign / table.var_y
     return out
 
 
@@ -127,17 +106,20 @@ def shapley_from_table(table: CondVarTable) -> np.ndarray:
     return eta / (p * table.var_y)
 
 
-def lg_indices(model: LinearGaussianModel, *, fast_sobol: bool = True,
-               threads: int | None = None) -> SensitivityReport:
+def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
     """All exact sensitivity indices of a linear Gaussian model.
 
     Builds the 2**p conditional-variance table once and extracts the Sobol,
     closed Sobol and Shapley families from it.
     """
-    table = all_conditional_variances(model, threads=threads)
+    return indices_from_table(all_conditional_variances(model))
+
+
+def indices_from_table(table: CondVarTable) -> SensitivityReport:
+    """The Sobol, closed Sobol and Shapley families of one table."""
     return SensitivityReport(
         var_y=table.var_y,
-        sobol=sobol_from_table(table, fast=fast_sobol),
+        sobol=sobol_from_table(table),
         closed_sobol=closed_sobol_from_table(table),
         shapley=shapley_from_table(table),
         eval_count=table.values.size,

@@ -46,6 +46,12 @@ class LinearGaussianModel:
         return self.beta.size
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ModelValidationError(ValidationKind.NOT_FINITE,
+                                   f"{name} holds NaN or infinite values")
+
+
 def validate_covariance(gamma, *, sym_tol: float = SYM_TOL,
                         psd_tol: float = PSD_TOL) -> np.ndarray:
     """Check symmetry and positive semi-definiteness; return the symmetrised matrix.
@@ -58,6 +64,7 @@ def validate_covariance(gamma, *, sym_tol: float = SYM_TOL,
             ValidationKind.DIMENSION_MISMATCH,
             f"covariance must be square, got shape {gamma.shape}",
         )
+    _require_finite("gamma", gamma)
     scale = np.abs(gamma).max()
     asym = np.abs(gamma - gamma.T).max()
     if asym > sym_tol * max(scale, 1e-300):
@@ -88,14 +95,16 @@ def validate_model(beta, gamma, mu=None, *, sym_tol: float = SYM_TOL,
     Raises
     ------
     ModelValidationError
-        With kind ``DimensionMismatch``, ``NotSymmetric``, ``NotPSD`` or
-        ``ZeroOutputVariance`` depending on the violated invariant.
+        With kind ``DimensionMismatch``, ``NotFinite``, ``NotSymmetric``,
+        ``NotPSD`` or ``ZeroOutputVariance`` depending on the violated
+        invariant.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     gamma = np.asarray(gamma, dtype=float)
     p = beta.size
     if p == 0:
         raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH, "beta is empty")
+    _require_finite("beta", beta)
     if gamma.shape != (p, p):
         raise ModelValidationError(
             ValidationKind.DIMENSION_MISMATCH,
@@ -110,6 +119,7 @@ def validate_model(beta, gamma, mu=None, *, sym_tol: float = SYM_TOL,
                 ValidationKind.DIMENSION_MISMATCH,
                 f"mu has length {mu.size}, expected {p}",
             )
+        _require_finite("mu", mu)
 
     gamma = validate_covariance(gamma, sym_tol=sym_tol, psd_tol=psd_tol)
 

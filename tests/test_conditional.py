@@ -7,8 +7,7 @@ from shapley_lg import (GaussianInput, LinearGaussianModel,
                         all_conditional_variances, conditional_variance,
                         generate_random_instance, sample_conditional,
                         total_variance, validate_model)
-from shapley_lg import subsets
-from shapley_lg.conditional import THREADS_ENV_VAR
+from shapley_lg import conditional, subsets
 from conftest import assert_close
 
 
@@ -111,14 +110,97 @@ def test_monte_carlo_cross_check():
         assert abs(sample_var - exact) <= 3 * se
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    model = generate_random_instance(7, seed=3)
-    serial = all_conditional_variances(model, threads=1)
-    threaded = all_conditional_variances(model, threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    from_env = all_conditional_variances(model)
-    assert np.array_equal(serial.values, from_env.values)
+def scalar_table(model):
+    return np.array([conditional_variance(model, j)
+                     for j in range(1 << model.p)])
+
+
+def assert_matches_scalar(model, table):
+    # Every entry lies in [0, var_y]; 1e-12 relative to that scale.
+    var_y = total_variance(model)
+    assert np.max(np.abs(table.values - scalar_table(model))) <= 1e-12 * var_y
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_table_matches_scalar_oracle(p):
+    for seed in range(3):
+        model = generate_random_instance(p, seed=100 * p + seed)
+        table = all_conditional_variances(model)
+        assert_matches_scalar(model, table)
+        assert table.values[0] == total_variance(model)
+        assert table.values[-1] == 0.0
+
+
+def _duplicate_variable():
+    # X4 copies X1: blocks holding both are singular.
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((6, 5))
+    a[:, 3] = a[:, 0]
+    return validate_model(rng.standard_normal(5), a.T @ a)
+
+
+def _tiny_independent_variable():
+    # X3 is independent of the rest with variance 1e-13: blocks holding it
+    # factorize but fail the COND_LIMIT test.
+    model = generate_random_instance(5, seed=8)
+    gamma = model.gamma.copy()
+    gamma[2, :] = gamma[:, 2] = 0.0
+    gamma[2, 2] = 1e-13
+    return validate_model(model.beta, gamma)
+
+
+@pytest.mark.parametrize("make", [_duplicate_variable,
+                                  _tiny_independent_variable])
+def test_ill_conditioned_blocks_take_pseudo_inverse(make, monkeypatch):
+    model = make()
+    seen = []
+    original = conditional._pseudo_explained
+
+    def counted(blocks, c_u):
+        seen.append(blocks.shape)
+        return original(blocks, c_u)
+
+    monkeypatch.setattr(conditional, "_pseudo_explained", counted)
+    table = all_conditional_variances(model)
+    assert seen
+    assert_matches_scalar(model, table)
+
+
+def test_small_batch_cap_gives_the_same_table(monkeypatch):
+    model = generate_random_instance(9, seed=21)
+    whole = all_conditional_variances(model)
+    # Room for three 4 x 4 blocks: most cardinalities split into many chunks.
+    monkeypatch.setattr(conditional, "BATCH_BYTES", 3 * 8 * 16)
+    chunked = all_conditional_variances(model)
+    assert_close(chunked.values, whole.values, tol=1e-14 * whole.var_y)
+
+
+@pytest.mark.parametrize("cap", [conditional.BATCH_BYTES, 3 * 8 * 16])
+def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
+    models = [generate_random_instance(6, seed=s) for s in range(4)]
+    alone = [all_conditional_variances(m) for m in models]
+    monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
+    stacked = conditional.conditional_variance_tables(models)
+    for one, many in zip(alone, stacked):
+        assert many.var_y == one.var_y
+        assert_close(many.values, one.values, tol=1e-14 * one.var_y)
+
+
+def test_table_is_deterministic():
+    model = generate_random_instance(8, seed=3)
+    first = all_conditional_variances(model)
+    second = all_conditional_variances(model)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
+def test_table_clamps_negative_entries_with_warning():
+    gamma = np.array([[1.0, 2.0], [2.0, 1.0]])
+    model = LinearGaussianModel(beta=np.array([1.0, 0.0]), gamma=gamma,
+                                mu=np.zeros(2))
+    with pytest.warns(RuntimeWarning, match="clamped to 0"):
+        table = all_conditional_variances(model)
+    assert table.values[subsets.encode([2], 2)] == 0.0
+    assert table.values[0] == 1.0
 
 
 def test_mask_out_of_range_rejected(correlated_p2):

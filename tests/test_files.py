@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -118,6 +119,88 @@ def test_estimate_report_with_cv_nan_round_trip(tmp_path):
     assert back["cv_summary"]["per_i_cv"] == [12.5, None]
     assert back["cv_summary"]["excluded"] == [2]
     assert back["sobol"] == []
+
+
+def test_schemas_are_valid():
+    for schema in (files.MODEL_SCHEMA, files.DISTRIBUTION_SCHEMA,
+                   files.EXPRESSION_SCHEMA, files.REPORT_SCHEMA):
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def _docs():
+    model = generate_block_instance(2, 2, seed=6)
+    return [
+        files.report_from_sensitivity(lg_indices(model), "lg-indices"),
+        files.report_from_grouped(lg_groups_indices(model),
+                                  "lg-groups-indices"),
+        files.report_from_estimate([0.5, 0.25, 0.25, 0.0], 2.0,
+                                   "random-permutations", seed=1),
+    ]
+
+
+def test_every_writer_passes_the_full_schema(tmp_path):
+    for i, doc in enumerate(_docs()):
+        jsonschema.validate(doc, files.REPORT_SCHEMA)
+        files.write_report(doc, tmp_path / f"r{i}.json")
+        assert files.read_report(tmp_path / f"r{i}.json") == doc
+
+
+def test_rows_beyond_int64_masks_round_trip(tmp_path):
+    # 33 groups of 2: masks reach 2**65, past what an int64 holds.
+    grouped = lg_groups_indices(generate_block_instance(33, 2, seed=2))
+    doc = files.report_from_grouped(grouped, "lg-groups-indices")
+    assert doc["sobol"][-1]["mask"] >= 1 << 64
+    files.write_report(doc, tmp_path / "wide.json")
+    assert files.read_report(tmp_path / "wide.json") == doc
+
+
+def _set(i, key, value):
+    def corrupt(rows):
+        rows[i] = dict(rows[i], **{key: value})
+    return corrupt
+
+
+def _swap(key):
+    def corrupt(rows):
+        rows[2][key], rows[3][key] = rows[3][key], rows[2][key]
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set(1, "extra", 0),
+    lambda rows: rows[1].pop("value"),
+    lambda rows: rows.__setitem__(1, [1, [1], 0.5]),
+    _set(1, "value", float("nan")),
+    _set(1, "value", float("inf")),
+    _set(1, "value", "0.5"),
+    _set(1, "value", True),
+    _set(1, "mask", 1.0),
+    _set(1, "mask", 1 << 70),
+    _set(0, "mask", -1),
+    _set(15, "mask", 16),
+    _set(3, "subset", [2, 1]),
+    _set(1, "subset", [0]),
+    _set(1, "subset", [1, 1]),
+    _set(1, "subset", [5]),
+    _set(1, "subset", (1,)),
+    _swap("subset"),
+    _swap("mask"),
+    lambda rows: rows.__setitem__(slice(2, 4), rows[3:1:-1]),
+], ids=["extra-key", "missing-key", "not-a-dict", "nan", "inf", "str-value",
+        "bool-value", "float-mask", "huge-mask", "negative-mask",
+        "mask-past-2**p", "unsorted-subset", "member-0", "repeated-member",
+        "member-past-p", "tuple-subset", "swapped-subsets", "swapped-masks",
+        "swapped-rows"])
+def test_write_rejects_bad_rows(corrupt, tmp_path):
+    doc = files.report_from_sensitivity(
+        lg_indices(generate_random_instance(4, seed=1)), "lg-indices")
+    for family in ("sobol", "closed_sobol"):
+        bad = json.loads(json.dumps(doc))
+        corrupt(bad[family])
+        path = tmp_path / "bad.json"
+        with pytest.raises(FileFormatError, match=family):
+            files.write_report(bad, path)
+        assert not path.exists()
 
 
 def test_distribution_loading(tmp_path):

@@ -37,6 +37,17 @@ def test_dimension_mismatch_rejected():
     assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
 
 
+@pytest.mark.parametrize("beta,gamma,mu", [
+    ([np.nan, 1.0], np.eye(2), None),
+    ([1.0, 1.0], [[1.0, 0.0], [0.0, np.inf]], None),
+    ([1.0, 1.0], np.eye(2), [0.0, -np.inf]),
+])
+def test_non_finite_inputs_rejected(beta, gamma, mu):
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(beta, gamma, mu)
+    assert exc.value.kind is ValidationKind.NOT_FINITE
+
+
 def test_asymmetric_covariance_rejected():
     with pytest.raises(ModelValidationError) as exc:
         validate_model([1.0, 1.0], [[1.0, 0.5], [0.2, 1.0]])
