@@ -21,11 +21,11 @@ import numpy as np
 from . import files
 from .blocks import lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
-                     ModelValidationError, ValidationKind)
+                     ModelValidationError)
 from .indices import lg_indices
 from .model import generate_block_instance, generate_random_instance
 from .montecarlo import (GaussianInput, McConfig, block_additive_shapley,
-                         mc_shapley)
+                         check_block_terms, mc_shapley, output_variance)
 from .permutations import (EXACT_ENUMERATION_CAP, PermutationEstimate,
                            cv_summary_from_replicates,
                            exact_permutation_shapley,
@@ -263,13 +263,8 @@ def cmd_mc(args) -> int:
         n_inner=args.n_inner, budget=args.budget,
         seed=int(mc_child.generate_state(1)[0]),
     )
-    rng = np.random.default_rng(var_child)
-    var_y = float(np.var(full_model(inp.sample(cfg.n_var, rng)), ddof=1))
-    if var_y <= 0.0:
-        raise ModelValidationError(
-            ValidationKind.ZERO_OUTPUT_VARIANCE,
-            "estimated output variance is zero; the expression looks constant",
-        )
+    var_y = output_variance(full_model, inp, cfg.n_var, var_child,
+                            "the expression")
 
     config = {
         "m": args.m, "n_var": args.n_var, "n_outer": args.n_outer,
@@ -278,6 +273,9 @@ def cmd_mc(args) -> int:
     }
     if args.blocks:
         models, partition = files.build_block_functions(expr, p)
+        # A third child of the seed: the estimate's draws do not depend on it.
+        check_block_terms(full_model, models, partition, inp,
+                          seed_root.spawn(1)[0])
         pairs = []
         for group, block_model in zip(partition.groups, models):
             idx = np.asarray(group) - 1

@@ -13,6 +13,8 @@ class ValidationKind(enum.Enum):
     ZERO_OUTPUT_VARIANCE = "ZeroOutputVariance"
     DIMENSION_MISMATCH = "DimensionMismatch"
     NOT_FINITE = "NotFinite"
+    DEPENDENT_BLOCKS = "DependentBlocks"
+    NOT_ADDITIVE = "NotAdditive"
 
 
 class ModelValidationError(ValueError):

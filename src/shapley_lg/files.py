@@ -18,7 +18,6 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import subsets
 from .blocks import BlockPartition, GroupedReport
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
@@ -213,9 +212,56 @@ def _row_error(rows: list, p: int) -> str | None:
     return None
 
 
+def _subset_text(members: list) -> str:
+    if not members:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, members)) + "\n      ]"
+
+
+def _render_rows(rows: list, subset_texts: dict) -> str:
+    """``json.dumps(rows, indent=2)`` text of a row family at depth one.
+
+    One f-string per row; the rows must pass :func:`_row_error`, and their
+    keys are written in the schema's order. ``subset_texts`` maps each mask
+    to the text of its subset, kept across families: a checked mask fixes
+    its subset.
+    """
+    if not rows:
+        return "[]"
+    value_text = float.__repr__
+    if not all(isinstance(r["value"], float) for r in rows):
+        value_text = json.dumps                    # integer values
+    subset_texts.update((r["mask"], _subset_text(r["subset"]))
+                        for r in rows if r["mask"] not in subset_texts)
+    return "[\n" + ",\n".join([
+        f'    {{\n      "subset": {subset_texts[r["mask"]]},'
+        f'\n      "mask": {r["mask"]},'
+        f'\n      "value": {value_text(r["value"])}\n    }}'
+        for r in rows
+    ]) + "\n  ]"
+
+
 def render_json(obj) -> str:
-    """Canonical text for any document this package writes."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Canonical text for any document this package writes.
+
+    The text is ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``. A
+    report's subset rows, 2**p per family, are written from a template
+    instead of by the encoder, which falls back to pure Python with
+    ``indent``; they must pass :func:`_row_error`, which
+    :func:`write_report` runs first.
+    """
+    if not (isinstance(obj, dict)
+            and all(isinstance(obj.get(f), list) for f in _ROW_FAMILIES)):
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    entries, subset_texts = [], {}
+    for key, value in obj.items():
+        if key in _ROW_FAMILIES:
+            text = _render_rows(value, subset_texts)
+        else:
+            text = json.dumps(value, indent=2,
+                              allow_nan=False).replace("\n", "\n  ")
+        entries.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def _write(text: str, path=None) -> None:
@@ -380,15 +426,21 @@ def build_block_functions(expr_obj: dict,
     return models, partition
 
 
-def _subset_rows(pairs, p: int) -> list[dict]:
-    return [
-        {
-            "subset": [int(i) for i in subsets.decode(int(mask), p)],
-            "mask": int(mask),
-            "value": float(value),
-        }
-        for mask, value in pairs
-    ]
+def _lattice(members) -> tuple[list[list[int]], list[int]]:
+    """Subsets of the ascending variables ``members`` and their global masks,
+    in the order of the local masks: entry ``j`` holds the members picked
+    by the bits of ``j``."""
+    subs, masks = [[]], [0]
+    for i in members:
+        bit = 1 << (i - 1)
+        subs += [s + [i] for s in subs]
+        masks += [m + bit for m in masks]
+    return subs, masks
+
+
+def _subset_rows(subs, masks, values) -> list[dict]:
+    return [{"subset": s, "mask": m, "value": v}
+            for s, m, v in zip(subs, masks, values)]
 
 
 def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
@@ -406,16 +458,17 @@ def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
 
 
 def report_from_sensitivity(rep: SensitivityReport, algorithm: str) -> dict:
-    """Report document for a full-lattice computation."""
+    """Report document for a full-lattice computation.
+
+    The two row families share their ``subset`` lists.
+    """
     p = rep.p
-    size = 1 << p
+    subs, masks = _lattice(range(1, p + 1))
     return {
         "var_y": float(rep.var_y),
         "shapley": [float(v) for v in rep.shapley],
-        "sobol": _subset_rows(((j, rep.sobol[j]) for j in range(size)), p),
-        "closed_sobol": _subset_rows(
-            ((j, rep.closed_sobol[j]) for j in range(size)), p
-        ),
+        "sobol": _subset_rows(subs, masks, rep.sobol.tolist()),
+        "closed_sobol": _subset_rows(subs, masks, rep.closed_sobol.tolist()),
         "metadata": _metadata(algorithm, p, eval_count=rep.eval_count),
     }
 
@@ -426,25 +479,21 @@ def report_from_grouped(grep: GroupedReport, algorithm: str) -> dict:
     Index rows cover the subsets contained in a single group; any other
     subset's Sobol index is zero by construction and not materialised.
     """
-    p = grep.p
-    sobol_pairs = [(0, 0.0)]
-    closed_pairs = [(0, 0.0)]
+    subs, masks, sobol, closed = [[]], [0], [0.0], [0.0]
     for j, group in enumerate(grep.partition.groups):
         weight = float(grep.group_weights[j])
-        rep = grep.group_reports[j]
-        for local in range(1, 1 << len(group)):
-            gmask = sum(1 << (group[t] - 1)
-                        for t in range(len(group)) if local >> t & 1)
-            sobol_pairs.append((gmask, grep.scaled_sobol[j][local]))
-            closed_pairs.append((gmask, weight * rep.closed_sobol[local]))
-    sobol_pairs.sort()
-    closed_pairs.sort()
+        group_subs, group_masks = _lattice(group)
+        subs += group_subs[1:]
+        masks += group_masks[1:]
+        sobol += grep.scaled_sobol[j][1:].tolist()
+        closed += (weight * grep.group_reports[j].closed_sobol[1:]).tolist()
+    masks, subs, sobol, closed = zip(*sorted(zip(masks, subs, sobol, closed)))
     return {
         "var_y": float(grep.var_y),
         "shapley": [float(v) for v in grep.shapley],
-        "sobol": _subset_rows(sobol_pairs, p),
-        "closed_sobol": _subset_rows(closed_pairs, p),
-        "metadata": _metadata(algorithm, p, eval_count=grep.eval_count,
+        "sobol": _subset_rows(subs, masks, sobol),
+        "closed_sobol": _subset_rows(subs, masks, closed),
+        "metadata": _metadata(algorithm, grep.p, eval_count=grep.eval_count,
                               partition=grep.partition),
     }
 
@@ -476,7 +525,8 @@ def write_report(doc: dict, path=None) -> None:
     """Check and write a report document (stdout when no path).
 
     The schema checks the document with its subset rows left out; those
-    can number 2**p per family and are checked by :func:`_row_error`.
+    can number 2**p per family and are checked by :func:`_row_error`. A
+    value JSON cannot hold, such as NaN, is a :class:`FileFormatError`.
     """
     where = path or "<stdout>"
     rows = {f: doc[f] for f in _ROW_FAMILIES
@@ -488,7 +538,12 @@ def write_report(doc: dict, path=None) -> None:
         if why is not None:
             raise FileFormatError(f"{where} is not a valid report file: "
                                   f"{family}: {why}")
-    _write(render_json(doc), path)
+    try:
+        text = render_json(doc)
+    except ValueError as err:                      # NaN or infinity
+        raise FileFormatError(f"{where} is not a valid report file: "
+                              f"{err}") from err
+    _write(text, path)
 
 
 def read_report(path) -> dict:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import BlockPartition, combine_block_shapley
+from .blocks import BlockPartition, combine_block_shapley, detect_blocks
 from .conditional import _solve
 from .errors import BudgetExceededError, ModelValidationError, ValidationKind
 from .permutations import PermutationEstimate
@@ -173,6 +173,75 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     return float(np.mean(np.var(values, axis=1, ddof=1)))
 
 
+def _check_variance(var: float, what: str) -> float:
+    if not np.isfinite(var):
+        raise ModelValidationError(
+            ValidationKind.NOT_FINITE,
+            f"estimated output variance of {what} is {var}",
+        )
+    if var <= 0.0:
+        raise ModelValidationError(
+            ValidationKind.ZERO_OUTPUT_VARIANCE,
+            f"estimated output variance of {what} is zero; it looks constant",
+        )
+    return var
+
+
+def output_variance(model: BlackBoxModel, inp: GaussianInput, n: int, seed,
+                    what: str = "the model") -> float:
+    """Unbiased sample variance of the model output over ``n`` joint draws.
+
+    Raises :class:`ModelValidationError` (``NotFinite`` or
+    ``ZeroOutputVariance``) unless the estimate is finite and positive;
+    ``what`` names the model in the message.
+    """
+    values = model(inp.sample(n, np.random.default_rng(seed)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        var = float(np.var(values, ddof=1))
+    return _check_variance(var, what)
+
+
+#: Joint draws on which :func:`check_block_terms` compares the model with
+#: the sum of its block terms.
+ADDITIVITY_POINTS = 16
+
+
+def check_block_terms(model: BlackBoxModel,
+                      block_models: Sequence[BlackBoxModel],
+                      partition: BlockPartition, inp: GaussianInput,
+                      seed) -> None:
+    """Check the preconditions of :func:`block_additive_shapley`.
+
+    Every group of dependent inputs that :func:`detect_blocks` finds in
+    ``inp.gamma`` must lie inside one block of ``partition``, and ``model``
+    must equal the sum of ``block_models`` (aligned with
+    ``partition.groups``) within ``1e-8 * (1 + |f(x)|)`` on
+    ``ADDITIVITY_POINTS`` joint draws from ``seed``. Raises
+    :class:`ModelValidationError` otherwise.
+    """
+    for group in detect_blocks(inp.gamma).groups:
+        owners = np.unique(partition.group_of[np.asarray(group) - 1])
+        if owners.size > 1:
+            names = ", ".join(f"x{i}" for i in group)
+            raise ModelValidationError(
+                ValidationKind.DEPENDENT_BLOCKS,
+                f"inputs {names} are dependent but split across "
+                f"{owners.size} blocks",
+            )
+    x = inp.sample(ADDITIVITY_POINTS, np.random.default_rng(seed))
+    f = model(x)
+    terms = sum(bb(x[:, np.asarray(group) - 1])
+                for bb, group in zip(block_models, partition.groups))
+    bad = ~(np.abs(f - terms) <= 1e-8 * (1.0 + np.abs(f)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelValidationError(
+            ValidationKind.NOT_ADDITIVE,
+            f"f = {f[i]:.6g} but the block terms sum to {terms[i]:.6g} "
+            f"at a sampled point",
+        )
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sampling sizes of the black-box estimator.
@@ -217,13 +286,9 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         raise ValueError(f"input dimension {inp.p} does not match model p={p}")
     children = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.m)
     if var_y is None:
-        rng = np.random.default_rng(children[0])
-        var_y = float(np.var(model(inp.sample(cfg.n_var, rng)), ddof=1))
-    if var_y <= 0.0:
-        raise ModelValidationError(
-            ValidationKind.ZERO_OUTPUT_VARIANCE,
-            "estimated output variance is zero; the model looks constant",
-        )
+        var_y = output_variance(model, inp, cfg.n_var, children[0])
+    else:
+        _check_variance(var_y, "the model")
     perm_rng = np.random.default_rng(children[1])
     acc = np.zeros(p)
     for j in range(cfg.m):
@@ -278,13 +343,8 @@ def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]]
     children = np.random.SeedSequence(cfg.seed).spawn(2 * k)
     variances = np.empty(k)
     for j, (bb, gi) in enumerate(blocks):
-        rng = np.random.default_rng(children[j])
-        variances[j] = np.var(bb(gi.sample(cfg.n_var, rng)), ddof=1)
-        if variances[j] <= 0.0:
-            raise ModelValidationError(
-                ValidationKind.ZERO_OUTPUT_VARIANCE,
-                f"block {j} has zero estimated variance",
-            )
+        variances[j] = output_variance(bb, gi, cfg.n_var, children[j],
+                                       f"block {j}")
     weights = variances / variances.sum()
 
     group_estimates = []

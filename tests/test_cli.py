@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapley_lg
 from shapley_lg import lg_indices, validate_model
 from shapley_lg.cli import main
 
@@ -276,17 +279,59 @@ def test_mc_constant_expression_rejected(tmp_path):
     assert run(["mc", "--model", expr, "--dist", dist]) == 2
 
 
+@pytest.mark.parametrize("f", ["exp(1000*x1) + x2",
+                               "x1 * (x2 - x2) / (x2 - x2)"])
+def test_mc_rejects_non_finite_output_variance(tmp_path, capsys, f):
+    expr = write_json(tmp_path / "expr.json", {"f": f})
+    dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0, 0.0],
+                                                         [0.0, 1.0]]})
+    out = tmp_path / "mc.json"
+    assert run(["mc", "--model", expr, "--dist", dist, "--m", 5,
+                "--n-outer", 10, "--out", out]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: NotFinite:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block_expr, corr, kind", [
+    ("x2 + 5*x3", 0.9, "DependentBlocks"),
+    ("x2", 0.0, "NotAdditive"),
+])
+def test_mc_blocks_rejects_broken_preconditions(tmp_path, capsys,
+                                                block_expr, corr, kind):
+    # Before these checks both exited 0: the first with Shapley values
+    # (0.04, 0.04, 0.92) where the exact ones are (0.066, 0.066, 0.868).
+    expr = write_json(tmp_path / "expr.json", {
+        "f": "x1 + x2 + 5*x3",
+        "blocks": [{"inputs": ["x1"], "expr": "x1"},
+                   {"inputs": ["x2", "x3"], "expr": block_expr}],
+    })
+    dist = write_json(tmp_path / "dist.json", {"gamma": [
+        [1.0, corr, 0.0], [corr, 1.0, 0.0], [0.0, 0.0, 1.0]]})
+    out = tmp_path / "mc.json"
+    assert run(["mc", "--model", expr, "--dist", dist, "--blocks",
+                "--m", 20, "--n-outer", 20, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
+    # The child imports the package these tests import, also when only
+    # pytest's ``pythonpath`` setting puts it on sys.path.
+    src = str(Path(shapley_lg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     model = tmp_path / "m.json"
     proc = subprocess.run(
         [sys.executable, "-m", "shapley_lg", "generate", "--p", "3",
          "--seed", "1", "--out", str(model)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     proc = subprocess.run(
         [sys.executable, "-m", "shapley_lg", "compute", "--model", str(model)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -203,6 +203,64 @@ def test_write_rejects_bad_rows(corrupt, tmp_path):
         assert not path.exists()
 
 
+def test_write_rejects_non_finite_values_outside_rows(tmp_path):
+    for field, value in [("var_y", float("nan")),
+                         ("shapley", [0.5, float("inf")])]:
+        doc = files.report_from_estimate([0.5, 0.5], 1.0, "mc-shapley")
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        with pytest.raises(FileFormatError, match="not a valid report"):
+            files.write_report(doc, path)
+        assert not path.exists()
+
+
+def _awkward_rows():
+    values = [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0, 2.0, -3.0]
+    return [{"subset": list(subsets.decode(mask, 3)), "mask": mask,
+             "value": v} for mask, v in enumerate(values)]
+
+
+def _render_cases():
+    cases = {f"dense-p{p}": files.report_from_sensitivity(
+        lg_indices(generate_random_instance(p, seed=p)), "lg-indices")
+        for p in range(1, 7)}
+    for k, n in [(3, 2), (33, 2)]:
+        cases[f"grouped-{k}x{n}"] = files.report_from_grouped(
+            lg_groups_indices(generate_block_instance(k, n, seed=2)),
+            "lg-groups-indices")
+    interleaved = validate_model([1.0, 2.0, 3.0, 4.0], [
+        [1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, -0.3],
+        [0.5, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.0]])
+    cases["grouped-interleaved"] = files.report_from_grouped(
+        lg_groups_indices(interleaved), "lg-groups-indices")
+    summary = CvSummary(per_i_cv=np.array([12.5, np.nan, 0.25]),
+                        mean_cv=np.nan, m=10, reps=20, seed=3, excluded=(2,))
+    cases["estimate"] = files.report_from_estimate(
+        [0.5, 0.25, 0.25], 2.0, "random-permutations", seed=1)
+    cases["estimate-cv"] = files.report_from_estimate(
+        [0.5, 0.25, 0.25], 2.0, "random-permutations", seed=1,
+        config={"m": 10, "reps": 20}, cv=summary)
+    awkward = files.report_from_estimate([-0.0, 5e-324, 1.0], 1e16, "rows")
+    awkward["metadata"]["p"] = 3
+    awkward["sobol"] = _awkward_rows()
+    awkward["closed_sobol"] = _awkward_rows()[::3]
+    cases["awkward-floats"] = awkward
+    integers = json.loads(json.dumps(awkward))
+    integers["sobol"][5]["value"] = 1
+    cases["integer-value"] = integers
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_render_cases()))
+def test_render_matches_json_dumps(name, tmp_path):
+    doc = _render_cases()[name]
+    expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert files.render_json(doc) == expected
+    path = tmp_path / "report.json"
+    files.write_report(doc, path)
+    assert path.read_text() == expected
+
+
 def test_distribution_loading(tmp_path):
     path = tmp_path / "dist.json"
     path.write_text('{"gamma": [[2.0, 0.5], [0.5, 1.0]], "mu": [1.0, -1.0]}')

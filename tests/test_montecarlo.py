@@ -8,7 +8,8 @@ from shapley_lg import (BlackBoxModel, BlockPartition, BudgetExceededError,
                         generate_random_instance, lg_groups_indices,
                         lg_indices, mc_shapley, sample_conditional,
                         total_variance, validate_model)
-from shapley_lg import subsets
+from shapley_lg import ValidationKind, subsets
+from shapley_lg.montecarlo import output_variance
 from conftest import assert_close
 
 
@@ -140,6 +141,18 @@ def test_mc_shapley_rejects_constant_model():
     inp = GaussianInput(mu=np.zeros(2), gamma=np.eye(2))
     with pytest.raises(ModelValidationError):
         mc_shapley(bb, inp, McConfig(m=5, n_var=100, seed=0))
+
+
+def test_output_variance_keeps_the_draws_and_rejects_nan():
+    bb = linear_black_box([1.0, -2.0])
+    inp = GaussianInput(mu=np.zeros(2), gamma=[[1.0, 0.3], [0.3, 1.0]])
+    seed = np.random.SeedSequence(5)
+    direct = np.var(bb(inp.sample(500, np.random.default_rng(seed))), ddof=1)
+    assert output_variance(bb, inp, 500, seed) == float(direct)
+    nan = BlackBoxModel(eval=lambda x: np.full(x.shape[0], np.nan), p=2)
+    with pytest.raises(ModelValidationError) as err:
+        mc_shapley(nan, inp, McConfig(m=5, n_var=100, seed=0))
+    assert err.value.kind is ValidationKind.NOT_FINITE
 
 
 def test_mc_shapley_matches_exact_linear_reference():
