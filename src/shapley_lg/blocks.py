@@ -22,6 +22,10 @@ from .indices import (NUM_TOL, SensitivityReport, indices_from_table,
                       lg_indices)
 from .model import LinearGaussianModel, total_variance, validate_model
 
+#: Tolerance on the sums to 1 of the weights and of each group's effects
+#: that :func:`combine_block_shapley` combines.
+COMBINE_SUM_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class BlockPartition:
@@ -95,14 +99,14 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
 
     Two variables are linked when ``|gamma[a, b]| > eps_block`` for ``a != b``;
     the groups are the connected components of that graph, sorted by their
-    smallest member.
+    smallest member. A negative or NaN ``eps_block`` is a ``ValueError``.
     """
     gamma = np.asarray(gamma, dtype=float)
     p = gamma.shape[0]
     if gamma.shape != (p, p):
         raise ValueError(f"gamma must be square, got shape {gamma.shape}")
-    if eps_block < 0:
-        raise ValueError("eps_block must be non-negative")
+    if not eps_block >= 0:
+        raise ValueError(f"eps_block must be >= 0, got {eps_block}")
     adj = np.abs(gamma) > eps_block
     np.fill_diagonal(adj, False)
     # Breadth-first search from the smallest variable not yet grouped, so
@@ -208,13 +212,12 @@ def verify_cross_block_zeros(report: SensitivityReport, partition: BlockPartitio
 
 
 def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
-                          partition: BlockPartition, *,
-                          tol: float = 1e-8) -> np.ndarray:
+                          partition: BlockPartition) -> np.ndarray:
     """Assemble global Shapley effects from per-group effects and weights.
 
     Each variable receives its group's weight times its within-group
     Shapley effect. Weights must sum to 1 and each group's effects must sum
-    to 1, both within ``tol``.
+    to 1, both within ``COMBINE_SUM_TOL``.
     """
     weights = np.asarray(group_weights, dtype=float)
     if weights.size != partition.k or len(group_shapleys) != partition.k:
@@ -222,7 +225,7 @@ def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
             f"expected {partition.k} weights and group vectors, got "
             f"{weights.size} and {len(group_shapleys)}"
         )
-    if abs(weights.sum() - 1.0) > tol:
+    if abs(weights.sum() - 1.0) > COMBINE_SUM_TOL:
         raise ValueError(f"group weights sum to {weights.sum()}, not 1")
     out = np.empty(partition.p)
     for j, group in enumerate(partition.groups):
@@ -232,7 +235,7 @@ def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
                 f"group {j} has {len(group)} variables but a Shapley vector "
                 f"of length {eta_g.size}"
             )
-        if abs(eta_g.sum() - 1.0) > tol:
+        if abs(eta_g.sum() - 1.0) > COMBINE_SUM_TOL:
             raise ValueError(f"group {j} Shapley effects sum to {eta_g.sum()}, not 1")
         out[np.asarray(group, dtype=np.int64) - 1] = weights[j] * eta_g
     return out

@@ -23,11 +23,12 @@ from .blocks import lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
-from .model import generate_block_instance, generate_random_instance
-from .montecarlo import (GaussianInput, McConfig, block_additive_shapley,
-                         check_block_terms, mc_shapley, output_variance)
-from .permutations import (EXACT_ENUMERATION_CAP, PermutationEstimate,
-                           cv_summary_from_replicates,
+from .model import (generate_block_instance, generate_random_instance,
+                    total_variance)
+from .montecarlo import (MC_MINIMUMS, GaussianInput, McConfig,
+                         block_additive_shapley, check_block_terms,
+                         mc_shapley, output_variance)
+from .permutations import (EXACT_ENUMERATION_CAP, cv_summary_from_replicates,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates)
 
@@ -35,6 +36,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_PARSE = 4
+
+#: Smallest accepted value of each numeric flag, keyed by its argparse
+#: destination; ``estimate --m`` shares the minimum of ``mc --m``.
+FLAG_MINIMUMS = {**MC_MINIMUMS, "reps": 1, "p": 1, "k": 1, "n": 1,
+                 "repetitions": 1, "eps_block": 0.0, "seed": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,14 +122,17 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _check_flag(dest: str, value, minimum) -> None:
+    """Reject a flag value that is not finite or is below ``minimum``."""
+    if not (math.isfinite(value) and value >= minimum):
+        raise FileFormatError(f"--{dest.replace('_', '-')} must be a finite "
+                              f"number >= {minimum}, got {value}")
+
+
 def cmd_estimate(args) -> int:
     model = files.read_model(args.model)
-    if args.m < 1:
-        raise FileFormatError("--m must be >= 1")
-    if args.reps < 1:
-        raise FileFormatError("--reps must be >= 1")
     config = {"method": args.method, "m": args.m, "reps": args.reps}
-    var_y = float(model.beta @ model.gamma @ model.beta)
+    var_y = total_variance(model)
     if args.method == "exact-perm":
         shapley = exact_permutation_shapley(model)
         doc = files.report_from_estimate(shapley, var_y, "exact-permutations",
@@ -136,11 +145,7 @@ def cmd_estimate(args) -> int:
     else:
         samples = replicate_estimates(model, args.m, args.reps, args.seed)
         summary = cv_summary_from_replicates(samples, args.m, args.seed)
-        aggregate = PermutationEstimate(
-            shapley_hat=samples.mean(axis=0), m=args.m, seed=args.seed,
-            per_i_variance=samples.var(axis=0, ddof=1),
-        )
-        doc = files.report_from_estimate(aggregate.shapley_hat, var_y,
+        doc = files.report_from_estimate(samples.mean(axis=0), var_y,
                                          "random-permutations",
                                          seed=args.seed, config=config,
                                          cv=summary)
@@ -194,12 +199,12 @@ def _parse_sizes(text: str, grouped: bool):
             ) from err
     if not sizes:
         raise FileFormatError("--sizes is empty")
+    for value in np.ravel(sizes):
+        _check_flag("sizes", value, 1)
     return sizes
 
 
 def cmd_benchmark(args) -> int:
-    if args.repetitions < 1:
-        raise FileFormatError("--repetitions must be >= 1")
     rows = []
     for size in _parse_sizes(args.sizes, args.groups):
         if args.groups:
@@ -306,6 +311,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if dest in FLAG_MINIMUMS and value is not None:
+                _check_flag(dest, value, FLAG_MINIMUMS[dest])
         return _COMMANDS[args.command](args)
     except ModelValidationError as err:
         print(f"error: {err}", file=sys.stderr)

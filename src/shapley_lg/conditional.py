@@ -75,22 +75,13 @@ def _factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
 
 
-def _solve(mat: np.ndarray, rhs: np.ndarray, solver: str) -> np.ndarray:
-    if solver == "pseudo":
-        return _pseudo_solve(mat, rhs)
-    if solver == "cholesky":
-        out = _factor_solve(mat, rhs)
-        if out is None:
-            raise np.linalg.LinAlgError("matrix not positive definite")
-        return out
-    if solver == "auto":
-        out = _factor_solve(mat, rhs)
-        return _pseudo_solve(mat, rhs) if out is None else out
-    raise ValueError(f"unknown solver {solver!r}")
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve, or the generalized inverse when that fails."""
+    out = _factor_solve(mat, rhs)
+    return _pseudo_solve(mat, rhs) if out is None else out
 
 
-def conditional_variance(model: LinearGaussianModel, j: int, *,
-                         solver: str = "auto") -> float:
+def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     """Conditional variance of the output given the inputs in mask ``j``.
 
     Singular ``gamma[u, u]`` blocks are handled through the symmetric
@@ -101,16 +92,12 @@ def conditional_variance(model: LinearGaussianModel, j: int, *,
     model : LinearGaussianModel
     j : int
         Subset bitmask in ``[0, 2**p)``.
-    solver : {"auto", "cholesky", "pseudo"}
-        "auto" tries a positive-definite factorization and falls back to the
-        generalized inverse; the other values force one path (used for
-        cross-checks).
     """
     p = model.p
     if not 0 <= j < (1 << p):
         raise ValueError(f"mask {j} outside [0:2**{p}-1]")
     if j == 0:
-        return float(model.beta @ model.gamma @ model.beta)
+        return total_variance(model)
     if j == subsets.full_mask(p):
         return 0.0
 
@@ -121,10 +108,9 @@ def conditional_variance(model: LinearGaussianModel, j: int, *,
     gamma = model.gamma
     t = gamma[np.ix_(u_idx, r_idx)] @ beta_r
     q = float(beta_r @ gamma[np.ix_(r_idx, r_idx)] @ beta_r)
-    q -= float(t @ _solve(gamma[np.ix_(u_idx, u_idx)], t, solver))
+    q -= float(t @ _solve(gamma[np.ix_(u_idx, u_idx)], t))
     if q < 0.0:
-        var_y = float(model.beta @ model.gamma @ model.beta)
-        if q < -NEG_WARN_FACTOR * var_y:
+        if q < -NEG_WARN_FACTOR * total_variance(model):
             warnings.warn(
                 f"conditional variance {q:.3e} for mask {j} clamped to 0; "
                 "the covariance appears badly conditioned",

@@ -331,17 +331,21 @@ def read_expression_file(path) -> dict:
     return obj
 
 
-def _compile_with_defs(text: str, base_names, consts: dict, defs: dict,
-                       strict: bool):
-    """Compile ``text`` with constants and resolvable definitions in scope.
+def _compile_with_defs(expr_obj: dict, text: str, names,
+                       strict: bool) -> BlackBoxModel:
+    """Black-box model of ``text`` over the inputs ``names``, with the
+    file's constants and resolvable definitions in scope.
 
     Definitions are evaluated in file order; in non-strict mode ones that
     reference unavailable names (e.g. inputs outside a block) are dropped
-    from scope instead of failing.
+    from scope instead of failing. Evaluation ignores floating-point
+    warnings: a non-finite output is reported by the caller's checks.
     """
-    available = set(base_names) | set(consts)
+    consts = {k: float(v) for k, v in expr_obj.get("consts", {}).items()}
+    names = tuple(names)
+    available = set(names) | set(consts)
     resolved = []
-    for name, body in defs.items():
+    for name, body in expr_obj.get("defs", {}).items():
         try:
             fn = compile_expression(body, available)
         except FileFormatError:
@@ -352,30 +356,23 @@ def _compile_with_defs(text: str, base_names, consts: dict, defs: dict,
         available.add(name)
     main = compile_expression(text, available)
 
-    def run(env: dict):
+    def eval_batch(x: np.ndarray):
         scope = dict(consts)
-        scope.update(env)
-        for name, fn in resolved:
-            scope[name] = fn(scope)
-        return main(scope)
+        scope.update(zip(names, x.T))
+        with np.errstate(all="ignore"):
+            for name, fn in resolved:
+                scope[name] = fn(scope)
+            value = main(scope)
+        # constant subexpressions may collapse to a scalar
+        return np.broadcast_to(np.asarray(value, dtype=float), (x.shape[0],))
 
-    return run
+    return BlackBoxModel(eval=eval_batch, p=len(names))
 
 
 def build_function(expr_obj: dict, p: int) -> BlackBoxModel:
     """Black-box model of the full expression over inputs ``x1 .. xp``."""
-    consts = {k: float(v) for k, v in expr_obj.get("consts", {}).items()}
-    defs = expr_obj.get("defs", {})
-    names = input_names(p)
-    run = _compile_with_defs(expr_obj["f"], names, consts, defs, strict=True)
-
-    def eval_batch(x: np.ndarray, _names=tuple(names)):
-        env = {_names[i]: x[:, i] for i in range(len(_names))}
-        # constant subexpressions may collapse to a scalar
-        return np.broadcast_to(np.asarray(run(env), dtype=float),
-                               (x.shape[0],))
-
-    return BlackBoxModel(eval=eval_batch, p=p)
+    return _compile_with_defs(expr_obj, expr_obj["f"], input_names(p),
+                              strict=True)
 
 
 def build_block_functions(expr_obj: dict,
@@ -387,8 +384,6 @@ def build_block_functions(expr_obj: dict,
     """
     if "blocks" not in expr_obj:
         raise FileFormatError("expression file declares no blocks")
-    consts = {k: float(v) for k, v in expr_obj.get("consts", {}).items()}
-    defs = expr_obj.get("defs", {})
     entries = []
     for blk in expr_obj["blocks"]:
         indices = []
@@ -412,17 +407,8 @@ def build_block_functions(expr_obj: dict,
 
     # Models must line up with partition.groups, which sorts by first member.
     entries.sort(key=lambda item: item[0][0])
-    models = []
-    for _, blk in entries:
-        local = tuple(blk["inputs"])
-        run = _compile_with_defs(blk["expr"], local, consts, defs, strict=False)
-
-        def eval_batch(x: np.ndarray, _names=local, _run=run):
-            env = {_names[i]: x[:, i] for i in range(len(_names))}
-            return np.broadcast_to(np.asarray(_run(env), dtype=float),
-                                   (x.shape[0],))
-
-        models.append(BlackBoxModel(eval=eval_batch, p=len(local)))
+    models = [_compile_with_defs(expr_obj, blk["expr"], blk["inputs"],
+                                 strict=False) for _, blk in entries]
     return models, partition
 
 

@@ -52,8 +52,7 @@ def _require_finite(name: str, values: np.ndarray) -> None:
                                    f"{name} holds NaN or infinite values")
 
 
-def validate_covariance(gamma, *, sym_tol: float = SYM_TOL,
-                        psd_tol: float = PSD_TOL) -> np.ndarray:
+def validate_covariance(gamma) -> np.ndarray:
     """Check symmetry and positive semi-definiteness; return the symmetrised matrix.
 
     Shared by model validation and distribution-file loading.
@@ -67,26 +66,25 @@ def validate_covariance(gamma, *, sym_tol: float = SYM_TOL,
     _require_finite("gamma", gamma)
     scale = np.abs(gamma).max()
     asym = np.abs(gamma - gamma.T).max()
-    if asym > sym_tol * max(scale, 1e-300):
+    if asym > SYM_TOL * max(scale, 1e-300):
         raise ModelValidationError(
             ValidationKind.NOT_SYMMETRIC,
-            f"max |gamma - gamma.T| = {asym:.3e} exceeds {sym_tol} * max|gamma|",
+            f"max |gamma - gamma.T| = {asym:.3e} exceeds {SYM_TOL} * max|gamma|",
         )
     gamma = (gamma + gamma.T) / 2.0
 
     eigvals = np.linalg.eigvalsh(gamma)
     smallest, largest = float(eigvals[0]), float(eigvals[-1])
-    if smallest < -psd_tol * max(largest, 0.0):
+    if smallest < -PSD_TOL * max(largest, 0.0):
         raise ModelValidationError(
             ValidationKind.NOT_PSD,
-            f"smallest eigenvalue {smallest:.3e} below -{psd_tol} * largest "
+            f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL} * largest "
             f"({largest:.3e})",
         )
     return gamma
 
 
-def validate_model(beta, gamma, mu=None, *, sym_tol: float = SYM_TOL,
-                   psd_tol: float = PSD_TOL) -> LinearGaussianModel:
+def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
     """Check model inputs and return a validated :class:`LinearGaussianModel`.
 
     The covariance is symmetrised to ``(gamma + gamma.T) / 2`` after the
@@ -121,7 +119,7 @@ def validate_model(beta, gamma, mu=None, *, sym_tol: float = SYM_TOL,
             )
         _require_finite("mu", mu)
 
-    gamma = validate_covariance(gamma, sym_tol=sym_tol, psd_tol=psd_tol)
+    gamma = validate_covariance(gamma)
 
     var_y = float(beta @ gamma @ beta)
     if var_y <= 0.0:

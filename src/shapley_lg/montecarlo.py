@@ -10,7 +10,7 @@ estimating on the full input space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,23 +25,18 @@ from .permutations import PermutationEstimate
 class BlackBoxModel:
     """Deterministic scalar-valued function of a length-p input vector.
 
-    ``eval`` is called with a batch array of shape (n, p) and must return n
-    values; set ``vectorized=False`` for a plain per-point function and rows
-    will be fed one at a time.
+    ``eval`` is called with a batch array of shape (n, p), one row per
+    point, and must return n values.
     """
 
     eval: Callable
     p: int
-    vectorized: bool = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.p:
             raise ValueError(f"expected batch of shape (n, {self.p}), got {x.shape}")
-        if self.vectorized:
-            out = np.asarray(self.eval(x), dtype=float).reshape(-1)
-        else:
-            out = np.array([float(self.eval(row)) for row in x])
+        out = np.asarray(self.eval(x), dtype=float).reshape(-1)
         if out.size != x.shape[0]:
             raise ValueError(
                 f"model returned {out.size} values for {x.shape[0]} points"
@@ -63,11 +58,16 @@ def _psd_factor(gamma: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class GaussianInput:
-    """Gaussian input distribution with a cached sampling factor."""
+    """Gaussian input distribution with a cached sampling factor.
+
+    ``gamma`` is symmetrised on construction and ``factor`` is computed from
+    it: a square root ``F`` with ``F F' = gamma`` (Cholesky, or eigenvector
+    scaling when ``gamma`` is only semi-definite).
+    """
 
     mu: np.ndarray
     gamma: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -78,16 +78,7 @@ class GaussianInput:
                 f"gamma has shape {self.gamma.shape}, expected ({p}, {p})"
             )
         self.gamma = (self.gamma + self.gamma.T) / 2.0
-        if self.factor is None:
-            self.factor = _psd_factor(self.gamma)
-        else:
-            self.factor = np.asarray(self.factor, dtype=float)
-            scale = max(float(np.abs(self.gamma).max()), 1e-300)
-            gap = np.abs(self.factor @ self.factor.T - self.gamma).max()
-            if gap > 1e-10 * scale:
-                raise ValueError(
-                    f"factor does not reproduce gamma (relative gap {gap / scale:.3e})"
-                )
+        self.factor = _psd_factor(self.gamma)
 
     @property
     def p(self) -> int:
@@ -119,7 +110,7 @@ def _conditional_parts(inp: GaussianInput, u_idx: np.ndarray,
         return np.zeros((r_idx.size, 0)), _psd_factor(g[np.ix_(r_idx, r_idx)])
     g_uu = g[np.ix_(u_idx, u_idx)]
     g_ur = g[np.ix_(u_idx, r_idx)]
-    solved = _solve(g_uu, g_ur, "auto")            # g_uu^+ @ g_ur
+    solved = _solve(g_uu, g_ur)                    # g_uu^+ @ g_ur
     schur = g[np.ix_(r_idx, r_idx)] - g_ur.T @ solved
     schur = (schur + schur.T) / 2.0
     return solved.T, _psd_factor(schur)
@@ -242,13 +233,18 @@ def check_block_terms(model: BlackBoxModel,
         )
 
 
+#: Smallest accepted sampling sizes; the two variance sizes need 2 draws
+#: for a sample variance.
+MC_MINIMUMS = {"m": 1, "n_var": 2, "n_outer": 1, "n_inner": 2}
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sampling sizes of the black-box estimator.
 
     ``m`` orderings, ``n_var`` samples for the output variance, and the
-    nested loop sizes. Construction fails if ``m * n_outer * n_inner``
-    exceeds ``budget``.
+    nested loop sizes. Construction fails if a size is below its entry in
+    ``MC_MINIMUMS`` or ``m * n_outer * n_inner`` exceeds ``budget``.
     """
 
     m: int
@@ -259,11 +255,9 @@ class McConfig:
     budget: int = 100_000_000
 
     def __post_init__(self):
-        for name in ("m", "n_var", "n_outer", "n_inner"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_inner < 2:
-            raise ValueError("n_inner must be >= 2 for a sample variance")
+        for name, minimum in MC_MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
         cost = self.m * self.n_outer * self.n_inner
         if cost > self.budget:
             raise BudgetExceededError(

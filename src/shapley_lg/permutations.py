@@ -30,17 +30,14 @@ CV_MEAN_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PermutationEstimate:
-    """Shapley estimate from permutation sampling.
+    """Shapley estimate from ``m`` sampled orderings and its seed.
 
     ``shapley_hat`` sums to 1 by telescoping regardless of ``m``.
-    ``per_i_variance`` carries the across-replicate variance when the
-    estimate aggregates an experiment's replicates, else ``None``.
     """
 
     shapley_hat: np.ndarray
     m: int
     seed: int | np.random.SeedSequence
-    per_i_variance: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +67,20 @@ def _chain_update(acc: np.ndarray, order, value) -> None:
         prev = cur
 
 
+def _cached_variances(model: LinearGaussianModel):
+    """``conditional_variance(model, mask)`` computed once per mask."""
+    cache = {0: total_variance(model), subsets.full_mask(model.p): 0.0}
+
+    def value(mask: int) -> float:
+        v = cache.get(mask)
+        if v is None:
+            v = conditional_variance(model, mask)
+            cache[mask] = v
+        return v
+
+    return value
+
+
 def exact_permutation_shapley(model: LinearGaussianModel, *,
                               memoize: bool = True) -> np.ndarray:
     """Shapley effects by full enumeration of the p! variable orderings.
@@ -92,14 +103,7 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
         )
     var_y = total_variance(model)
     if memoize:
-        cache = {0: var_y, subsets.full_mask(p): 0.0}
-
-        def value(mask: int) -> float:
-            v = cache.get(mask)
-            if v is None:
-                v = conditional_variance(model, mask)
-                cache[mask] = v
-            return v
+        value = _cached_variances(model)
     else:
         def value(mask: int) -> float:
             return conditional_variance(model, mask)
@@ -123,15 +127,7 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     p = model.p
     rng = np.random.default_rng(seed)
     var_y = total_variance(model)
-    cache = {0: var_y, subsets.full_mask(p): 0.0}
-
-    def value(mask: int) -> float:
-        v = cache.get(mask)
-        if v is None:
-            v = conditional_variance(model, mask)
-            cache[mask] = v
-        return v
-
+    value = _cached_variances(model)
     acc = np.zeros(p)
     for _ in range(m):
         _chain_update(acc, rng.permutation(p), value)

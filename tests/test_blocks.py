@@ -37,6 +37,9 @@ def test_detect_blocks_threshold():
     gamma = np.array([[1.0, 1e-6], [1e-6, 1.0]])
     assert detect_blocks(gamma).groups == ((1, 2),)
     assert detect_blocks(gamma, eps_block=1e-5).groups == ((1,), (2,))
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            detect_blocks(gamma, eps_block=bad)
 
 
 def test_detect_blocks_permutation_invariance():

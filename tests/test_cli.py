@@ -190,6 +190,43 @@ def test_benchmark_bad_sizes(tmp_path):
     assert run(["benchmark", "--sizes", "abc"]) == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["mc", "--m", 0],
+    ["mc", "--n-inner", 1],
+    ["mc", "--n-outer", 0],
+    ["mc", "--n-var", 1],
+    ["generate", "--p", 0],
+    ["generate", "--k", 0, "--n", 2],
+    ["compute", "--groups", "--eps-block", -1],
+    ["compute", "--groups", "--eps-block", "nan"],
+    ["compute", "--groups", "--eps-block", "inf"],
+    ["benchmark", "--sizes", 0],
+    ["benchmark", "--groups", "--sizes", "0x2"],
+    ["benchmark", "--sizes", 3, "--repetitions", 0],
+    ["estimate", "--m", 0],
+    ["estimate", "--reps", 0],
+    ["estimate", "--seed", -1],
+], ids=lambda args: " ".join(map(str, args)))
+def test_out_of_range_flag_exits_4_with_one_line(tmp_path, capsys, args):
+    # Before the shared flag check most of these ended in a ValueError
+    # traceback; --eps-block nan put every variable in its own group.
+    inputs = {
+        "compute": ["--model", write_json(tmp_path / "m.json", {
+            "beta": [1.0, 1.0], "gamma": [[1.0, 0.5], [0.5, 1.0]]})],
+        "mc": ["--model", write_json(tmp_path / "e.json", {"f": "x1 + x2"}),
+               "--dist", write_json(tmp_path / "d.json",
+                                    {"gamma": [[1.0, 0.0], [0.0, 1.0]]})],
+    }
+    inputs["estimate"] = inputs["compute"]
+    out = tmp_path / "out"
+    argv = [args[0], *inputs.get(args[0], []), *args[1:], "--out", out]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert " must be a finite number >= " in err
+    assert not out.exists()
+
+
 def test_mc_linear_expression_matches_compute(tmp_path):
     beta = [1.5, -0.5]
     gamma = [[1.0, 0.3], [0.3, 1.0]]
@@ -279,6 +316,9 @@ def test_mc_constant_expression_rejected(tmp_path):
     assert run(["mc", "--model", expr, "--dist", dist]) == 2
 
 
+# numpy's overflow and division warnings would be lines of stderr of their
+# own; as errors they fail the test.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("f", ["exp(1000*x1) + x2",
                                "x1 * (x2 - x2) / (x2 - x2)"])
 def test_mc_rejects_non_finite_output_variance(tmp_path, capsys, f):
@@ -288,8 +328,8 @@ def test_mc_rejects_non_finite_output_variance(tmp_path, capsys, f):
     out = tmp_path / "mc.json"
     assert run(["mc", "--model", expr, "--dist", dist, "--m", 5,
                 "--n-outer", 10, "--out", out]) == 2
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: NotFinite:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotFinite:") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -68,11 +68,20 @@ def test_scale_equivariance(p, seed, c):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_factor_and_pseudo_paths_agree(seed):
+    # The explained part t' gamma_uu^{-1} t of every conditional variance,
+    # through both solvers on the same blocks.
     model = generate_random_instance(6, seed)
+    var_y = total_variance(model)
     for j in range(1, (1 << 6) - 1):
-        a = conditional_variance(model, j, solver="cholesky")
-        b = conditional_variance(model, j, solver="pseudo")
-        assert b == pytest.approx(a, rel=1e-10, abs=1e-10 * total_variance(model))
+        u = np.asarray(subsets.decode(j, 6)) - 1
+        r = np.setdiff1d(np.arange(6), u)
+        block = model.gamma[np.ix_(u, u)]
+        t = model.gamma[np.ix_(u, r)] @ model.beta[r]
+        factored = conditional._factor_solve(block, t)
+        assert factored is not None
+        pseudo = conditional._pseudo_solve(block, t)
+        assert t @ pseudo == pytest.approx(t @ factored, rel=1e-10,
+                                           abs=1e-10 * var_y)
 
 
 def test_singular_conditioning_block_uses_generalized_inverse():

@@ -18,15 +18,13 @@ def linear_black_box(beta):
     return BlackBoxModel(eval=lambda x: x @ beta, p=beta.size)
 
 
-def test_black_box_scalar_and_vectorized_agree():
-    beta = np.array([1.0, -1.0, 2.0])
-    fast = linear_black_box(beta)
-    slow = BlackBoxModel(eval=lambda row: float(row @ beta), p=3,
-                         vectorized=False)
-    x = np.random.default_rng(0).standard_normal((11, 3))
-    assert_close(slow(x), fast(x), tol=1e-15)
+def test_black_box_checks_batch_shape():
+    model = linear_black_box([1.0, -1.0, 2.0])
+    assert model(np.ones((11, 3))).shape == (11,)
     with pytest.raises(ValueError):
-        fast(np.zeros((4, 2)))
+        model(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        BlackBoxModel(eval=lambda x: x.sum(), p=3)(np.ones((4, 3)))
 
 
 def test_gaussian_input_factor_reproduces_covariance():
@@ -121,6 +119,8 @@ def test_mc_config_validation():
         McConfig(m=0)
     with pytest.raises(ValueError):
         McConfig(m=1, n_inner=1)
+    with pytest.raises(ValueError):
+        McConfig(m=1, n_var=1)
     with pytest.raises(BudgetExceededError):
         McConfig(m=100, n_outer=100, n_inner=100, budget=10_000)
 
