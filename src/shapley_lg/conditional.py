@@ -1,10 +1,13 @@
 """Closed-form conditional variances of a linear Gaussian model.
 
 For a subset ``u`` of inputs the conditional variance of the output given
-``X_u`` is the quadratic form of the remaining coefficients over the Schur
-complement of ``gamma[u, u]``. It does not depend on the observed value of
-``X_u``, so a single number per subset is the whole story, and the full
-table over all ``2**p`` subsets is the input to every index extraction.
+``X_u`` does not depend on the observed value of ``X_u``, so a single number
+per subset is the whole story. Every exact route uses one form of it, the
+explained variance ``var_y - c_u' gamma_uu^{-1} c_u`` with ``c = gamma @
+beta``, built by :func:`_variances` from stacked blocks ``gamma[u, u]``: the
+``2**p`` table, the prefixes of variable orderings and the single subset,
+with one clamp for their negative round-off. The Schur-complement form is
+the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -81,52 +84,6 @@ def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _pseudo_solve(mat, rhs) if out is None else out
 
 
-def conditional_variance(model: LinearGaussianModel, j: int) -> float:
-    """Conditional variance of the output given the inputs in mask ``j``.
-
-    Singular ``gamma[u, u]`` blocks are handled through the symmetric
-    generalized inverse; tiny negative round-off is clamped to zero.
-
-    Parameters
-    ----------
-    model : LinearGaussianModel
-    j : int
-        Subset bitmask in ``[0, 2**p)``.
-    """
-    p = model.p
-    if not 0 <= j < (1 << p):
-        raise ValueError(f"mask {j} outside [0:2**{p}-1]")
-    if j == 0:
-        return total_variance(model)
-    if j == subsets.full_mask(p):
-        return 0.0
-
-    sel = (j >> np.arange(p)) & 1
-    u_idx = np.flatnonzero(sel)
-    r_idx = np.flatnonzero(sel == 0)
-    beta_r = model.beta[r_idx]
-    gamma = model.gamma
-    t = gamma[np.ix_(u_idx, r_idx)] @ beta_r
-    q = float(beta_r @ gamma[np.ix_(r_idx, r_idx)] @ beta_r)
-    q -= float(t @ _solve(gamma[np.ix_(u_idx, u_idx)], t))
-    if q < 0.0:
-        if q < -NEG_WARN_FACTOR * total_variance(model):
-            warnings.warn(
-                f"conditional variance {q:.3e} for mask {j} clamped to 0; "
-                "the covariance appears badly conditioned",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        q = 0.0
-    return q
-
-
-def _subset_indices(masks: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Zero-based members of each mask, one row of ``k`` per mask, ascending."""
-    bits = (masks[:, None] >> np.arange(p)) & 1
-    return np.nonzero(bits)[1].reshape(masks.size, k)
-
-
 def _pseudo_explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
     """``c_u' pinv(block) c_u`` per block, through the stacked ``eigh``."""
     w, q = np.linalg.eigh(blocks)
@@ -137,20 +94,35 @@ def _pseudo_explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", inv_w * proj, proj)
 
 
+def _cholesky(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack, and which blocks have none (their
+    factor is the identity). When the stacked call fails, each block is
+    factorized on its own, so the outcome never depends on the batch."""
+    try:
+        return np.linalg.cholesky(blocks), np.zeros(len(blocks), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(blocks)
+    bad = np.zeros(len(blocks), dtype=bool)
+    for i, block in enumerate(blocks):
+        try:
+            chol[i] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            chol[i], bad[i] = np.eye(len(block)), True
+    return chol, bad
+
+
 def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
     """``c_u' block^{-1} c_u`` per block of a stack.
 
-    One stacked Cholesky serves the whole batch; blocks failing the
-    ``COND_LIMIT`` test, or the whole batch when the factorization fails,
-    go through the generalized inverse as in :func:`conditional_variance`.
+    One stacked Cholesky serves the whole batch; blocks it cannot factorize
+    or that fail the ``COND_LIMIT`` test go through the generalized
+    inverse. Each block's path depends on that block alone.
     """
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        return _pseudo_explained(blocks, c_u)
+    chol, bad = _cholesky(blocks)
     diag = chol.diagonal(0, 1, 2)
     # (max/min diag)**2 lower-bounds the condition number of each block.
-    bad = diag.max(axis=1) ** 2 > COND_LIMIT * diag.min(axis=1) ** 2
+    bad |= diag.max(axis=1) ** 2 > COND_LIMIT * diag.min(axis=1) ** 2
     # Forward substitution with L, one column at a time across the stack.
     y = c_u / diag
     for i in range(1, c_u.shape[1]):
@@ -162,15 +134,102 @@ def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
-    """Table of conditional variances for every subset mask of ``[1:p]``.
+def _stack(models: Sequence[LinearGaussianModel]) -> tuple[np.ndarray, ...]:
+    """Stacked ``gamma``, ``c = gamma @ beta`` and ``var_y`` of the models."""
+    return (np.array([m.gamma for m in models]),
+            np.array([m.gamma @ m.beta for m in models]),
+            np.array([total_variance(m) for m in models]))
 
-    Uses the explained-variance form ``var_y - c_u' gamma_uu^{-1} c_u`` with
-    ``c = gamma @ beta``, one subset cardinality at a time: the blocks
-    ``gamma[u, u]`` of a cardinality are stacked, in batches of at most
-    ``BATCH_BYTES``, and factorized together. Solver paths and clamping
-    match :func:`conditional_variance`.
+
+def _variances(stack: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """Unclamped conditional variances, ``(models, n)``, of the models of a
+    :func:`_stack` given each row of ``rows``: ``n`` subsets of size ``k``,
+    each as its zero-based members in ascending order. The blocks of all
+    models share batches of at most ``BATCH_BYTES``; ``k = p`` gives 0.
     """
+    gammas, c, var_y = stack
+    models, p = c.shape
+    n, k = rows.shape
+    if k == 0:
+        return np.repeat(var_y[:, None], n, axis=1)
+    if k == p:
+        return np.zeros((models, n))
+    out = np.empty((models, n))
+    step = max(1, BATCH_BYTES // (8 * k * k * models))
+    for lo in range(0, n, step):
+        idx = rows[lo:lo + step]
+        blocks = gammas[:, idx[:, :, None], idx[:, None, :]]
+        explained = _explained(blocks.reshape(-1, k, k),
+                               c[:, idx].reshape(-1, k))
+        out[:, lo:lo + step] = var_y[:, None] - explained.reshape(models, -1)
+    return out
+
+
+def _clamp(values: np.ndarray, var_y: float) -> np.ndarray:
+    """Zero one model's negative round-off in place, warning once when it
+    goes below ``-NEG_WARN_FACTOR * var_y``."""
+    neg = values < 0.0
+    if neg.any():
+        lowest = float(values.min())
+        if lowest < -NEG_WARN_FACTOR * var_y:
+            warnings.warn(f"{int(neg.sum())} conditional variances clamped "
+                          f"to 0, the lowest {lowest:.3e}; the covariance "
+                          "appears badly conditioned", RuntimeWarning,
+                          stacklevel=3)
+        values[neg] = 0.0
+    return values
+
+
+def conditional_variance(model: LinearGaussianModel, j: int) -> float:
+    """Conditional variance of the output given the inputs in mask ``j``.
+
+    One row of :func:`_variances`, clamped like the tables.
+
+    Parameters
+    ----------
+    model : LinearGaussianModel
+    j : int
+        Subset bitmask in ``[0, 2**p)``.
+    """
+    p = model.p
+    if not 0 <= j < (1 << p):
+        raise ValueError(f"mask {j} outside [0:2**{p}-1]")
+    row = np.array([[i for i in range(p) if j >> i & 1]], dtype=np.intp)
+    values = _variances(_stack([model]), row)[0]
+    return float(_clamp(values, total_variance(model))[0])
+
+
+def prefix_variances(model: LinearGaussianModel,
+                     orders: np.ndarray) -> np.ndarray:
+    """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
+
+    ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
+    the result is ``(m, p + 1)``. Each distinct prefix set is computed once.
+    """
+    m, p = orders.shape
+    stack = _stack([model])
+    out = np.empty((m, p + 1))
+    for k in range(p + 1):
+        sets, where = np.unique(np.sort(orders[:, :k], axis=1), axis=0,
+                                return_inverse=True)
+        out[:, k] = _variances(stack, sets)[0][where.reshape(-1)]
+    return _clamp(out, total_variance(model))
+
+
+def _members(masks: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Zero-based members of each mask, one ascending row of ``k`` per mask,
+    decoded in chunks so that the bit matrix stays small."""
+    rows = np.empty((masks.size, k), dtype=np.uint8)
+    step = 1 << 16
+    for lo in range(0, masks.size, step):
+        bits = masks[lo:lo + step, None] >> np.arange(p) & 1
+        rows[lo:lo + step] = np.nonzero(bits)[1].reshape(len(bits), k)
+    return rows
+
+
+def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
+    """Table of conditional variances for every subset mask of ``[1:p]``,
+    built one subset cardinality at a time."""
     return conditional_variance_tables([model])[0]
 
 
@@ -184,41 +243,11 @@ def conditional_variance_tables(
     """
     p = models[0].p
     subsets.check_lattice_cap(p)
-    size = 1 << p
-    var_y = np.array([total_variance(m) for m in models])
-    gammas = np.stack([m.gamma for m in models])
-    c = np.stack([m.gamma @ m.beta for m in models])
-    values = np.empty((len(models), size))
-    values[:, 0] = var_y
-    values[:, size - 1] = 0.0
+    stack = _stack(models)
+    values = np.empty((len(models), 1 << p))
     card = subsets.cardinality_table(p)
-    for k in range(1, p):
+    for k in range(p + 1):
         masks = np.flatnonzero(card == k)
-        step = max(1, BATCH_BYTES // (8 * k * k * len(models)))
-        for lo in range(0, masks.size, step):
-            batch = masks[lo:lo + step]
-            idx = _subset_indices(batch, p, k)
-            blocks = gammas[:, idx[:, :, None], idx[:, None, :]]
-            explained = _explained(blocks.reshape(-1, k, k),
-                                   c[:, idx].reshape(-1, k))
-            values[:, batch] = var_y[:, None] - explained.reshape(len(models), -1)
-    return [_clamped(row) for row in values]
-
-
-def _clamped(values: np.ndarray) -> CondVarTable:
-    """Zero the negative round-off of a table, warning when it is large."""
-    var_y = values[0]
-    inner = values[1:-1]
-    neg = inner < 0.0
-    if neg.any():
-        worst = int(np.argmin(inner))
-        if inner[worst] < -NEG_WARN_FACTOR * var_y:
-            warnings.warn(
-                f"{int(neg.sum())} conditional variances clamped to 0, the "
-                f"lowest {inner[worst]:.3e} for mask {worst + 1}; the "
-                "covariance appears badly conditioned",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        inner[neg] = 0.0
-    return CondVarTable(values=values, var_y=float(var_y))
+        values[:, masks] = _variances(stack, _members(masks, p, k))
+    return [CondVarTable(values=_clamp(row, row[0]), var_y=float(row[0]))
+            for row in values]

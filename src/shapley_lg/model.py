@@ -52,12 +52,21 @@ def _require_finite(name: str, values: np.ndarray) -> None:
                                    f"{name} holds NaN or infinite values")
 
 
+def _as_array(name: str, values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError:                        # e.g. rows of different lengths
+        raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH,
+                                   f"{name} is not a rectangular array of "
+                                   "numbers") from None
+
+
 def validate_covariance(gamma) -> np.ndarray:
     """Check symmetry and positive semi-definiteness; return the symmetrised matrix.
 
     Shared by model validation and distribution-file loading.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _as_array("gamma", gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ModelValidationError(
             ValidationKind.DIMENSION_MISMATCH,
@@ -97,8 +106,8 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
         ``NotPSD`` or ``ZeroOutputVariance`` depending on the violated
         invariant.
     """
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    gamma = np.asarray(gamma, dtype=float)
+    beta = _as_array("beta", beta).reshape(-1)
+    gamma = _as_array("gamma", gamma)
     p = beta.size
     if p == 0:
         raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH, "beta is empty")
@@ -111,7 +120,7 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
     if mu is None:
         mu = np.zeros(p)
     else:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
+        mu = _as_array("mu", mu).reshape(-1)
         if mu.size != p:
             raise ModelValidationError(
                 ValidationKind.DIMENSION_MISMATCH,

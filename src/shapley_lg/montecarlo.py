@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import BlockPartition, combine_block_shapley, detect_blocks
 from .conditional import _solve
 from .errors import BudgetExceededError, ModelValidationError, ValidationKind
-from .permutations import PermutationEstimate
+from .permutations import PermutationEstimate, ordering_gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,23 +284,18 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     else:
         _check_variance(var_y, "the model")
     perm_rng = np.random.default_rng(children[1])
-    acc = np.zeros(p)
+    orders = np.empty((cfg.m, p), dtype=np.intp)
+    v = np.zeros((cfg.m, p + 1))
+    v[:, 0] = var_y
     for j in range(cfg.m):
-        order = perm_rng.permutation(p)
+        orders[j] = perm_rng.permutation(p)
         step_seeds = children[2 + j].spawn(max(p - 1, 1))
-        prev = var_y
-        members: list[int] = []
-        for step, idx in enumerate(order):
-            members.append(int(idx) + 1)
-            if step == p - 1:
-                cur = 0.0
-            else:
-                cur = double_mc_cond_var(
-                    model, inp, members, cfg.n_outer, cfg.n_inner,
-                    step_seeds[step],
-                )
-            acc[idx] += prev - cur
-            prev = cur
+        for step in range(1, p):
+            v[j, step] = double_mc_cond_var(
+                model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
+                step_seeds[step - 1],
+            )
+    acc = ordering_gains(orders, v)
     return PermutationEstimate(
         shapley_hat=acc / (cfg.m * var_y), m=cfg.m, seed=cfg.seed,
     )

@@ -3,8 +3,9 @@
 The Shapley effect of a variable is the average, over uniformly random
 orderings of all variables, of the variance explained when it joins its
 predecessors. Enumerating every ordering gives an exact (and expensive)
-value used here as an independent oracle; sampling orderings gives the
-Monte Carlo estimator whose accuracy the replicate harness measures.
+value used here as an oracle for the Shapley weighting; sampling orderings
+gives the Monte Carlo estimator whose accuracy the replicate harness
+measures.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditional import conditional_variance
+from .conditional import (all_conditional_variances, conditional_variance,
+                          prefix_variances)
 from .errors import DimensionCapError
 from .model import LinearGaussianModel, total_variance
-from . import subsets
 
 #: Full enumeration of p! orderings is refused above this dimension.
 EXACT_ENUMERATION_CAP = 8
@@ -56,6 +57,15 @@ class CvSummary:
     excluded: tuple[int, ...] = ()
 
 
+def ordering_gains(orders: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of each variable's gains ``v[r, k] - v[r, k + 1]`` when it joins
+    ordering ``r`` at step ``k``, added in the order of :func:`_chain_update`.
+    """
+    acc = np.zeros(orders.shape[1])
+    np.add.at(acc, orders, v[:, :-1] - v[:, 1:])
+    return acc
+
+
 def _chain_update(acc: np.ndarray, order, value) -> None:
     """Walk one ordering, adding each variable's explained-variance increment."""
     mask = 0
@@ -65,20 +75,6 @@ def _chain_update(acc: np.ndarray, order, value) -> None:
         cur = value(mask)
         acc[idx] += prev - cur
         prev = cur
-
-
-def _cached_variances(model: LinearGaussianModel):
-    """``conditional_variance(model, mask)`` computed once per mask."""
-    cache = {0: total_variance(model), subsets.full_mask(model.p): 0.0}
-
-    def value(mask: int) -> float:
-        v = cache.get(mask)
-        if v is None:
-            v = conditional_variance(model, mask)
-            cache[mask] = v
-        return v
-
-    return value
 
 
 def exact_permutation_shapley(model: LinearGaussianModel, *,
@@ -103,14 +99,14 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
         )
     var_y = total_variance(model)
     if memoize:
-        value = _cached_variances(model)
+        orders = np.array(list(itertools.permutations(range(p))))
+        masks = np.pad(np.cumsum(1 << orders, axis=1), ((0, 0), (1, 0)))
+        acc = ordering_gains(orders,
+                             all_conditional_variances(model).values[masks])
     else:
-        def value(mask: int) -> float:
-            return conditional_variance(model, mask)
-
-    acc = np.zeros(p)
-    for order in itertools.permutations(range(p)):
-        _chain_update(acc, order, value)
+        acc = np.zeros(p)
+        for order in itertools.permutations(range(p)):
+            _chain_update(acc, order, lambda j: conditional_variance(model, j))
     return acc / (math.factorial(p) * var_y)
 
 
@@ -127,10 +123,8 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     p = model.p
     rng = np.random.default_rng(seed)
     var_y = total_variance(model)
-    value = _cached_variances(model)
-    acc = np.zeros(p)
-    for _ in range(m):
-        _chain_update(acc, rng.permutation(p), value)
+    orders = np.array([rng.permutation(p) for _ in range(m)])
+    acc = ordering_gains(orders, prefix_variances(model, orders))
     return PermutationEstimate(shapley_hat=acc / (m * var_y), m=m, seed=seed)
 
 

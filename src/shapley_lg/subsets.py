@@ -9,7 +9,7 @@ is what the lattice loops in :mod:`shapley_lg.indices` rely on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -52,39 +52,9 @@ def decode(j: int, p: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, p + 1) if j >> (i - 1) & 1)
 
 
-def contains(j: int, i: int) -> bool:
-    """Whether variable ``i`` belongs to the subset encoded by ``j``."""
-    return bool(j >> (i - 1) & 1)
-
-
-def with_element(j: int, i: int) -> int:
-    """Mask of the subset extended by variable ``i``; ``i`` must not be present."""
-    bit = 1 << (i - 1)
-    if j & bit:
-        raise ValueError(f"variable {i} already in subset {j:#b}")
-    return j + bit
-
-
 def cardinality(j: int) -> int:
     """Number of variables in the subset encoded by ``j``."""
     return j.bit_count()
-
-
-def iterate_supersets(j: int, p: int) -> Iterator[int]:
-    """Yield the masks of all supersets of ``j`` within ``[1:p]``, each once.
-
-    Exactly ``2**(p - cardinality(j))`` masks are produced. The iteration
-    order is unspecified and callers must not rely on it.
-    """
-    if not 0 <= j < (1 << p):
-        raise ValueError(f"mask {j} outside [0:2**{p}-1]")
-    free = full_mask(p) ^ j
-    sub = free
-    while True:
-        yield j | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
 
 
 def cardinality_table(p: int) -> np.ndarray:

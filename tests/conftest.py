@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapley_lg import validate_model
+from shapley_lg import generate_random_instance, validate_model
 
 
 @pytest.fixture
@@ -21,3 +21,21 @@ def assert_close(actual, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tol, (actual, expected)
+
+
+def _duplicate_variable():
+    # X4 copies X1: blocks holding both are singular.
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((6, 5))
+    a[:, 3] = a[:, 0]
+    return validate_model(rng.standard_normal(5), a.T @ a)
+
+
+def _tiny_independent_variable():
+    # X3 is independent of the rest with variance 1e-13: blocks holding it
+    # factorize but fail the COND_LIMIT test.
+    model = generate_random_instance(5, seed=8)
+    gamma = model.gamma.copy()
+    gamma[2, :] = gamma[:, 2] = 0.0
+    gamma[2, 2] = 1e-13
+    return validate_model(model.beta, gamma)

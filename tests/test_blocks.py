@@ -192,7 +192,7 @@ def test_explained_variance_decomposes_per_group(k, n, seed):
         for g in partition.groups:
             local = 0
             for t, i in enumerate(g):
-                if subsets.contains(mask, i):
+                if mask >> (i - 1) & 1:
                     local |= 1 << t
             sub = submodels[g]
             per_group += total_variance(sub) - conditional_variance(sub, local)

@@ -107,6 +107,20 @@ def test_compute_rejects_non_finite_model(tmp_path, capsys, field, values):
     assert err.startswith("error: NotFinite:") and err.count("\n") == 1
 
 
+def test_ragged_gamma_exits_2_with_one_line(tmp_path, capsys):
+    gamma = [[1.0, 0.0], [0.0]]
+    model = write_json(tmp_path / "m.json", {"beta": [1.0, 1.0],
+                                             "gamma": gamma})
+    expr = write_json(tmp_path / "expr.json", {"f": "x1 + x2"})
+    dist = write_json(tmp_path / "dist.json", {"gamma": gamma})
+    for args in (["compute", "--model", model],
+                 ["mc", "--model", expr, "--dist", dist]):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch:")
+        assert err.count("\n") == 1
+
+
 def test_mc_rejects_non_finite_mean(tmp_path, capsys):
     expr = write_json(tmp_path / "expr.json", {"f": "x1 + x2"})
     dist = write_json(tmp_path / "dist.json", {
@@ -145,6 +159,23 @@ def test_estimate_random_is_byte_deterministic(tmp_path):
     doc = json.loads(o1.read_text())
     assert doc["metadata"]["algorithm"] == "random-permutations"
     assert sum(doc["shapley"]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [64, 70])
+def test_estimate_random_perm_on_64_or_more_variables(tmp_path, p):
+    # Independent inputs: every ordering gives each variable its own
+    # variance share, so the estimate is exact.
+    rng = np.random.default_rng(p)
+    beta = rng.standard_normal(p)
+    variances = rng.uniform(0.5, 2.0, p)
+    model = write_json(tmp_path / "m.json", {
+        "beta": beta.tolist(), "gamma": np.diag(variances).tolist()})
+    out = tmp_path / "e.json"
+    assert run(["estimate", "--model", model, "--method", "random-perm",
+                "--m", 5, "--seed", 1, "--out", out]) == 0
+    share = beta ** 2 * variances
+    shapley = json.loads(out.read_text())["shapley"]
+    assert np.max(np.abs(np.array(shapley) - share / share.sum())) <= 1e-12
 
 
 def test_estimate_replicates_emit_cv_summary(tmp_path, capsys):

@@ -8,7 +8,27 @@ from shapley_lg import (GaussianInput, LinearGaussianModel,
                         generate_random_instance, sample_conditional,
                         total_variance, validate_model)
 from shapley_lg import conditional, subsets
-from conftest import assert_close
+from conftest import (_duplicate_variable, _tiny_independent_variable,
+                      assert_close)
+
+
+def schur_variance(model, j):
+    """Schur-complement form of the conditional variance given mask ``j``,
+    ``beta_r' (gamma_rr - gamma_ru gamma_uu^+ gamma_ur) beta_r``: the
+    oracle for the explained-variance builder."""
+    p = model.p
+    if j == 0:
+        return total_variance(model)
+    if j == (1 << p) - 1:
+        return 0.0
+    u = [i for i in range(p) if j >> i & 1]
+    r = [i for i in range(p) if not j >> i & 1]
+    beta_r = model.beta[r]
+    gamma = model.gamma
+    t = gamma[np.ix_(u, r)] @ beta_r
+    q = float(beta_r @ gamma[np.ix_(r, r)] @ beta_r)
+    q -= float(t @ conditional._solve(gamma[np.ix_(u, u)], t))
+    return max(q, 0.0)
 
 
 def test_empty_and_full_subsets(correlated_p2):
@@ -49,10 +69,9 @@ def test_monotone_under_inclusion(p, seed):
     model = generate_random_instance(p, seed)
     table = all_conditional_variances(model)
     for j in range(1 << p):
-        for i in range(1, p + 1):
-            if not subsets.contains(j, i):
-                grown = subsets.with_element(j, i)
-                assert table.values[grown] <= table.values[j] + 1e-10
+        for i in range(p):
+            if not j >> i & 1:
+                assert table.values[j | 1 << i] <= table.values[j] + 1e-10
 
 
 @given(st.integers(1, 6), st.integers(0, 5000),
@@ -119,15 +138,11 @@ def test_monte_carlo_cross_check():
         assert abs(sample_var - exact) <= 3 * se
 
 
-def scalar_table(model):
-    return np.array([conditional_variance(model, j)
-                     for j in range(1 << model.p)])
-
-
-def assert_matches_scalar(model, table):
+def assert_matches_schur(model, table):
     # Every entry lies in [0, var_y]; 1e-12 relative to that scale.
     var_y = total_variance(model)
-    assert np.max(np.abs(table.values - scalar_table(model))) <= 1e-12 * var_y
+    oracle = [schur_variance(model, j) for j in range(1 << model.p)]
+    assert np.max(np.abs(table.values - oracle)) <= 1e-12 * var_y
 
 
 @pytest.mark.parametrize("p", range(2, 11))
@@ -135,27 +150,40 @@ def test_table_matches_scalar_oracle(p):
     for seed in range(3):
         model = generate_random_instance(p, seed=100 * p + seed)
         table = all_conditional_variances(model)
-        assert_matches_scalar(model, table)
+        assert_matches_schur(model, table)
         assert table.values[0] == total_variance(model)
         assert table.values[-1] == 0.0
 
 
-def _duplicate_variable():
-    # X4 copies X1: blocks holding both are singular.
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 5))
-    a[:, 3] = a[:, 0]
-    return validate_model(rng.standard_normal(5), a.T @ a)
+@pytest.mark.parametrize("make", [lambda: generate_random_instance(6, 31),
+                                  _duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["dense", "duplicate", "tiny"])
+def test_scalar_is_one_row_of_the_table(make):
+    model = make()
+    table = all_conditional_variances(model).values
+    scalar = [conditional_variance(model, j) for j in range(1 << model.p)]
+    assert np.array_equal(table, scalar)
 
 
-def _tiny_independent_variable():
-    # X3 is independent of the rest with variance 1e-13: blocks holding it
-    # factorize but fail the COND_LIMIT test.
-    model = generate_random_instance(5, seed=8)
-    gamma = model.gamma.copy()
-    gamma[2, :] = gamma[:, 2] = 0.0
-    gamma[2, 2] = 1e-13
-    return validate_model(model.beta, gamma)
+PREFIX_MODELS = {f"p{p}": lambda p=p: generate_random_instance(p, 300 + p)
+                 for p in range(2, 11)}
+PREFIX_MODELS.update(duplicate=_duplicate_variable,
+                     tiny=_tiny_independent_variable)
+
+
+@pytest.mark.parametrize("name", PREFIX_MODELS)
+def test_prefix_variances_match_schur_oracle(name):
+    model = PREFIX_MODELS[name]()
+    p, var_y = model.p, total_variance(model)
+    rng = np.random.default_rng(7)
+    orders = np.array([rng.permutation(p) for _ in range(40)])
+    v = conditional.prefix_variances(model, orders)
+    oracle = [[schur_variance(model, sum(1 << int(i) for i in order[:k]))
+               for k in range(p + 1)] for order in orders]
+    assert v.shape == (40, p + 1)
+    assert np.max(np.abs(v - oracle)) <= 1e-12 * var_y
+    assert np.all(v[:, 0] == var_y) and np.all(v[:, p] == 0.0)
 
 
 @pytest.mark.parametrize("make", [_duplicate_variable,
@@ -172,16 +200,20 @@ def test_ill_conditioned_blocks_take_pseudo_inverse(make, monkeypatch):
     monkeypatch.setattr(conditional, "_pseudo_explained", counted)
     table = all_conditional_variances(model)
     assert seen
-    assert_matches_scalar(model, table)
+    assert_matches_schur(model, table)
 
 
 def test_small_batch_cap_gives_the_same_table(monkeypatch):
-    model = generate_random_instance(9, seed=21)
-    whole = all_conditional_variances(model)
+    # Each block's solver path and result depend on that block alone, so
+    # the batching cannot change a single bit, singular blocks included.
+    models = [generate_random_instance(9, seed=21), _duplicate_variable(),
+              _tiny_independent_variable()]
+    whole = [all_conditional_variances(m) for m in models]
     # Room for three 4 x 4 blocks: most cardinalities split into many chunks.
     monkeypatch.setattr(conditional, "BATCH_BYTES", 3 * 8 * 16)
-    chunked = all_conditional_variances(model)
-    assert_close(chunked.values, whole.values, tol=1e-14 * whole.var_y)
+    for model, one in zip(models, whole):
+        chunked = all_conditional_variances(model)
+        assert np.array_equal(chunked.values, one.values)
 
 
 @pytest.mark.parametrize("cap", [conditional.BATCH_BYTES, 3 * 8 * 16])
@@ -192,7 +224,7 @@ def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
     stacked = conditional.conditional_variance_tables(models)
     for one, many in zip(alone, stacked):
         assert many.var_y == one.var_y
-        assert_close(many.values, one.values, tol=1e-14 * one.var_y)
+        assert np.array_equal(many.values, one.values)
 
 
 def test_table_is_deterministic():

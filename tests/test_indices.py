@@ -16,6 +16,17 @@ def table_of(model):
     return all_conditional_variances(model)
 
 
+def iterate_supersets(j, p):
+    """Masks of all supersets of ``j`` within ``[1:p]``, each once."""
+    free = ((1 << p) - 1) ^ j
+    sub = free
+    while True:
+        yield j | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
+
+
 def sobol_naive(table):
     """Superset accumulation, cost 3**p: the oracle for the lattice transform."""
     p = table.p
@@ -23,7 +34,7 @@ def sobol_naive(table):
     out = np.zeros(1 << p)
     for j in range(1 << p):
         term = values[j] if subsets.cardinality(j) % 2 else -values[j]
-        for u in subsets.iterate_supersets(j, p):
+        for u in iterate_supersets(j, p):
             out[u] += term
     out[0] = 0.0
     for j in range(1, 1 << p):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from shapley_lg import (ModelValidationError, ValidationKind, detect_blocks,
                         generate_block_instance, generate_random_instance,
-                        total_variance, validate_model)
+                        total_variance, validate_covariance,
+                        validate_model)
 from conftest import assert_close
 
 
@@ -35,6 +36,17 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ModelValidationError) as exc:
         validate_model([1.0, 1.0], np.eye(2), mu=[0.0])
     assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
+
+
+def test_ragged_inputs_are_a_dimension_mismatch():
+    ragged = [[1.0, 0.0], [0.0]]
+    for call in (lambda: validate_model([1.0, 1.0], ragged),
+                 lambda: validate_model(ragged, np.eye(2)),
+                 lambda: validate_model([1.0, 1.0], np.eye(2), mu=ragged),
+                 lambda: validate_covariance(ragged)):
+        with pytest.raises(ModelValidationError) as exc:
+            call()
+        assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
 
 
 @pytest.mark.parametrize("beta,gamma,mu", [

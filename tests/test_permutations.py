@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapley_lg import (DimensionCapError, all_conditional_variances,
-                        cv_experiment, exact_permutation_shapley,
+                        conditional_variance, cv_experiment,
+                        exact_permutation_shapley,
                         generate_random_instance, lg_indices,
                         random_permutation_shapley, replicate_estimates,
                         shapley_from_table, total_variance, validate_model,
                         verify_weight_collapse, weight_collapse_sides)
-from conftest import assert_close
+from shapley_lg import permutations
+from conftest import (_duplicate_variable, _tiny_independent_variable,
+                      assert_close)
 
 
 def test_exact_p1():
@@ -41,10 +44,28 @@ def test_exact_identity_across_dimensions(p):
 
 
 def test_exact_memoized_and_literal_are_bit_identical():
-    model = generate_random_instance(4, seed=17)
-    a = exact_permutation_shapley(model, memoize=True)
-    b = exact_permutation_shapley(model, memoize=False)
-    assert np.array_equal(a, b)
+    for model in (generate_random_instance(4, seed=17), _duplicate_variable(),
+                  _tiny_independent_variable()):
+        a = exact_permutation_shapley(model, memoize=True)
+        b = exact_permutation_shapley(model, memoize=False)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [lambda: generate_random_instance(7, 40),
+                                  _duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["dense", "duplicate", "tiny"])
+def test_random_estimate_matches_the_literal_walk(make):
+    # The same orderings walked one conditional variance at a time.
+    model = make()
+    est = random_permutation_shapley(model, 30, seed=4)
+    rng = np.random.default_rng(4)
+    acc = np.zeros(model.p)
+    for _ in range(30):
+        permutations._chain_update(
+            acc, rng.permutation(model.p),
+            lambda mask: conditional_variance(model, mask))
+    assert np.array_equal(est.shapley_hat, acc / (30 * total_variance(model)))
 
 
 def test_exact_enumeration_guard():

@@ -32,35 +32,11 @@ def test_decode_examples():
         subsets.decode(-1, 3)
 
 
-def test_contains_examples():
-    assert not subsets.contains(5, 2)
-    assert subsets.contains(5, 3)
-    assert all(not subsets.contains(0, i) for i in range(1, 9))
-
-
-def test_with_element_examples():
-    assert subsets.with_element(0, 1) == 1
-    assert subsets.with_element(5, 2) == 7
-    assert subsets.with_element(4, 1) == 5
-    with pytest.raises(ValueError):
-        subsets.with_element(5, 1)
-
-
 def test_cardinality_examples():
     assert subsets.cardinality(0) == 0
     assert subsets.cardinality(5) == 2
     for p in (1, 4, 10):
         assert subsets.cardinality(subsets.full_mask(p)) == p
-
-
-def test_supersets_of_full_and_empty():
-    p = 4
-    assert list(subsets.iterate_supersets(subsets.full_mask(p), p)) == [15]
-    assert sorted(subsets.iterate_supersets(0, p)) == list(range(16))
-
-
-def test_supersets_derived_example():
-    assert sorted(subsets.iterate_supersets(1, 2)) == [1, 3]
 
 
 @given(st.integers(1, 16), st.data())
@@ -69,25 +45,6 @@ def test_roundtrip(p, data):
     u = subsets.decode(j, p)
     assert subsets.encode(u, p) == j
     assert subsets.decode(subsets.encode(u, p), p) == u
-
-
-@given(st.integers(1, 12), st.data())
-def test_superset_count_and_membership(p, data):
-    j = data.draw(st.integers(0, subsets.full_mask(p)))
-    seen = list(subsets.iterate_supersets(j, p))
-    assert len(seen) == 1 << (p - subsets.cardinality(j))
-    assert len(set(seen)) == len(seen)
-    for u in seen:
-        assert u & j == j
-
-
-@given(st.integers(1, 16), st.data())
-def test_contains_matches_parity_test(p, data):
-    j = data.draw(st.integers(0, subsets.full_mask(p)))
-    i = data.draw(st.integers(1, p))
-    not_member = (j // 2 ** (i - 1)) % 2 == 0
-    assert subsets.contains(j, i) == (not not_member)
-    assert subsets.contains(j, i) == (i in subsets.decode(j, p))
 
 
 def test_cardinality_table():
