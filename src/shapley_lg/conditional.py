@@ -8,6 +8,12 @@ beta``, built by :func:`_variances` from stacked blocks ``gamma[u, u]``: the
 ``2**p`` table, the prefixes of variable orderings and the single subset,
 with one clamp for their negative round-off. The Schur-complement form is
 the oracle in the tests.
+
+The Gaussian conditional laws that the Monte Carlo estimators sample from
+come from :func:`conditional_parts`, which factors many conditioning sets
+in one stacked call. Both go through one solver: a stacked Cholesky, with
+the blocks that have none or fail ``COND_LIMIT`` sent to a stacked
+``eigh`` generalized inverse.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from .model import LinearGaussianModel, total_variance
 from . import subsets
@@ -31,10 +37,12 @@ COND_LIMIT = 1e12
 #: warning instead of being silently zeroed.
 NEG_WARN_FACTOR = 1e-9
 
-#: Upper bound, in bytes, on the stacked ``gamma[u, u]`` blocks gathered in
-#: one batch of the table build. At p = 25 the 12-element subsets alone
-#: would need about 6 GB in a single batch.
-BATCH_BYTES = 1 << 25
+#: Upper bound, in bytes, on the stacked ``gamma`` blocks gathered in one
+#: batch of the table build or of :func:`conditional_parts`, and on the
+#: model points of one chunk of ``montecarlo.mc_shapley``. At p = 25 the
+#: 12-element subsets alone would need about 6 GB in a single batch; a
+#: batch this small also keeps the stacked solves in cache.
+BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,85 +61,125 @@ class CondVarTable:
         return int(self.values.size).bit_length() - 1
 
 
-def _pseudo_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` through the symmetric generalized inverse."""
-    w, q = np.linalg.eigh(mat)
-    tau = PINV_RTOL * max(float(w[-1]), 0.0)
-    inv_w = np.zeros_like(w)
-    np.divide(1.0, w, out=inv_w, where=w > tau)
-    proj = q.T @ rhs
-    if proj.ndim == 1:
-        return q @ (inv_w * proj)
-    return q @ (inv_w[:, None] * proj)
-
-
-def _factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Cholesky solve, or None when the matrix is not safely positive definite."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diagonal(chol)
-    # (max/min diag)**2 lower-bounds the condition number of ``mat``.
-    if (diag.max() / diag.min()) ** 2 > COND_LIMIT:
-        return None
-    return scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
-
-
-def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve, or the generalized inverse when that fails."""
-    out = _factor_solve(mat, rhs)
-    return _pseudo_solve(mat, rhs) if out is None else out
-
-
-def _pseudo_explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
-    """``c_u' pinv(block) c_u`` per block, through the stacked ``eigh``."""
-    w, q = np.linalg.eigh(blocks)
-    tau = PINV_RTOL * np.maximum(w[:, -1:], 0.0)
-    inv_w = np.zeros_like(w)
-    np.divide(1.0, w, out=inv_w, where=w > tau)
-    proj = np.einsum("nji,nj->ni", q, c_u)
-    return np.einsum("ni,ni->n", inv_w * proj, proj)
-
-
 def _cholesky(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack, and which blocks have none (their
-    factor is the identity). When the stacked call fails, each block is
-    factorized on its own, so the outcome never depends on the batch."""
-    try:
-        return np.linalg.cholesky(blocks), np.zeros(len(blocks), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.empty_like(blocks)
-    bad = np.zeros(len(blocks), dtype=bool)
-    for i, block in enumerate(blocks):
-        try:
-            chol[i] = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            chol[i], bad[i] = np.eye(len(block)), True
+    factor is the identity).
+
+    This is the stacked kernel behind ``np.linalg.cholesky`` with its error
+    silenced: it factorizes every block on its own and fills a block it
+    cannot factorize with NaN, so one failing block costs its neighbours
+    nothing and the outcome never depends on the batch.
+    """
+    with np.errstate(invalid="ignore"):
+        chol = _umath_linalg.cholesky_lo(blocks, signature="d->d")
+    bad = np.isnan(chol[:, :1, :1]).any(axis=(1, 2))
+    if bad.any():
+        chol[bad] = np.eye(blocks.shape[-1])
     return chol, bad
 
 
-def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
-    """``c_u' block^{-1} c_u`` per block of a stack.
-
-    One stacked Cholesky serves the whole batch; blocks it cannot factorize
-    or that fail the ``COND_LIMIT`` test go through the generalized
-    inverse. Each block's path depends on that block alone.
-    """
+def _factor(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stacked Cholesky factors, their diagonals, and which blocks go to
+    the generalized inverse: those with no factor, and those failing the
+    ``COND_LIMIT`` test. Each block's path depends on that block alone."""
     chol, bad = _cholesky(blocks)
     diag = chol.diagonal(0, 1, 2)
     # (max/min diag)**2 lower-bounds the condition number of each block.
     bad |= diag.max(axis=1) ** 2 > COND_LIMIT * diag.min(axis=1) ** 2
-    # Forward substitution with L, one column at a time across the stack.
-    y = c_u / diag
-    for i in range(1, c_u.shape[1]):
-        y[:, i] = (c_u[:, i] - np.einsum("nj,nj->n", chol[:, i, :i],
+    return chol, diag, bad
+
+
+def _forward(chol: np.ndarray, diag: np.ndarray,
+             rhs: np.ndarray) -> np.ndarray:
+    """``L^{-1} rhs`` per block for an ``(n, k)`` or ``(n, k, c)``
+    right-hand side, one row at a time across the stack."""
+    if rhs.ndim == 3:
+        diag = diag[:, :, None]
+    y = rhs / diag
+    for i in range(1, rhs.shape[1]):
+        y[:, i] = (rhs[:, i] - np.einsum("nj,nj...->n...", chol[:, i, :i],
                                          y[:, :i])) / diag[:, i]
+    return y
+
+
+def _pinv(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``q`` and inverted eigenvalues ``inv_w`` of each block,
+    so that its generalized inverse is ``q diag(inv_w) q'``; eigenvalues at
+    or below ``PINV_RTOL`` times the largest count as zero."""
+    w, q = np.linalg.eigh(blocks)
+    tau = PINV_RTOL * np.maximum(w[:, -1:], 0.0)
+    inv_w = np.zeros_like(w)
+    np.divide(1.0, w, out=inv_w, where=w > tau)
+    return q, inv_w
+
+
+def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
+    """``c_u' block^{-1} c_u`` per block of a stack, through :func:`_factor`
+    and, for its failing blocks, :func:`_pinv`."""
+    chol, diag, bad = _factor(blocks)
+    y = _forward(chol, diag, c_u)
     out = np.einsum("ni,ni->n", y, y)
     if bad.any():
-        out[bad] = _pseudo_explained(blocks[bad], c_u[bad])
+        q, inv_w = _pinv(blocks[bad])
+        proj = np.einsum("nji,nj->ni", q, c_u[bad])
+        out[bad] = np.einsum("ni,ni->n", inv_w * proj, proj)
     return out
+
+
+def psd_factor(mats: np.ndarray) -> np.ndarray:
+    """Square roots ``F`` with ``F F' = mat`` of a stack of symmetric
+    matrices: Cholesky, or eigenvector scaling with negative round-off
+    clipped for a block that is only semi-definite."""
+    out, bad = _cholesky(mats)
+    if bad.any():
+        w, q = np.linalg.eigh(mats[bad])
+        out[bad] = q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return out
+
+
+def conditional_parts(gamma: np.ndarray, rows: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian conditional laws of the variables outside each row of
+    ``rows`` given those inside it.
+
+    ``rows`` is an ``(n, k)`` array of zero-based members in ascending
+    order. Returns the ``(n, p - k)`` remaining members ``r``, the mean
+    coefficients ``gamma_uu^{-1} gamma_ur`` ``(n, k, p - k)``, so that the
+    conditional mean is ``mu_r + (x_u - mu_u) @ coef``, and
+    :func:`psd_factor` of the Schur complements ``gamma_rr - gamma_ru
+    gamma_uu^{-1} gamma_ur`` ``(n, p - k, p - k)``. The solver is the one
+    of the tables, block by block, in batches of at most ``BATCH_BYTES``.
+    """
+    p = len(gamma)
+    n, k = rows.shape
+    keep = np.ones((n, p), dtype=bool)
+    keep[np.arange(n)[:, None], rows] = False
+    rest = np.nonzero(keep)[1].reshape(n, p - k)
+    coef = np.empty((n, k, p - k))
+    factor = np.empty((n, p - k, p - k))
+    step = max(1, BATCH_BYTES // (8 * p * p))
+    for lo in range(0, n, step):
+        u, r = rows[lo:lo + step], rest[lo:lo + step]
+        g_rr = gamma[r[:, :, None], r[:, None, :]]
+        if k and p - k:
+            g_uu = gamma[u[:, :, None], u[:, None, :]]
+            g_ur = gamma[u[:, :, None], r[:, None, :]]
+            chol, diag, bad = _factor(g_uu)
+            y = _forward(chol, diag, g_ur)
+            # L' with rows and columns reversed is lower triangular.
+            solved = _forward(chol.transpose(0, 2, 1)[:, ::-1, ::-1],
+                              diag[:, ::-1], y[:, ::-1])[:, ::-1]
+            schur = g_rr - np.einsum("nki,nkj->nij", y, y)
+            if bad.any():
+                q, inv_w = _pinv(g_uu[bad])
+                b_ur = g_ur[bad]
+                solved[bad] = q @ (inv_w[:, :, None]
+                                   * (q.transpose(0, 2, 1) @ b_ur))
+                schur[bad] = g_rr[bad] - b_ur.transpose(0, 2, 1) @ solved[bad]
+            g_rr = (schur + schur.transpose(0, 2, 1)) / 2.0
+            coef[lo:lo + step] = solved
+        factor[lo:lo + step] = psd_factor(g_rr)
+    return rest, coef, factor
 
 
 def _stack(models: Sequence[LinearGaussianModel]) -> tuple[np.ndarray, ...]:

@@ -3,9 +3,13 @@
 Nothing here assumes linearity: conditional variances are estimated by a
 nested Monte Carlo loop (outer draw of the conditioning variables, inner
 conditional draws of the rest) and plugged into the random-ordering
-estimator. When the model is a sum of functions of independent groups, the
-per-group estimates combine exactly, which is dramatically cheaper than
-estimating on the full input space.
+estimator. The conditional law of each distinct conditioning set is
+factored once, stacked with the other sets of its size by
+``conditional.conditional_parts`` (the solver of the exact tables), and
+the model is evaluated on whole orderings at once, in chunks of at most
+``conditional.BATCH_BYTES`` of points. When the model is a sum of
+functions of independent groups, the per-group estimates combine exactly,
+which is dramatically cheaper than estimating on the full input space.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import conditional
 from .blocks import BlockPartition, combine_block_shapley, detect_blocks
-from .conditional import _solve
 from .errors import BudgetExceededError, ModelValidationError, ValidationKind
 from .permutations import PermutationEstimate, ordering_gains
 
@@ -44,18 +48,6 @@ class BlackBoxModel:
         return out
 
 
-def _psd_factor(gamma: np.ndarray) -> np.ndarray:
-    """Square root F with F F' = gamma: Cholesky, or eigenvector scaling
-    with negative round-off clipped when the matrix is only semi-definite."""
-    if gamma.size == 0:
-        return gamma.reshape(0, 0)
-    try:
-        return np.linalg.cholesky(gamma)
-    except np.linalg.LinAlgError:
-        w, q = np.linalg.eigh(gamma)
-        return q * np.sqrt(np.clip(w, 0.0, None))
-
-
 @dataclass(eq=False)
 class GaussianInput:
     """Gaussian input distribution with a cached sampling factor.
@@ -78,7 +70,7 @@ class GaussianInput:
                 f"gamma has shape {self.gamma.shape}, expected ({p}, {p})"
             )
         self.gamma = (self.gamma + self.gamma.T) / 2.0
-        self.factor = _psd_factor(self.gamma)
+        self.factor = conditional.psd_factor(self.gamma[None])[0]
 
     @property
     def p(self) -> int:
@@ -101,19 +93,18 @@ def _index_split(p: int, u: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return u_idx, np.flatnonzero(mask)
 
 
-def _conditional_parts(inp: GaussianInput, u_idx: np.ndarray,
-                       r_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean coefficient M (so mean = mu_r + M (x_u - mu_u)) and a sampling
-    factor of the conditional covariance of the remaining variables."""
-    g = inp.gamma
-    if u_idx.size == 0:
-        return np.zeros((r_idx.size, 0)), _psd_factor(g[np.ix_(r_idx, r_idx)])
-    g_uu = g[np.ix_(u_idx, u_idx)]
-    g_ur = g[np.ix_(u_idx, r_idx)]
-    solved = _solve(g_uu, g_ur)                    # g_uu^+ @ g_ur
-    schur = g[np.ix_(r_idx, r_idx)] - g_ur.T @ solved
-    schur = (schur + schur.T) / 2.0
-    return solved.T, _psd_factor(schur)
+def _draw(inp: GaussianInput, u_idx: np.ndarray, r_idx: np.ndarray,
+          coef: np.ndarray, factor: np.ndarray, rng: np.random.Generator,
+          out: np.ndarray) -> None:
+    """Fill ``out``, shape ``(n_outer, n_inner, p)``, with ``n_outer`` joint
+    draws of ``X_u``, each repeated with ``n_inner`` conditional draws of
+    the rest (mean coefficient ``coef``, sampling factor ``factor``)."""
+    n_outer, n_inner, _ = out.shape
+    x_u = inp.sample(n_outer, rng)[:, u_idx]
+    means = inp.mu[r_idx] + (x_u - inp.mu[u_idx]) @ coef
+    z = rng.standard_normal((n_outer * n_inner, r_idx.size)) @ factor.T
+    out[..., u_idx] = x_u[:, None, :]
+    out[..., r_idx] = means[:, None, :] + z.reshape(n_outer, n_inner, -1)
 
 
 def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
@@ -129,9 +120,9 @@ def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
     x_u = np.asarray(x_u, dtype=float).reshape(-1)
     if x_u.size != u_idx.size:
         raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
-    coef, factor = _conditional_parts(inp, u_idx, r_idx)
-    mean = inp.mu[r_idx] + coef @ (x_u - inp.mu[u_idx])
-    return mean + rng.standard_normal((n, r_idx.size)) @ factor.T
+    _, coef, factor = conditional.conditional_parts(inp.gamma, u_idx[None])
+    mean = inp.mu[r_idx] + (x_u - inp.mu[u_idx]) @ coef[0]
+    return mean + rng.standard_normal((n, r_idx.size)) @ factor[0].T
 
 
 def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
@@ -152,14 +143,10 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     u_idx, r_idx = _index_split(p, u)
     if r_idx.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    x_u = inp.sample(n_outer, rng)[:, u_idx]
-    coef, factor = _conditional_parts(inp, u_idx, r_idx)
-    means = inp.mu[r_idx] + (x_u - inp.mu[u_idx]) @ coef.T
-    z = rng.standard_normal((n_outer, n_inner, r_idx.size))
+    _, coef, factor = conditional.conditional_parts(inp.gamma, u_idx[None])
     points = np.empty((n_outer, n_inner, p))
-    points[..., u_idx] = x_u[:, None, :]
-    points[..., r_idx] = means[:, None, :] + z @ factor.T
+    _draw(inp, u_idx, r_idx, coef[0], factor[0], np.random.default_rng(seed),
+          points)
     values = model(points.reshape(-1, p)).reshape(n_outer, n_inner)
     return float(np.mean(np.var(values, axis=1, ddof=1)))
 
@@ -273,7 +260,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     (or taken from ``var_y`` when the caller already has one) and anchors
     both ends of every telescoping chain, so the components sum to 1
     exactly. Every sampling stage has its own child seed, making the result
-    independent of evaluation order.
+    independent of evaluation order: it equals one :func:`double_mc_cond_var`
+    per ordering and step with those seeds.
     """
     p = model.p
     if inp.p != p:
@@ -284,17 +272,33 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     else:
         _check_variance(var_y, "the model")
     perm_rng = np.random.default_rng(children[1])
-    orders = np.empty((cfg.m, p), dtype=np.intp)
-    v = np.zeros((cfg.m, p + 1))
+    m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
+    orders = np.array([perm_rng.permutation(p) for _ in range(m)])
+    # The conditional law of each distinct prefix set, per prefix size.
+    laws = []
+    for k in range(1, p):
+        sets, where = np.unique(np.sort(orders[:, :k], axis=1), axis=0,
+                                return_inverse=True)
+        laws.append((where.reshape(-1), sets,
+                     *conditional.conditional_parts(inp.gamma, sets)))
+    v = np.zeros((m, p + 1))
     v[:, 0] = var_y
-    for j in range(cfg.m):
-        orders[j] = perm_rng.permutation(p)
-        step_seeds = children[2 + j].spawn(max(p - 1, 1))
-        for step in range(1, p):
-            v[j, step] = double_mc_cond_var(
-                model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
-                step_seeds[step - 1],
-            )
+    # Whole orderings per chunk, at most BATCH_BYTES of points each; with
+    # p = 1 there is no step to estimate.
+    per_order = 8 * (p - 1) * n_outer * n_inner * p
+    step = max(1, conditional.BATCH_BYTES // max(per_order, 1))
+    for lo in range(0, m if p > 1 else 0, step):
+        points = np.empty((min(step, m - lo), p - 1, n_outer, n_inner, p))
+        for j, out in enumerate(points, lo):
+            step_seeds = children[2 + j].spawn(p - 1)
+            for (where, sets, rest, coef, factor), seed, pts in zip(
+                    laws, step_seeds, out):
+                i = where[j]
+                _draw(inp, sets[i], rest[i], coef[i], factor[i],
+                      np.random.default_rng(seed), pts)
+        values = model(points.reshape(-1, p)).reshape(points.shape[:-1])
+        v[lo:lo + len(points), 1:p] = np.var(values, axis=-1,
+                                             ddof=1).mean(axis=-1)
     acc = ordering_gains(orders, v)
     return PermutationEstimate(
         shapley_hat=acc / (cfg.m * var_y), m=cfg.m, seed=cfg.seed,

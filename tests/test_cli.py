@@ -407,3 +407,16 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert sum(doc["shapley"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the one numerical dependency of the runtime.
+    src = str(Path(shapley_lg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, shapley_lg.cli; print(sorted(name for name in "
+            "sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,11 @@ from shapley_lg import (GaussianInput, LinearGaussianModel,
 from shapley_lg import conditional, subsets
 from conftest import (_duplicate_variable, _tiny_independent_variable,
                       assert_close)
+
+
+def pinv(mat):
+    """The symmetric generalized inverse, with the package's threshold."""
+    return np.linalg.pinv(mat, rtol=conditional.PINV_RTOL, hermitian=True)
 
 
 def schur_variance(model, j):
@@ -27,7 +34,7 @@ def schur_variance(model, j):
     gamma = model.gamma
     t = gamma[np.ix_(u, r)] @ beta_r
     q = float(beta_r @ gamma[np.ix_(r, r)] @ beta_r)
-    q -= float(t @ conditional._solve(gamma[np.ix_(u, u)], t))
+    q -= float(t @ pinv(gamma[np.ix_(u, u)]) @ t)
     return max(q, 0.0)
 
 
@@ -88,19 +95,28 @@ def test_scale_equivariance(p, seed, c):
 @pytest.mark.parametrize("seed", range(5))
 def test_factor_and_pseudo_paths_agree(seed):
     # The explained part t' gamma_uu^{-1} t of every conditional variance,
-    # through both solvers on the same blocks.
+    # and the mean coefficients of the Monte Carlo sampler, through the
+    # stacked Cholesky and the stacked eigh on the same blocks.
     model = generate_random_instance(6, seed)
     var_y = total_variance(model)
-    for j in range(1, (1 << 6) - 1):
-        u = np.asarray(subsets.decode(j, 6)) - 1
-        r = np.setdiff1d(np.arange(6), u)
-        block = model.gamma[np.ix_(u, u)]
-        t = model.gamma[np.ix_(u, r)] @ model.beta[r]
-        factored = conditional._factor_solve(block, t)
-        assert factored is not None
-        pseudo = conditional._pseudo_solve(block, t)
-        assert t @ pseudo == pytest.approx(t @ factored, rel=1e-10,
-                                           abs=1e-10 * var_y)
+    for k in range(1, 6):
+        u = np.array(list(itertools.combinations(range(6), k)))
+        blocks = model.gamma[u[:, :, None], u[:, None, :]]
+        rest = np.array([np.setdiff1d(np.arange(6), row) for row in u])
+        g_ur = model.gamma[u[:, :, None], rest[:, None, :]]
+        t = np.einsum("nij,nj->ni", g_ur, model.beta[rest])
+        chol, diag, bad = conditional._factor(blocks)
+        assert not bad.any()
+        y = conditional._forward(chol, diag, t[:, :, None])[:, :, 0]
+        q, inv_w = conditional._pinv(blocks)
+        proj = np.einsum("nji,nj->ni", q, t)
+        np.testing.assert_allclose(
+            np.einsum("ni,ni->n", inv_w * proj, proj),
+            np.einsum("ni,ni->n", y, y), rtol=1e-10, atol=1e-10 * var_y)
+        # The mean coefficients gamma_uu^{-1} gamma_ur of the same blocks.
+        _, coef, _ = conditional.conditional_parts(model.gamma, u)
+        pseudo = q @ (inv_w[:, :, None] * (q.transpose(0, 2, 1) @ g_ur))
+        np.testing.assert_allclose(coef, pseudo, rtol=1e-10, atol=1e-10)
 
 
 def test_singular_conditioning_block_uses_generalized_inverse():
@@ -191,16 +207,32 @@ def test_prefix_variances_match_schur_oracle(name):
 def test_ill_conditioned_blocks_take_pseudo_inverse(make, monkeypatch):
     model = make()
     seen = []
-    original = conditional._pseudo_explained
+    original = conditional._pinv
 
-    def counted(blocks, c_u):
+    def counted(blocks):
         seen.append(blocks.shape)
-        return original(blocks, c_u)
+        return original(blocks)
 
-    monkeypatch.setattr(conditional, "_pseudo_explained", counted)
+    monkeypatch.setattr(conditional, "_pinv", counted)
     table = all_conditional_variances(model)
     assert seen
     assert_matches_schur(model, table)
+
+
+def test_cholesky_marks_the_blocks_numpy_cannot_factorize():
+    # The stacked kernel agrees block by block with np.linalg.cholesky.
+    gamma = _duplicate_variable().gamma
+    rows = np.array(list(itertools.combinations(range(5), 3)))
+    blocks = gamma[rows[:, :, None], rows[:, None, :]]
+    chol, bad = conditional._cholesky(blocks)
+    for block, factor, failed in zip(blocks, chol, bad):
+        try:
+            expected = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            assert failed and np.array_equal(factor, np.eye(3))
+        else:
+            assert not failed and np.array_equal(factor, expected)
+    assert bad.any() and not bad.all()
 
 
 def test_small_batch_cap_gives_the_same_table(monkeypatch):

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,12 @@ from shapley_lg import (BlackBoxModel, BlockPartition, BudgetExceededError,
                         generate_random_instance, lg_groups_indices,
                         lg_indices, mc_shapley, sample_conditional,
                         total_variance, validate_model)
-from shapley_lg import ValidationKind, subsets
+from shapley_lg import (PermutationEstimate, ValidationKind, conditional,
+                        montecarlo, subsets)
 from shapley_lg.montecarlo import output_variance
-from conftest import assert_close
+from shapley_lg.permutations import ordering_gains
+from conftest import (_duplicate_variable, _tiny_independent_variable,
+                      assert_close)
 
 
 def linear_black_box(beta):
@@ -295,3 +301,96 @@ def test_block_additive_validates_partition():
     bad = BlockPartition.from_groups([[1], [2, 3, 4]], 4)
     with pytest.raises(ValueError):
         block_additive_shapley(pairs, McConfig(m=5, n_var=100, seed=0), bad)
+
+
+def literal_mc_shapley(model, inp, cfg, *, var_y):
+    """The per-step walk: one ``double_mc_cond_var`` per ordering and step,
+    with the child seeds of ``mc_shapley``; the oracle of the batched
+    estimator."""
+    p = model.p
+    children = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.m)
+    perm_rng = np.random.default_rng(children[1])
+    orders = np.empty((cfg.m, p), dtype=np.intp)
+    v = np.zeros((cfg.m, p + 1))
+    v[:, 0] = var_y
+    for j in range(cfg.m):
+        orders[j] = perm_rng.permutation(p)
+        step_seeds = children[2 + j].spawn(max(p - 1, 1))
+        for step in range(1, p):
+            v[j, step] = double_mc_cond_var(
+                model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
+                step_seeds[step - 1])
+    return ordering_gains(orders, v) / (cfg.m * var_y)
+
+
+def _nonlinear(p):
+    return BlackBoxModel(
+        eval=lambda x: np.cos(x[:, 0]) * x[:, -1] + (x ** 2).sum(axis=1), p=p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+def test_mc_shapley_matches_the_literal_walk(p):
+    lin = generate_random_instance(p, seed=60 + p)
+    inp = GaussianInput(mu=np.linspace(-1.0, 1.0, p), gamma=lin.gamma)
+    cfg = McConfig(m=25, n_var=500, n_outer=15, n_inner=3, seed=p)
+    for bb in (linear_black_box(lin.beta), _nonlinear(p)):
+        var_y = output_variance(bb, inp, cfg.n_var, 0)
+        est = mc_shapley(bb, inp, cfg, var_y=var_y)
+        assert np.array_equal(est.shapley_hat,
+                              literal_mc_shapley(bb, inp, cfg, var_y=var_y))
+
+
+def test_block_additive_matches_the_literal_walk(monkeypatch):
+    model = generate_block_instance(3, 3, seed=61)
+    from shapley_lg import detect_blocks
+    partition = detect_blocks(model.gamma)
+    pairs = _block_pairs_from_model(model, partition)
+    cfg = McConfig(m=30, n_var=500, n_outer=20, n_inner=2, seed=5)
+    batched = block_additive_shapley(pairs, cfg, partition)
+    monkeypatch.setattr(
+        montecarlo, "mc_shapley",
+        lambda bb, gi, sub_cfg, var_y: PermutationEstimate(
+            shapley_hat=literal_mc_shapley(bb, gi, sub_cfg, var_y=var_y),
+            m=sub_cfg.m, seed=sub_cfg.seed))
+    walked = block_additive_shapley(pairs, cfg, partition)
+    assert np.array_equal(batched, walked)
+
+
+def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
+    lin = generate_random_instance(5, seed=62)
+    bb = _nonlinear(5)
+    inp = GaussianInput(mu=np.zeros(5), gamma=lin.gamma)
+    cfg = McConfig(m=20, n_var=500, n_outer=10, n_inner=2, seed=3)
+    whole = mc_shapley(bb, inp, cfg).shapley_hat
+    # Below one ordering's points and one 5 x 5 block: every chunk holds a
+    # single ordering and every batch of conditional parts a single set.
+    monkeypatch.setattr(conditional, "BATCH_BYTES", 300)
+    assert np.array_equal(mc_shapley(bb, inp, cfg).shapley_hat, whole)
+
+
+@pytest.mark.parametrize("make", [_duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["duplicate", "tiny"])
+def test_conditional_parts_match_the_pinv_oracle(make):
+    model = make()
+    gamma, p = model.gamma, model.p
+    for k in range(p + 1):
+        combos = list(itertools.combinations(range(p), k))
+        rows = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        rest, coef, factor = conditional.conditional_parts(gamma, rows)
+        for u, r, c, f in zip(rows, rest, coef, factor):
+            assert np.array_equal(np.sort(np.concatenate([u, r])),
+                                  np.arange(p))
+            g_ur = gamma[np.ix_(u, r)]
+            solved = np.linalg.pinv(gamma[np.ix_(u, u)],
+                                    rtol=conditional.PINV_RTOL,
+                                    hermitian=True) @ g_ur
+            schur = gamma[np.ix_(r, r)] - g_ur.T @ solved
+            np.testing.assert_allclose(c, solved, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f @ f.T, schur, rtol=0, atol=1e-12)
+    inp = GaussianInput(mu=np.zeros(p), gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_shapley(linear_black_box(model.beta), inp,
+                         McConfig(m=20, n_var=500, n_outer=10, seed=1))
+    assert est.shapley_hat.sum() == pytest.approx(1.0, abs=1e-12)
