@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import files
-from .blocks import lg_groups_indices
+from .blocks import COMBINE_SUM_TOL, lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
@@ -114,6 +114,11 @@ def cmd_compute(args) -> int:
     model = files.read_model(args.model)
     if args.groups:
         grouped = lg_groups_indices(model, args.eps_block)
+        dropped = 1.0 - float(grouped.group_weights.sum())
+        if abs(dropped) > COMBINE_SUM_TOL:
+            print(f"warning: --eps-block {args.eps_block} drops the covariance "
+                  f"between groups, a share of {dropped:.6g} of var(y)",
+                  file=sys.stderr)
         doc = files.report_from_grouped(grouped, "lg-groups-indices")
     else:
         report = lg_indices(model)

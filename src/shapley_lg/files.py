@@ -2,8 +2,10 @@
 
 Everything on disk is JSON. Floats are rendered by Python's shortest
 round-trip representation, so reading a file back reproduces the exact
-binary values that were written. Writers emit a canonical layout, making
-repeated runs with the same inputs byte-identical.
+binary values that were written. Writers emit the layout of
+``json.dumps(doc, indent=2)``, so repeated runs are byte-identical. Report
+subset rows stay arrays (:class:`SubsetRows`), checked in numpy and
+streamed to the file in chunks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import json
 import math
 import re
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from pathlib import Path
 
 import jsonschema
@@ -144,6 +150,21 @@ _REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 _ROW_FAMILIES = ("sobol", "closed_sobol")
 _ROW_KEYS = set(_SUBSET_ROW_SCHEMA["properties"])
 
+#: Rows rendered and written at a time by :func:`write_report`.
+CHUNK_ROWS = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
+class SubsetRows:
+    """A report row family as arrays: ascending subset masks (an object
+    array past 62 variables) and one float64 value per mask."""
+
+    masks: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
 
 def _load_json(path) -> dict:
     try:
@@ -167,12 +188,25 @@ def _numbers_of(types, kinds) -> bool:
     return all(issubclass(t, kinds) and t is not bool for t in types)
 
 
-def _row_error(rows: list, p: int) -> str | None:
-    """Why ``rows`` are not valid subset rows, or None; one vectorised pass.
+def _array_error(rows: SubsetRows, p: int) -> str | None:
+    """Why ``rows`` are not finite float64 values, one per mask, with masks
+    increasing strictly within ``[0, 2**p)``; None if they are."""
+    mask, value = rows.masks, rows.values
+    if mask.shape != value.shape or value.dtype != np.float64:
+        return "each mask needs one float64 value"
+    if not np.isfinite(value).all():
+        return "a row value is not finite"
+    if mask.size and (mask[0] < 0 or mask[-1] >= 1 << p
+                      or np.any(np.diff(mask) <= 0)):
+        return f"row masks must increase strictly within [0, 2**{p})"
+    return None
 
-    Besides what ``_SUBSET_ROW_SCHEMA`` requires, each subset must be the
-    decoding of its mask, masks must increase strictly within ``[0, 2**p)``
-    and values must be finite.
+
+def _row_error(rows: list, p: int) -> str | None:
+    """Why ``rows`` are not valid subset rows, or None.
+
+    Besides what ``_SUBSET_ROW_SCHEMA`` requires and :func:`_array_error`
+    checks, each subset must list the members of its mask in order.
     """
     if not rows:
         return None
@@ -187,88 +221,52 @@ def _row_error(rows: list, p: int) -> str | None:
             and _numbers_of(set(map(type, values)), (int, float))):
         return "a row has a mask, subset or value of the wrong type"
     # Masks of more than 62 variables do not fit an int64.
-    dtype = np.int64 if p < 63 else object
     try:
-        mask = np.array(masks, dtype=dtype)
-        members = np.fromiter(chain.from_iterable(subs), dtype=np.int64)
+        mask = np.array(masks, dtype=np.int64 if p < 63 else object)
         value = np.array(values, dtype=float)
     except OverflowError:
         return "a row holds a number out of range"
-    if not np.isfinite(value).all():
-        return "a row value is not finite"
-    if mask[0] < 0 or mask[-1] >= 1 << p or np.any(np.diff(mask) <= 0):
-        return f"row masks must increase strictly within [0, 2**{p})"
-    if members.size and (members.min() < 1 or members.max() > p):
-        return f"a subset holds a variable outside [1:{p}]"
-    sizes = np.fromiter(map(len, subs), dtype=np.int64, count=len(subs))
-    row_of = np.repeat(np.arange(len(rows)), sizes)
-    if np.any((np.diff(members) <= 0) & (np.diff(row_of) == 0)):
-        return "subset members must increase strictly"
-    powers = np.array([1 << i for i in range(p)], dtype=dtype)
-    encoded = np.zeros(len(rows), dtype=dtype)
-    np.add.at(encoded, row_of, powers[members - 1])
-    if np.any(encoded != mask):
-        return "a row subset does not match its mask"
-    return None
+    why = _array_error(SubsetRows(mask, value), p)
+    if why is None and subs != _subsets(masks, [], lambda i: [i]):
+        why = "a row subset does not match its mask"
+    return why
 
 
-def _subset_text(members: list) -> str:
-    if not members:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, members)) + "\n      ]"
+def _check_report(doc: dict, where) -> None:
+    """Check the schema with the subset rows left out, then each family."""
+    rows = {f: doc[f] for f in _ROW_FAMILIES
+            if isinstance(doc.get(f), (list, SubsetRows))}
+    _check_schema({**doc, **dict.fromkeys(rows, [])}, _REPORT_VALIDATOR,
+                  where, "report")
+    for family, family_rows in rows.items():
+        why = (_array_error if isinstance(family_rows, SubsetRows)
+               else _row_error)(family_rows, int(doc["metadata"]["p"]))
+        if why is not None:
+            raise FileFormatError(f"{where} is not a valid report file: "
+                                  f"{family}: {why}")
 
 
-def _render_rows(rows: list, subset_texts: dict) -> str:
-    """``json.dumps(rows, indent=2)`` text of a row family at depth one.
+def _subsets(masks: list, start, step) -> list:
+    """:func:`_lattice` value of each subset in ``masks``, ascending."""
+    if masks and masks[-1] == len(masks) - 1:    # 0 .. n - 1: one lattice
+        return _lattice(range(1, masks[-1].bit_length() + 1), start,
+                        step)[:len(masks)]
+    return [reduce(add, (step(i + 1) for i in range(m.bit_length())
+                         if m >> i & 1), start) for m in masks]
 
-    One f-string per row; the rows must pass :func:`_row_error`, and their
-    keys are written in the schema's order. ``subset_texts`` maps each mask
-    to the text of its subset, kept across families: a checked mask fixes
-    its subset.
-    """
-    if not rows:
-        return "[]"
-    value_text = float.__repr__
-    if not all(isinstance(r["value"], float) for r in rows):
-        value_text = json.dumps                    # integer values
-    subset_texts.update((r["mask"], _subset_text(r["subset"]))
-                        for r in rows if r["mask"] not in subset_texts)
-    return "[\n" + ",\n".join([
-        f'    {{\n      "subset": {subset_texts[r["mask"]]},'
-        f'\n      "mask": {r["mask"]},'
-        f'\n      "value": {value_text(r["value"])}\n    }}'
-        for r in rows
-    ]) + "\n  ]"
+
+def _row_heads(masks: list) -> list[str]:
+    """Text of each row up to its value; subset texts are lattice values."""
+    texts = _subsets(masks, "", ",\n        {}".format)
+    return [f'    {{\n      "subset": [{t[1:]}\n      ],\n      "mask": {m},'
+            f'\n      "value": ' if m else
+            '    {\n      "subset": [],\n      "mask": 0,\n      "value": '
+            for t, m in zip(texts, masks)]
 
 
 def render_json(obj) -> str:
-    """Canonical text for any document this package writes.
-
-    The text is ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``. A
-    report's subset rows, 2**p per family, are written from a template
-    instead of by the encoder, which falls back to pure Python with
-    ``indent``; they must pass :func:`_row_error`, which
-    :func:`write_report` runs first.
-    """
-    if not (isinstance(obj, dict)
-            and all(isinstance(obj.get(f), list) for f in _ROW_FAMILIES)):
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    entries, subset_texts = [], {}
-    for key, value in obj.items():
-        if key in _ROW_FAMILIES:
-            text = _render_rows(value, subset_texts)
-        else:
-            text = json.dumps(value, indent=2,
-                              allow_nan=False).replace("\n", "\n  ")
-        entries.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(entries) + "\n}\n"
-
-
-def _write(text: str, path=None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def read_model(path) -> LinearGaussianModel:
@@ -286,7 +284,8 @@ def write_model(model: LinearGaussianModel, path=None) -> None:
     }
     if np.any(model.mu):
         obj["mu"] = [float(v) for v in model.mu]
-    _write(render_json(obj), path)
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        out.write(render_json(obj))
 
 
 def read_distribution(path) -> GaussianInput:
@@ -412,21 +411,14 @@ def build_block_functions(expr_obj: dict,
     return models, partition
 
 
-def _lattice(members) -> tuple[list[list[int]], list[int]]:
-    """Subsets of the ascending variables ``members`` and their global masks,
-    in the order of the local masks: entry ``j`` holds the members picked
-    by the bits of ``j``."""
-    subs, masks = [[]], [0]
+def _lattice(members, start, step) -> list:
+    """Entry ``j`` is ``start`` plus ``step(i)``, in ascending order, for
+    each of the ascending variables ``members`` that the bits of ``j`` pick."""
+    out = [start]
     for i in members:
-        bit = 1 << (i - 1)
-        subs += [s + [i] for s in subs]
-        masks += [m + bit for m in masks]
-    return subs, masks
-
-
-def _subset_rows(subs, masks, values) -> list[dict]:
-    return [{"subset": s, "mask": m, "value": v}
-            for s, m, v in zip(subs, masks, values)]
+        step_i = step(i)
+        out += [v + step_i for v in out]
+    return out
 
 
 def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
@@ -446,16 +438,15 @@ def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
 def report_from_sensitivity(rep: SensitivityReport, algorithm: str) -> dict:
     """Report document for a full-lattice computation.
 
-    The two row families share their ``subset`` lists.
+    Both row families hold every mask ``0 .. 2**p - 1``, sharing one array.
     """
-    p = rep.p
-    subs, masks = _lattice(range(1, p + 1))
+    masks = np.arange(1 << rep.p, dtype=np.int64)
     return {
         "var_y": float(rep.var_y),
         "shapley": [float(v) for v in rep.shapley],
-        "sobol": _subset_rows(subs, masks, rep.sobol.tolist()),
-        "closed_sobol": _subset_rows(subs, masks, rep.closed_sobol.tolist()),
-        "metadata": _metadata(algorithm, p, eval_count=rep.eval_count),
+        "sobol": SubsetRows(masks, rep.sobol),
+        "closed_sobol": SubsetRows(masks, rep.closed_sobol),
+        "metadata": _metadata(algorithm, rep.p, eval_count=rep.eval_count),
     }
 
 
@@ -465,20 +456,20 @@ def report_from_grouped(grep: GroupedReport, algorithm: str) -> dict:
     Index rows cover the subsets contained in a single group; any other
     subset's Sobol index is zero by construction and not materialised.
     """
-    subs, masks, sobol, closed = [[]], [0], [0.0], [0.0]
+    masks, sobol, closed = [0], [np.zeros(1)], [np.zeros(1)]
     for j, group in enumerate(grep.partition.groups):
         weight = float(grep.group_weights[j])
-        group_subs, group_masks = _lattice(group)
-        subs += group_subs[1:]
-        masks += group_masks[1:]
-        sobol += grep.scaled_sobol[j][1:].tolist()
-        closed += (weight * grep.group_reports[j].closed_sobol[1:]).tolist()
-    masks, subs, sobol, closed = zip(*sorted(zip(masks, subs, sobol, closed)))
+        masks += _lattice(group, 0, lambda i: 1 << (i - 1))[1:]
+        sobol.append(grep.scaled_sobol[j][1:])
+        closed.append(weight * grep.group_reports[j].closed_sobol[1:])
+    masks = np.array(masks, dtype=np.int64 if grep.p < 63 else object)
+    order = np.argsort(masks)
+    masks = masks[order]
     return {
         "var_y": float(grep.var_y),
         "shapley": [float(v) for v in grep.shapley],
-        "sobol": _subset_rows(subs, masks, sobol),
-        "closed_sobol": _subset_rows(subs, masks, closed),
+        "sobol": SubsetRows(masks, np.concatenate(sobol)[order]),
+        "closed_sobol": SubsetRows(masks, np.concatenate(closed)[order]),
         "metadata": _metadata(algorithm, grep.p, eval_count=grep.eval_count,
                               partition=grep.partition),
     }
@@ -510,29 +501,38 @@ def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,
 def write_report(doc: dict, path=None) -> None:
     """Check and write a report document (stdout when no path).
 
-    The schema checks the document with its subset rows left out; those
-    can number 2**p per family and are checked by :func:`_row_error`. A
-    value JSON cannot hold, such as NaN, is a :class:`FileFormatError`.
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` with each
+    :class:`SubsetRows` family spelled out as row dicts. Every check runs
+    before the file is opened; the rows are then streamed in chunks.
     """
     where = path or "<stdout>"
-    rows = {f: doc[f] for f in _ROW_FAMILIES
-            if isinstance(doc.get(f), list)}
-    _check_schema({**doc, **dict.fromkeys(rows, [])}, _REPORT_VALIDATOR,
-                  where, "report")
-    for family, family_rows in rows.items():
-        why = _row_error(family_rows, int(doc["metadata"]["p"]))
-        if why is not None:
-            raise FileFormatError(f"{where} is not a valid report file: "
-                                  f"{family}: {why}")
+    _check_report(doc, where)
+    arrays = {k: v for k, v in doc.items() if isinstance(v, SubsetRows)}
     try:
-        text = render_json(doc)
+        text = render_json({**doc, **dict.fromkeys(arrays, [])})
     except ValueError as err:                      # NaN or infinity
         raise FileFormatError(f"{where} is not a valid report file: "
                               f"{err}") from err
-    _write(text, path)
+    heads = {id(rows.masks): rows.masks for rows in arrays.values()}
+    heads = {key: _row_heads(masks.tolist()) for key, masks in heads.items()}
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        for family, rows in arrays.items():
+            # At depth one, the key starts a line after two spaces.
+            head, text = text.split(f'\n  "{family}": []', 1)
+            out.write(f'{head}\n  "{family}": ')
+            sep, family_heads = "[\n", heads[id(rows.masks)]
+            for start in range(0, len(rows), CHUNK_ROWS):
+                stop = start + CHUNK_ROWS
+                out.write(sep + "\n    },\n".join(map(
+                    add, family_heads[start:stop],
+                    map(float.__repr__, rows.values[start:stop].tolist()))))
+                sep = "\n    },\n"
+            out.write("\n    }\n  ]" if len(rows) else "[]")
+        out.write(text)
 
 
 def read_report(path) -> dict:
+    """Load a report file and check it, rows included."""
     obj = _load_json(path)
-    _check_schema(obj, _REPORT_VALIDATOR, path, "report")
+    _check_report(obj, path)
     return obj

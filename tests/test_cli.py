@@ -72,6 +72,29 @@ def test_compute_groups_eval_count_and_agreement(tmp_path):
                   - np.array(full["shapley"])).max() <= 1e-10
 
 
+@pytest.mark.parametrize("eps_block", [0.1, 0.0])
+def test_compute_groups_says_when_eps_block_drops_covariance(
+        eps_block, tmp_path, capsys):
+    model = write_json(tmp_path / "m.json", {
+        "beta": [1.0, 1.0, 1.0, 1.0],
+        "gamma": [[1.0, 0.9, 0.05, 0.0], [0.9, 1.0, 0.0, 0.0],
+                  [0.05, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]],
+    })
+    out = tmp_path / "r.json"
+    assert run(["compute", "--model", model, "--groups", "--eps-block",
+                eps_block, "--out", out]) == 0
+    shapley = json.loads(out.read_text())["shapley"]
+    err = capsys.readouterr().err
+    if eps_block == 0.0:
+        assert err == ""
+        assert sum(shapley) == pytest.approx(1.0, abs=1e-12)
+    else:
+        # var(y) = 6.9; the dropped entry 0.05 counts twice: 0.1 / 6.9.
+        assert sum(shapley) == pytest.approx(6.8 / 6.9, abs=1e-12)
+        assert err.count("\n") == 1
+        assert "--eps-block 0.1" in err and f"{0.1 / 6.9:.6g}" in err
+
+
 def test_compute_cap_error(tmp_path):
     model = tmp_path / "big.json"
     assert run(["generate", "--p", 26, "--seed", 0, "--out", model]) == 0

@@ -64,13 +64,26 @@ def test_read_model_validation_errors(tmp_path):
         files.read_model(bad)
 
 
+def _row_dicts(doc):
+    """``doc`` with each array row family spelled out as row dicts."""
+    out, p = dict(doc), doc["metadata"]["p"]
+    for family in ("sobol", "closed_sobol"):
+        rows = doc[family]
+        if isinstance(rows, files.SubsetRows):
+            out[family] = [{"subset": list(subsets.decode(m, p)), "mask": m,
+                            "value": v}
+                           for m, v in zip(rows.masks.tolist(),
+                                           rows.values.tolist())]
+    return out
+
+
 def test_report_rows_are_consistent(tmp_path):
     model = generate_random_instance(3, seed=4)
     doc = files.report_from_sensitivity(lg_indices(model), "lg-indices")
     path = tmp_path / "report.json"
     files.write_report(doc, path)
     back = files.read_report(path)
-    assert back == doc
+    assert back == _row_dicts(doc)
     p = back["metadata"]["p"]
     assert back["metadata"]["eval_count"] == 1 << p
     for row in back["sobol"] + back["closed_sobol"]:
@@ -82,7 +95,7 @@ def test_grouped_report_skips_straddling_subsets(tmp_path):
     grouped = lg_groups_indices(model)
     doc = files.report_from_grouped(grouped, "lg-groups-indices")
     files.write_report(doc, tmp_path / "grouped.json")
-    masks = {row["mask"] for row in doc["sobol"]}
+    masks = set(doc["sobol"].masks.tolist())
     group_masks = grouped.partition.masks()
     for mask in masks:
         assert mask == 0 or any(mask & ~g == 0 for g in group_masks)
@@ -98,12 +111,11 @@ def test_grouped_report_closed_sobol_matches_full_route():
     grouped = lg_groups_indices(model)
     full = lg_indices(model)
     doc = files.report_from_grouped(grouped, "lg-groups-indices")
-    for row in doc["closed_sobol"]:
-        assert row["value"] == pytest.approx(full.closed_sobol[row["mask"]],
-                                             abs=1e-10)
-    for row in doc["sobol"]:
-        assert row["value"] == pytest.approx(full.sobol[row["mask"]],
-                                             abs=1e-10)
+    for family in ("sobol", "closed_sobol"):
+        rows = doc[family]
+        np.testing.assert_allclose(rows.values,
+                                   getattr(full, family)[rows.masks],
+                                   rtol=0, atol=1e-10)
 
 
 def test_estimate_report_with_cv_nan_round_trip(tmp_path):
@@ -140,18 +152,18 @@ def _docs():
 
 def test_every_writer_passes_the_full_schema(tmp_path):
     for i, doc in enumerate(_docs()):
-        jsonschema.validate(doc, files.REPORT_SCHEMA)
+        jsonschema.validate(_row_dicts(doc), files.REPORT_SCHEMA)
         files.write_report(doc, tmp_path / f"r{i}.json")
-        assert files.read_report(tmp_path / f"r{i}.json") == doc
+        assert files.read_report(tmp_path / f"r{i}.json") == _row_dicts(doc)
 
 
 def test_rows_beyond_int64_masks_round_trip(tmp_path):
     # 33 groups of 2: masks reach 2**65, past what an int64 holds.
     grouped = lg_groups_indices(generate_block_instance(33, 2, seed=2))
     doc = files.report_from_grouped(grouped, "lg-groups-indices")
-    assert doc["sobol"][-1]["mask"] >= 1 << 64
+    assert doc["sobol"].masks[-1] >= 1 << 64
     files.write_report(doc, tmp_path / "wide.json")
-    assert files.read_report(tmp_path / "wide.json") == doc
+    assert files.read_report(tmp_path / "wide.json") == _row_dicts(doc)
 
 
 def _set(i, key, value):
@@ -192,15 +204,55 @@ def _swap(key):
         "member-past-p", "tuple-subset", "swapped-subsets", "swapped-masks",
         "swapped-rows"])
 def test_write_rejects_bad_rows(corrupt, tmp_path):
-    doc = files.report_from_sensitivity(
-        lg_indices(generate_random_instance(4, seed=1)), "lg-indices")
+    """Rows given as dicts are checked on writing, and again on reading
+    from a file that ``json.dumps`` wrote."""
+    doc = _row_dicts(files.report_from_sensitivity(
+        lg_indices(generate_random_instance(4, seed=1)), "lg-indices"))
+    path = tmp_path / "bad.json"
     for family in ("sobol", "closed_sobol"):
         bad = json.loads(json.dumps(doc))
         corrupt(bad[family])
-        path = tmp_path / "bad.json"
         with pytest.raises(FileFormatError, match=family):
             files.write_report(bad, path)
         assert not path.exists()
+        text = json.dumps(bad, indent=2)
+        if json.loads(text) != doc:     # a tuple subset reads back as a list
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match=family):
+                files.read_report(path)
+            path.unlink()
+
+
+def _bad_masks(masks, p):
+    swapped, repeated = masks.copy(), masks.copy()
+    at_top, negative = masks.copy(), masks.copy()
+    swapped[[2, 3]] = swapped[[3, 2]]
+    repeated[2] = repeated[1]
+    at_top[-1] = 1 << p
+    negative[0] = -1
+    return [swapped, repeated, at_top, negative]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["dense", "grouped"])
+def test_write_rejects_bad_arrays(index, tmp_path):
+    doc = _docs()[index]
+    for family in ("sobol", "closed_sobol"):
+        rows = doc[family]
+        nan, inf = rows.values.copy(), rows.values.copy()
+        nan[1], inf[-1] = float("nan"), float("-inf")
+        bad_rows = [files.SubsetRows(rows.masks, nan),
+                    files.SubsetRows(rows.masks, inf),
+                    files.SubsetRows(rows.masks, rows.values[:-1]),
+                    files.SubsetRows(rows.masks[:-1], rows.values),
+                    files.SubsetRows(rows.masks, rows.values.astype(int))]
+        bad_rows += [files.SubsetRows(masks, rows.values)
+                     for masks in _bad_masks(rows.masks,
+                                             doc["metadata"]["p"])]
+        for bad in bad_rows:
+            path = tmp_path / "bad.json"
+            with pytest.raises(FileFormatError, match=family):
+                files.write_report({**doc, family: bad}, path)
+            assert not path.exists()
 
 
 def test_write_rejects_non_finite_values_outside_rows(tmp_path):
@@ -214,16 +266,10 @@ def test_write_rejects_non_finite_values_outside_rows(tmp_path):
         assert not path.exists()
 
 
-def _awkward_rows():
-    values = [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0, 2.0, -3.0]
-    return [{"subset": list(subsets.decode(mask, 3)), "mask": mask,
-             "value": v} for mask, v in enumerate(values)]
-
-
 def _render_cases():
     cases = {f"dense-p{p}": files.report_from_sensitivity(
         lg_indices(generate_random_instance(p, seed=p)), "lg-indices")
-        for p in range(1, 7)}
+        for p in range(1, 13)}
     for k, n in [(3, 2), (33, 2)]:
         cases[f"grouped-{k}x{n}"] = files.report_from_grouped(
             lg_groups_indices(generate_block_instance(k, n, seed=2)),
@@ -242,23 +288,40 @@ def _render_cases():
         config={"m": 10, "reps": 20}, cv=summary)
     awkward = files.report_from_estimate([-0.0, 5e-324, 1.0], 1e16, "rows")
     awkward["metadata"]["p"] = 3
-    awkward["sobol"] = _awkward_rows()
-    awkward["closed_sobol"] = _awkward_rows()[::3]
+    values = np.array([-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0, 2.0, -3.0])
+    awkward["sobol"] = files.SubsetRows(np.arange(8), values)
+    awkward["closed_sobol"] = files.SubsetRows(np.array([0, 3, 6]),
+                                               values[::3])
     cases["awkward-floats"] = awkward
-    integers = json.loads(json.dumps(awkward))
+    prefix = dict(awkward, sobol=files.SubsetRows(np.arange(5), values[:5]))
+    cases["lattice-prefix"] = dict(prefix, closed_sobol=prefix["sobol"])
+    integers = _row_dicts(awkward)
     integers["sobol"][5]["value"] = 1
     cases["integer-value"] = integers
     return cases
 
 
 @pytest.mark.parametrize("name", list(_render_cases()))
-def test_render_matches_json_dumps(name, tmp_path):
+def test_render_matches_json_dumps(name, tmp_path, capsys):
     doc = _render_cases()[name]
-    expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    assert files.render_json(doc) == expected
+    expected = json.dumps(_row_dicts(doc), indent=2, allow_nan=False) + "\n"
     path = tmp_path / "report.json"
     files.write_report(doc, path)
     assert path.read_text() == expected
+    assert files.read_report(path) == json.loads(expected)
+    files.write_report(doc)
+    assert capsys.readouterr().out == expected
+
+
+def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "CHUNK_ROWS", 3)
+    cases = _render_cases()
+    for name in ["dense-p1", "dense-p2", "dense-p4", "dense-p5",
+                 "grouped-3x2", "grouped-interleaved", "awkward-floats"]:
+        path = tmp_path / f"{name}.json"
+        files.write_report(cases[name], path)
+        assert path.read_text() == json.dumps(
+            _row_dicts(cases[name]), indent=2) + "\n"
 
 
 def test_distribution_loading(tmp_path):
