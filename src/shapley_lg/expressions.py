@@ -9,6 +9,7 @@ Python code.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ExpressionParseError
 
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -53,6 +56,20 @@ def _tokenize(text: str) -> list[_Token]:
     tokens.append(_Token("end", "", last_line, len(text.splitlines()[-1]) + 1
                          if text.splitlines() else 1))
     return tokens
+
+
+def _fold(first: Callable, rest: list) -> Callable:
+    """One closure applying each ``(op, operand)`` of ``rest`` in turn, left
+    to right, so a long chain does not nest one closure per operator."""
+    if not rest:
+        return first
+
+    def fn(env):
+        value = first(env)
+        for op, operand in rest:
+            value = op(value, operand(env))
+        return value
+    return fn
 
 
 class _Parser:
@@ -91,28 +108,16 @@ class _Parser:
         return fn
 
     def expression(self) -> Callable:
-        fn = self.term()
+        first, rest = self.term(), []
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            lhs = fn
-            if op == "+":
-                fn = lambda env, a=lhs, b=rhs: a(env) + b(env)
-            else:
-                fn = lambda env, a=lhs, b=rhs: a(env) - b(env)
-        return fn
+            rest.append((_BINARY[self.advance().text], self.term()))
+        return _fold(first, rest)
 
     def term(self) -> Callable:
-        fn = self.factor()
+        first, rest = self.factor(), []
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            lhs = fn
-            if op == "*":
-                fn = lambda env, a=lhs, b=rhs: a(env) * b(env)
-            else:
-                fn = lambda env, a=lhs, b=rhs: a(env) / b(env)
-        return fn
+            rest.append((_BINARY[self.advance().text], self.factor()))
+        return _fold(first, rest)
 
     def factor(self) -> Callable:
         tok = self.peek()
@@ -172,4 +177,10 @@ def compile_expression(text: str, names: Iterable[str]) -> Callable:
     name-resolution failures raise :class:`ExpressionParseError` with a
     1-based line and column.
     """
-    return _Parser(_tokenize(text), frozenset(names)).parse()
+    parser = _Parser(_tokenize(text), frozenset(names))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ExpressionParseError("expression nests too deeply", tok.line,
+                                   tok.column) from None

@@ -5,7 +5,9 @@ round-trip representation, so reading a file back reproduces the exact
 binary values that were written. Writers emit the layout of
 ``json.dumps(doc, indent=2)``, so repeated runs are byte-identical. Report
 subset rows stay arrays (:class:`SubsetRows`), checked in numpy and
-streamed to the file in chunks.
+streamed to the file in chunks. Every file's keys and value types are
+checked by plain code here; it accepts what the JSON Schemas in the tests
+accept (``true`` is not a number, ``3.0`` is an integer).
 """
 
 from __future__ import annotations
@@ -21,134 +23,20 @@ from itertools import chain
 from operator import add
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .blocks import BlockPartition, GroupedReport
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
-from .model import (LinearGaussianModel, _require_finite, validate_covariance,
-                    validate_model)
+from .model import (LinearGaussianModel, _as_array, _require_finite,
+                    validate_covariance, validate_model)
 from .montecarlo import BlackBoxModel, GaussianInput
 from .permutations import CvSummary
 
-MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "beta": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "gamma": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}},
-            "minItems": 1,
-        },
-        "mu": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["beta", "gamma"],
-    "additionalProperties": False,
-}
-
-DISTRIBUTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "gamma": MODEL_SCHEMA["properties"]["gamma"],
-        "mu": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["gamma"],
-    "additionalProperties": False,
-}
-
-EXPRESSION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "f": {"type": "string"},
-        "consts": {"type": "object", "additionalProperties": {"type": "number"}},
-        "defs": {"type": "object", "additionalProperties": {"type": "string"}},
-        "blocks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "inputs": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                        "minItems": 1,
-                    },
-                    "expr": {"type": "string"},
-                },
-                "required": ["inputs", "expr"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["f"],
-    "additionalProperties": False,
-}
-
-_SUBSET_ROW_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "subset": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "mask": {"type": "integer", "minimum": 0},
-        "value": {"type": "number"},
-    },
-    "required": ["subset", "mask", "value"],
-    "additionalProperties": False,
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "var_y": {"type": "number"},
-        "shapley": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "sobol": {"type": "array", "items": _SUBSET_ROW_SCHEMA},
-        "closed_sobol": {"type": "array", "items": _SUBSET_ROW_SCHEMA},
-        "metadata": {
-            "type": "object",
-            "properties": {
-                "algorithm": {"type": "string"},
-                "p": {"type": "integer", "minimum": 1},
-                "eval_count": {"type": ["integer", "null"]},
-                "partition": {
-                    "type": ["array", "null"],
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                },
-                "seed": {"type": ["integer", "null"]},
-                "config": {"type": ["object", "null"]},
-            },
-            "required": ["algorithm", "p", "eval_count", "partition", "seed",
-                         "config"],
-            "additionalProperties": False,
-        },
-        "cv_summary": {
-            "type": "object",
-            "properties": {
-                "per_i_cv": {"type": "array",
-                             "items": {"type": ["number", "null"]}},
-                "mean_cv": {"type": ["number", "null"]},
-                "m": {"type": "integer"},
-                "reps": {"type": "integer"},
-                "seed": {"type": "integer"},
-                "excluded": {"type": "array", "items": {"type": "integer"}},
-            },
-            "required": ["per_i_cv", "mean_cv", "m", "reps", "seed", "excluded"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["var_y", "shapley", "sobol", "closed_sobol", "metadata"],
-    "additionalProperties": False,
-}
-
-
-_MODEL_VALIDATOR = jsonschema.Draft202012Validator(MODEL_SCHEMA)
-_DISTRIBUTION_VALIDATOR = jsonschema.Draft202012Validator(DISTRIBUTION_SCHEMA)
-_EXPRESSION_VALIDATOR = jsonschema.Draft202012Validator(EXPRESSION_SCHEMA)
-_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
-
 #: Report fields holding one row per subset; up to 2**p rows each.
 _ROW_FAMILIES = ("sobol", "closed_sobol")
-_ROW_KEYS = set(_SUBSET_ROW_SCHEMA["properties"])
+_ROW_KEYS = {"subset", "mask", "value"}
 
 #: Rows rendered and written at a time by :func:`write_report`.
 CHUNK_ROWS = 1 << 14
@@ -177,11 +65,103 @@ def _load_json(path) -> dict:
         raise FileFormatError(f"{path} is not valid JSON: {err}") from err
 
 
-def _check_schema(obj, validator, path, what: str) -> None:
-    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if err is not None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An int, or a float without a fractional part (``3.0``)."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+# Each check below takes a JSON value and its path in the document
+# (``gamma[1][0]``, ``metadata.p``) and raises FileFormatError naming it.
+
+def _kind(what: str, test):
+    def check(value, where):
+        if not test(value):
+            raise FileFormatError(f"{where} is not {what}")
+    return check
+
+
+def _nullable(check):
+    return lambda value, where: value is None or check(value, where)
+
+
+def _array(item, min_items=0):
+    def check(value, where):
+        if not isinstance(value, list):
+            raise FileFormatError(f"{where} is not an array")
+        if len(value) < min_items:
+            raise FileFormatError(f"{where} is empty")
+        for i, v in enumerate(value):
+            item(v, f"{where}[{i}]")
+    return check
+
+
+def _object(required: dict, optional: dict = {}, other=None):
+    """An object holding each key of ``required``, any of ``optional``, and
+    other keys only when ``other`` checks their values."""
+    def check(value, where):
+        if not isinstance(value, dict):
+            raise FileFormatError(f"{where or 'the document'} is not an object")
+        for key in {**required, **value}:       # the required keys first
+            at = f"{where}.{key}" if where else key
+            if key not in value:
+                raise FileFormatError(f"missing key {at!r}")
+            item = required.get(key) or optional.get(key, other)
+            if item is None:
+                raise FileFormatError(f"unknown key {at!r}")
+            item(value[key], at)
+    return check
+
+
+_number = _kind("a number", _is_number)
+_integer = _kind("an integer", _is_integer)
+_string = _kind("a string", lambda v: isinstance(v, str))
+_numbers = _array(_number)
+_gamma = _array(_numbers, 1)
+_rows = _kind("an array", lambda v: isinstance(v, (list, SubsetRows)))
+
+_MODEL = _object({"beta": _array(_number, 1), "gamma": _gamma},
+                 {"mu": _numbers})
+_DISTRIBUTION = _object({"gamma": _gamma}, {"mu": _numbers})
+_EXPRESSION = _object({"f": _string}, {
+    "consts": _object({}, other=_number),
+    "defs": _object({}, other=_string),
+    "blocks": _array(_object({"inputs": _array(_string, 1),
+                              "expr": _string}), 1),
+})
+#: The report without its rows, which :func:`_check_report` checks next.
+_REPORT = _object({
+    "var_y": _number,
+    "shapley": _array(_number, 1),
+    "sobol": _rows,
+    "closed_sobol": _rows,
+    "metadata": _object({
+        "algorithm": _string,
+        "p": _kind("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+        "eval_count": _nullable(_integer),
+        "partition": _nullable(_array(_array(_integer))),
+        "seed": _nullable(_integer),
+        "config": _nullable(_object({}, other=lambda value, where: None)),
+    }),
+}, {"cv_summary": _object({
+    "per_i_cv": _array(_nullable(_number)),
+    "mean_cv": _nullable(_number),
+    "m": _integer,
+    "reps": _integer,
+    "seed": _integer,
+    "excluded": _array(_integer),
+})})
+
+
+def _check(obj, check, path, what: str) -> None:
+    try:
+        check(obj, "")
+    except FileFormatError as err:
         raise FileFormatError(f"{path} is not a valid {what} file: "
-                              f"{err.message}")
+                              f"{err}") from None
 
 
 def _numbers_of(types, kinds) -> bool:
@@ -205,8 +185,10 @@ def _array_error(rows: SubsetRows, p: int) -> str | None:
 def _row_error(rows: list, p: int) -> str | None:
     """Why ``rows`` are not valid subset rows, or None.
 
-    Besides what ``_SUBSET_ROW_SCHEMA`` requires and :func:`_array_error`
-    checks, each subset must list the members of its mask in order.
+    Each row is an object holding exactly an integer ``mask``, a
+    ``subset`` array of integers and a number ``value``; besides what
+    :func:`_array_error` checks, each subset must list the members of its
+    mask in order.
     """
     if not rows:
         return None
@@ -233,14 +215,12 @@ def _row_error(rows: list, p: int) -> str | None:
 
 
 def _check_report(doc: dict, where) -> None:
-    """Check the schema with the subset rows left out, then each family."""
-    rows = {f: doc[f] for f in _ROW_FAMILIES
-            if isinstance(doc.get(f), (list, SubsetRows))}
-    _check_schema({**doc, **dict.fromkeys(rows, [])}, _REPORT_VALIDATOR,
-                  where, "report")
-    for family, family_rows in rows.items():
-        why = (_array_error if isinstance(family_rows, SubsetRows)
-               else _row_error)(family_rows, int(doc["metadata"]["p"]))
+    """Check the document without its subset rows, then each family."""
+    _check(doc, _REPORT, where, "report")
+    for family in _ROW_FAMILIES:
+        rows = doc[family]
+        why = (_array_error if isinstance(rows, SubsetRows)
+               else _row_error)(rows, int(doc["metadata"]["p"]))
         if why is not None:
             raise FileFormatError(f"{where} is not a valid report file: "
                                   f"{family}: {why}")
@@ -272,7 +252,7 @@ def render_json(obj) -> str:
 def read_model(path) -> LinearGaussianModel:
     """Load and validate a model file."""
     obj = _load_json(path)
-    _check_schema(obj, _MODEL_VALIDATOR, path, "model")
+    _check(obj, _MODEL, path, "model")
     return validate_model(obj["beta"], obj["gamma"], obj.get("mu"))
 
 
@@ -291,12 +271,9 @@ def write_model(model: LinearGaussianModel, path=None) -> None:
 def read_distribution(path) -> GaussianInput:
     """Load a Gaussian input distribution (covariance plus optional mean)."""
     obj = _load_json(path)
-    _check_schema(obj, _DISTRIBUTION_VALIDATOR, path, "distribution")
+    _check(obj, _DISTRIBUTION, path, "distribution")
     gamma = validate_covariance(obj["gamma"])
-    mu = obj.get("mu")
-    if mu is None:
-        mu = np.zeros(gamma.shape[0])
-    mu = np.asarray(mu, dtype=float)
+    mu = _as_array("mu", obj.get("mu", np.zeros(gamma.shape[0])))
     if mu.size != gamma.shape[0]:
         raise FileFormatError(
             f"{path}: mu has length {mu.size} but gamma is "
@@ -317,7 +294,7 @@ def input_names(p: int) -> list[str]:
 def read_expression_file(path) -> dict:
     """Load and schema-check an expression file; compilation happens later."""
     obj = _load_json(path)
-    _check_schema(obj, _EXPRESSION_VALIDATOR, path, "expression")
+    _check(obj, _EXPRESSION, path, "expression")
     reserved = set(FUNCTIONS)
     declared = list(obj.get("consts", {})) + list(obj.get("defs", {}))
     for name in declared:
@@ -340,7 +317,9 @@ def _compile_with_defs(expr_obj: dict, text: str, names,
     from scope instead of failing. Evaluation ignores floating-point
     warnings: a non-finite output is reported by the caller's checks.
     """
-    consts = {k: float(v) for k, v in expr_obj.get("consts", {}).items()}
+    consts = expr_obj.get("consts", {})
+    values = _as_array("consts", list(consts.values())).tolist()
+    consts = dict(zip(consts, values))
     names = tuple(names)
     available = set(names) | set(consts)
     resolved = []

@@ -55,6 +55,10 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 def _as_array(name: str, values) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
+    except OverflowError:                     # an integer literal past 1e308
+        raise ModelValidationError(ValidationKind.NOT_FINITE,
+                                   f"{name} holds a number too large for a "
+                                   "float") from None
     except ValueError:                        # e.g. rows of different lengths
         raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH,
                                    f"{name} is not a rectangular array of "

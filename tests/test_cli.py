@@ -144,6 +144,35 @@ def test_ragged_gamma_exits_2_with_one_line(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+_EYE = "[[1.0, 0.0], [0.0, 1.0]]"
+# An integer literal past the float range, which json reads as an int.
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("verb, texts", [
+    (["compute"], [f'{{"beta": [{_HUGE}, 1.0], "gamma": {_EYE}}}']),
+    (["compute", "--groups"],
+     [f'{{"beta": [1.0, 1.0], "gamma": [[{_HUGE}, 0.0], [0.0, 1.0]]}}']),
+    (["estimate"], [f'{{"beta": [1.0, 1.0], "gamma": {_EYE}, '
+                    f'"mu": [0.0, {_HUGE}]}}']),
+    (["mc"], [f'{{"f": "c*x1 + x2", "consts": {{"c": {_HUGE}}}}}',
+              f'{{"gamma": {_EYE}}}']),
+    (["mc"], ['{"f": "x1 + x2"}', f'{{"gamma": {_EYE}, "mu": [{_HUGE}, 0]}}']),
+], ids=["compute-beta", "groups-gamma", "estimate-mu", "mc-consts", "mc-mu"])
+def test_integer_past_float_range_exits_2_with_one_line(tmp_path, capsys,
+                                                        verb, texts):
+    paths = [tmp_path / f"in{i}.json" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    args = verb + ["--model", paths[0], "--out", tmp_path / "out.json"]
+    if verb == ["mc"]:
+        args += ["--dist", paths[1], "--m", 5, "--n-outer", 5]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotFinite:") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_mc_rejects_non_finite_mean(tmp_path, capsys):
     expr = write_json(tmp_path / "expr.json", {"f": "x1 + x2"})
     dist = write_json(tmp_path / "dist.json", {
@@ -357,6 +386,26 @@ def test_mc_parse_error(tmp_path):
     assert run(["mc", "--model", expr, "--dist", dist]) == 4
 
 
+def test_mc_runs_a_20000_term_sum(tmp_path):
+    expr = write_json(tmp_path / "expr.json",
+                      {"f": " + ".join(["x1", "x2"] * 10_000)})
+    dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0, 0.0],
+                                                         [0.0, 1.0]]})
+    out = tmp_path / "mc.json"
+    assert run(["mc", "--model", expr, "--dist", dist, "--m", 4,
+                "--n-outer", 4, "--n-var", 100, "--out", out]) == 0
+    assert sum(json.loads(out.read_text())["shapley"]) == pytest.approx(1.0)
+
+
+def test_mc_deep_nesting_exits_4_with_one_line(tmp_path, capsys):
+    expr = write_json(tmp_path / "expr.json",
+                      {"f": "(" * 5000 + "x1" + ")" * 5000})
+    dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0]]})
+    assert run(["mc", "--model", expr, "--dist", dist]) == 4
+    err = capsys.readouterr().err
+    assert "nests too deeply" in err and err.count("\n") == 1
+
+
 def test_mc_budget_error(tmp_path):
     expr = write_json(tmp_path / "expr.json", {"f": "x1"})
     dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0]]})
@@ -432,13 +481,13 @@ def test_console_entry_point(tmp_path):
     assert sum(doc["shapley"]) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the one numerical dependency of the runtime.
+def test_cli_import_leaves_scipy_and_jsonschema_out():
+    # numpy is the one dependency of the runtime.
     src = str(Path(shapley_lg.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, shapley_lg.cli; print(sorted(name for name in "
-            "sys.modules if name.split('.')[0] == 'scipy'))")
+            "sys.modules if name.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,115 @@ from shapley_lg import (FileFormatError, ModelValidationError,
 from shapley_lg import files, subsets
 from shapley_lg.permutations import CvSummary
 
+# The JSON Schemas (Draft 2020-12) of the four kinds of file: the oracle
+# that the plain checks in ``files`` must agree with.
+MODEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "beta": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "gamma": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "number"}},
+            "minItems": 1,
+        },
+        "mu": {"type": "array", "items": {"type": "number"}},
+    },
+    "required": ["beta", "gamma"],
+    "additionalProperties": False,
+}
+
+DISTRIBUTION_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "gamma": MODEL_SCHEMA["properties"]["gamma"],
+        "mu": {"type": "array", "items": {"type": "number"}},
+    },
+    "required": ["gamma"],
+    "additionalProperties": False,
+}
+
+EXPRESSION_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "f": {"type": "string"},
+        "consts": {"type": "object", "additionalProperties": {"type": "number"}},
+        "defs": {"type": "object", "additionalProperties": {"type": "string"}},
+        "blocks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "properties": {
+                    "inputs": {
+                        "type": "array",
+                        "items": {"type": "string"},
+                        "minItems": 1,
+                    },
+                    "expr": {"type": "string"},
+                },
+                "required": ["inputs", "expr"],
+                "additionalProperties": False,
+            },
+        },
+    },
+    "required": ["f"],
+    "additionalProperties": False,
+}
+
+_SUBSET_ROW_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "subset": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "mask": {"type": "integer", "minimum": 0},
+        "value": {"type": "number"},
+    },
+    "required": ["subset", "mask", "value"],
+    "additionalProperties": False,
+}
+
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "var_y": {"type": "number"},
+        "shapley": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "sobol": {"type": "array", "items": _SUBSET_ROW_SCHEMA},
+        "closed_sobol": {"type": "array", "items": _SUBSET_ROW_SCHEMA},
+        "metadata": {
+            "type": "object",
+            "properties": {
+                "algorithm": {"type": "string"},
+                "p": {"type": "integer", "minimum": 1},
+                "eval_count": {"type": ["integer", "null"]},
+                "partition": {
+                    "type": ["array", "null"],
+                    "items": {"type": "array", "items": {"type": "integer"}},
+                },
+                "seed": {"type": ["integer", "null"]},
+                "config": {"type": ["object", "null"]},
+            },
+            "required": ["algorithm", "p", "eval_count", "partition", "seed",
+                         "config"],
+            "additionalProperties": False,
+        },
+        "cv_summary": {
+            "type": "object",
+            "properties": {
+                "per_i_cv": {"type": "array",
+                             "items": {"type": ["number", "null"]}},
+                "mean_cv": {"type": ["number", "null"]},
+                "m": {"type": "integer"},
+                "reps": {"type": "integer"},
+                "seed": {"type": "integer"},
+                "excluded": {"type": "array", "items": {"type": "integer"}},
+            },
+            "required": ["per_i_cv", "mean_cv", "m", "reps", "seed", "excluded"],
+            "additionalProperties": False,
+        },
+    },
+    "required": ["var_y", "shapley", "sobol", "closed_sobol", "metadata"],
+    "additionalProperties": False,
+}
+
 
 def test_model_roundtrip(tmp_path):
     model = generate_random_instance(4, seed=3)
@@ -134,8 +243,8 @@ def test_estimate_report_with_cv_nan_round_trip(tmp_path):
 
 
 def test_schemas_are_valid():
-    for schema in (files.MODEL_SCHEMA, files.DISTRIBUTION_SCHEMA,
-                   files.EXPRESSION_SCHEMA, files.REPORT_SCHEMA):
+    for schema in (MODEL_SCHEMA, DISTRIBUTION_SCHEMA, EXPRESSION_SCHEMA,
+                   REPORT_SCHEMA):
         jsonschema.Draft202012Validator.check_schema(schema)
 
 
@@ -152,9 +261,191 @@ def _docs():
 
 def test_every_writer_passes_the_full_schema(tmp_path):
     for i, doc in enumerate(_docs()):
-        jsonschema.validate(_row_dicts(doc), files.REPORT_SCHEMA)
+        jsonschema.validate(_row_dicts(doc), REPORT_SCHEMA)
         files.write_report(doc, tmp_path / f"r{i}.json")
         assert files.read_report(tmp_path / f"r{i}.json") == _row_dicts(doc)
+
+
+_GAMMA = [[1.0, 0.0], [0.0, 1.0]]
+_MODEL = {"beta": [1.0, 2.0], "gamma": _GAMMA}
+_BLOCK = {"inputs": ["x1"], "expr": "x1"}
+_METADATA = {"algorithm": "mc-shapley", "p": 2, "eval_count": None,
+             "partition": None, "seed": None, "config": None}
+_REPORT = {"var_y": 2.0, "shapley": [0.5, 0.5], "sobol": [],
+           "closed_sobol": [], "metadata": _METADATA}
+_CV = {"per_i_cv": [12.5, None], "mean_cv": None, "m": 10, "reps": 20,
+       "seed": 3, "excluded": [2]}
+_ROWS = [{"subset": [], "mask": 0, "value": 0.0},
+         {"subset": [1], "mask": 1, "value": 0.25}]
+_BIG = 10 ** 400      # an integer literal no float can hold
+
+
+def _meta(**fields):
+    return {**_REPORT, "metadata": {**_METADATA, **fields}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# (id, kind, document, None if valid else a text the error must name).
+# Report rows are checked further by plain code that is stricter than the
+# row schema (a mask of 1.0 or a subset that does not match its mask is
+# refused); test_write_rejects_bad_rows covers that, so rows here are
+# either valid or invalid for both.
+_CORPUS = [
+    ("model", "model", _MODEL, None),
+    ("model-mu", "model", {**_MODEL, "mu": [0.5, -1]}, None),
+    ("model-integers", "model", {"beta": [1, 2], "gamma": [[1, 0], [0, 1]]},
+     None),
+    ("model-huge-integer", "model", {**_MODEL, "beta": [_BIG, 1.0]}, None),
+    ("model-nan", "model", {**_MODEL, "beta": [float("nan"), 1.0]}, None),
+    ("model-empty-gamma-row", "model", {**_MODEL, "gamma": [[], []]}, None),
+    ("model-no-beta", "model", _without(_MODEL, "beta"), "'beta'"),
+    ("model-no-gamma", "model", _without(_MODEL, "gamma"), "'gamma'"),
+    ("model-extra-key", "model", {**_MODEL, "note": "x"}, "'note'"),
+    ("model-empty-beta", "model", {**_MODEL, "beta": []}, "beta"),
+    ("model-empty-gamma", "model", {**_MODEL, "gamma": []}, "gamma"),
+    ("model-beta-not-array", "model", {**_MODEL, "beta": 1.0}, "beta"),
+    ("model-true", "model", {**_MODEL, "beta": [True, 1.0]}, "beta[0]"),
+    ("model-false", "model", {**_MODEL, "beta": [1.0, False]}, "beta[1]"),
+    ("model-string", "model", {**_MODEL, "beta": ["1", 1.0]}, "beta[0]"),
+    ("model-null", "model", {**_MODEL, "beta": [1.0, None]}, "beta[1]"),
+    ("model-gamma-rows-not-arrays", "model", {**_MODEL, "gamma": [1.0, 0.0]},
+     "gamma[0]"),
+    ("model-gamma-string", "model",
+     {**_MODEL, "gamma": [[1.0, 0.0], [0.0, "1"]]}, "gamma[1][1]"),
+    ("model-mu-null", "model", {**_MODEL, "mu": None}, "mu"),
+    ("model-list", "model", [1.0, 2.0], "not an object"),
+    ("model-string-document", "model", "beta", "not an object"),
+    ("model-null-document", "model", None, "not an object"),
+    ("dist", "distribution", {"gamma": _GAMMA}, None),
+    ("dist-mu", "distribution", {"gamma": _GAMMA, "mu": [1.0, _BIG]}, None),
+    ("dist-no-gamma", "distribution", {"mu": [0.0]}, "'gamma'"),
+    ("dist-beta", "distribution", _MODEL, "'beta'"),
+    ("dist-mu-true", "distribution", {"gamma": _GAMMA, "mu": [True, 0.0]},
+     "mu[0]"),
+    ("dist-empty-gamma", "distribution", {"gamma": []}, "gamma"),
+    ("dist-list", "distribution", [_GAMMA], "not an object"),
+    ("expr", "expression", {"f": "x1"}, None),
+    ("expr-all", "expression", {"f": "c*z", "consts": {"c": 2, "d": _BIG},
+                                "defs": {"z": "x1"}, "blocks": [_BLOCK]},
+     None),
+    ("expr-empty-maps", "expression", {"f": "x1", "consts": {}, "defs": {}},
+     None),
+    ("expr-no-f", "expression", {"consts": {}}, "'f'"),
+    ("expr-f-number", "expression", {"f": 1.0}, "f"),
+    ("expr-extra-key", "expression", {"f": "x1", "g": "x2"}, "'g'"),
+    ("expr-consts-string", "expression", {"f": "x1", "consts": {"c": "1"}},
+     "consts.c"),
+    ("expr-consts-true", "expression", {"f": "x1", "consts": {"c": True}},
+     "consts.c"),
+    ("expr-consts-list", "expression", {"f": "x1", "consts": [1.0]},
+     "consts"),
+    ("expr-defs-number", "expression", {"f": "x1", "defs": {"z": 1.0}},
+     "defs.z"),
+    ("expr-no-blocks", "expression", {"f": "x1", "blocks": []}, "blocks"),
+    ("expr-block-extra-key", "expression",
+     {"f": "x1", "blocks": [{**_BLOCK, "weight": 1.0}]}, "blocks[0].weight"),
+    ("expr-block-no-expr", "expression",
+     {"f": "x1", "blocks": [{"inputs": ["x1"]}]}, "blocks[0].expr"),
+    ("expr-block-no-inputs", "expression",
+     {"f": "x1", "blocks": [{**_BLOCK, "inputs": []}]}, "blocks[0].inputs"),
+    ("expr-block-input-number", "expression",
+     {"f": "x1", "blocks": [{**_BLOCK, "inputs": [1]}]},
+     "blocks[0].inputs[0]"),
+    ("expr-block-not-object", "expression", {"f": "x1", "blocks": ["x1"]},
+     "blocks[0]"),
+    ("expr-list", "expression", ["x1"], "not an object"),
+    ("report", "report", _REPORT, None),
+    ("report-rows", "report",
+     {**_REPORT, "sobol": _ROWS, "closed_sobol": _ROWS}, None),
+    ("report-cv", "report", {**_REPORT, "cv_summary": _CV}, None),
+    ("report-cv-floats", "report",
+     {**_REPORT, "cv_summary": {**_CV, "m": 10.0, "mean_cv": 12.5}}, None),
+    ("report-p-integral-float", "report", _meta(p=2.0), None),
+    ("report-huge-integers", "report",
+     {**_meta(seed=_BIG), "var_y": _BIG}, None),
+    ("report-filled-metadata", "report",
+     _meta(eval_count=4.0, partition=[[1], [2.0]], seed=7,
+           config={"m": [1, {"n": None}]}), None),
+    ("report-p-fraction", "report", _meta(p=2.5), "metadata.p"),
+    ("report-p-zero", "report", _meta(p=0), "metadata.p"),
+    ("report-p-true", "report", _meta(p=True), "metadata.p"),
+    ("report-p-null", "report", _meta(p=None), "metadata.p"),
+    ("report-eval-count-string", "report", _meta(eval_count="4"),
+     "metadata.eval_count"),
+    ("report-partition-fraction", "report", _meta(partition=[[1, 1.5]]),
+     "metadata.partition[0][1]"),
+    ("report-partition-flat", "report", _meta(partition=[1, 2]),
+     "metadata.partition[0]"),
+    ("report-seed-false", "report", _meta(seed=False), "metadata.seed"),
+    ("report-config-list", "report", _meta(config=[1]), "metadata.config"),
+    ("report-config-string", "report", _meta(config="m"), "metadata.config"),
+    ("report-metadata-extra-key", "report", _meta(git="abc"),
+     "'metadata.git'"),
+    ("report-metadata-no-seed", "report",
+     {**_REPORT, "metadata": _without(_METADATA, "seed")}, "'metadata.seed'"),
+    ("report-no-metadata", "report", _without(_REPORT, "metadata"),
+     "'metadata'"),
+    ("report-no-sobol", "report", _without(_REPORT, "sobol"), "'sobol'"),
+    ("report-extra-key", "report", {**_REPORT, "notes": []}, "'notes'"),
+    ("report-empty-shapley", "report", {**_REPORT, "shapley": []},
+     "shapley"),
+    ("report-var-y-null", "report", {**_REPORT, "var_y": None}, "var_y"),
+    ("report-var-y-true", "report", {**_REPORT, "var_y": True}, "var_y"),
+    ("report-shapley-string", "report", {**_REPORT, "shapley": ["0.5"]},
+     "shapley[0]"),
+    ("report-sobol-object", "report", {**_REPORT, "sobol": {}}, "sobol"),
+    ("report-row-extra-key", "report",
+     {**_REPORT, "sobol": [_ROWS[0], {**_ROWS[1], "x": 0}]}, "sobol"),
+    ("report-row-mask-string", "report",
+     {**_REPORT, "closed_sobol": [_ROWS[0], {**_ROWS[1], "mask": "1"}]},
+     "closed_sobol"),
+    ("report-cv-per-i-string", "report",
+     {**_REPORT, "cv_summary": {**_CV, "per_i_cv": ["x", None]}},
+     "cv_summary.per_i_cv[0]"),
+    ("report-cv-excluded-fraction", "report",
+     {**_REPORT, "cv_summary": {**_CV, "excluded": [1.5]}},
+     "cv_summary.excluded[0]"),
+    ("report-cv-no-excluded", "report",
+     {**_REPORT, "cv_summary": _without(_CV, "excluded")},
+     "'cv_summary.excluded'"),
+    ("report-cv-extra-key", "report",
+     {**_REPORT, "cv_summary": {**_CV, "sd": 1.0}}, "'cv_summary.sd'"),
+    ("report-cv-null", "report", {**_REPORT, "cv_summary": None},
+     "cv_summary"),
+    ("report-list", "report", [_REPORT], "not an object"),
+]
+
+_KINDS = {
+    "model": (MODEL_SCHEMA, files.read_model),
+    "distribution": (DISTRIBUTION_SCHEMA, files.read_distribution),
+    "expression": (EXPRESSION_SCHEMA, files.read_expression_file),
+    "report": (REPORT_SCHEMA, files.read_report),
+}
+
+
+@pytest.mark.parametrize("kind, doc, names", [case[1:] for case in _CORPUS],
+                         ids=[case[0] for case in _CORPUS])
+def test_checks_accept_what_the_schema_accepts(kind, doc, names, tmp_path):
+    """The plain checks and the schema agree on each document; a rejected
+    one ends in the file-kind prefix and names the offending key."""
+    schema, read = _KINDS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert jsonschema.Draft202012Validator(schema).is_valid(
+        json.loads(path.read_text())) == (names is None)
+    # Reading goes on past the layout, so a later check may refuse a
+    # document the layout check accepts.
+    try:
+        read(path)
+        message = ""
+    except (FileFormatError, ModelValidationError) as err:
+        message = str(err)
+    layout_error = message.startswith(f"{path} is not a valid {kind} file: ")
+    assert layout_error == (names is not None)
+    assert names is None or names in message
 
 
 def test_rows_beyond_int64_masks_round_trip(tmp_path):
