@@ -247,21 +247,42 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     return float(_clamp(values, total_variance(model))[0])
 
 
+def prefix_sets(orders: np.ndarray):
+    """Distinct prefix sets of variable orderings, one prefix size at a time.
+
+    ``orders`` is an ``(m, p)`` array of zero-based orderings. For ``k = 1,
+    ..., p`` this yields ``(sets, where)``: the distinct sets among the
+    prefixes ``orders[:, :k]`` as ascending member rows ``(n, k)``, and the
+    row ``where[r]`` of ordering ``r``'s prefix. A membership matrix gains
+    one column per step; its rows, packed into bytes, are the keys of one
+    1-D ``np.unique``, for any ``p``.
+    """
+    m, p = orders.shape
+    member = np.zeros((m, p), dtype=bool)
+    for k in range(1, p + 1):
+        member[np.arange(m), orders[:, k - 1]] = True
+        packed = np.packbits(member, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").reshape(-1)
+        _, first, where = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        yield np.nonzero(member[first])[1].reshape(first.size, k), where
+
+
 def prefix_variances(model: LinearGaussianModel,
                      orders: np.ndarray) -> np.ndarray:
     """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
 
     ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
-    the result is ``(m, p + 1)``. Each distinct prefix set is computed once.
+    the result is ``(m, p + 1)``. Each distinct prefix set of
+    :func:`prefix_sets` is computed once.
     """
-    m, p = orders.shape
     stack = _stack([model])
-    out = np.empty((m, p + 1))
-    for k in range(p + 1):
-        sets, where = np.unique(np.sort(orders[:, :k], axis=1), axis=0,
-                                return_inverse=True)
-        out[:, k] = _variances(stack, sets)[0][where.reshape(-1)]
-    return _clamp(out, total_variance(model))
+    var_y = total_variance(model)
+    out = np.empty((len(orders), orders.shape[1] + 1))
+    out[:, 0] = var_y
+    for k, (sets, where) in enumerate(prefix_sets(orders), 1):
+        out[:, k] = _variances(stack, sets)[0][where]
+    return _clamp(out, var_y)
 
 
 def _members(masks: np.ndarray, p: int, k: int) -> np.ndarray:

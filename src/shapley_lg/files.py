@@ -176,7 +176,7 @@ def _array_error(rows: SubsetRows, p: int) -> str | None:
         return "each mask needs one float64 value"
     if not np.isfinite(value).all():
         return "a row value is not finite"
-    if mask.size and (mask[0] < 0 or mask[-1] >= 1 << p
+    if mask.size and (mask[0] < 0 or int(mask[-1]).bit_length() > p
                       or np.any(np.diff(mask) <= 0)):
         return f"row masks must increase strictly within [0, 2**{p})"
     return None
@@ -215,12 +215,18 @@ def _row_error(rows: list, p: int) -> str | None:
 
 
 def _check_report(doc: dict, where) -> None:
-    """Check the document without its subset rows, then each family."""
+    """Check the document without its subset rows, then that ``metadata.p``
+    counts the Shapley values, then each family."""
     _check(doc, _REPORT, where, "report")
+    p = int(doc["metadata"]["p"])
+    if p != len(doc["shapley"]):
+        raise FileFormatError(f"{where} is not a valid report file: "
+                              f"metadata.p does not match the "
+                              f"{len(doc['shapley'])} shapley values")
     for family in _ROW_FAMILIES:
         rows = doc[family]
         why = (_array_error if isinstance(rows, SubsetRows)
-               else _row_error)(rows, int(doc["metadata"]["p"]))
+               else _row_error)(rows, p)
         if why is not None:
             raise FileFormatError(f"{where} is not a valid report file: "
                                   f"{family}: {why}")

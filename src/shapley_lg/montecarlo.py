@@ -15,6 +15,7 @@ which is dramatically cheaper than estimating on the full input space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,12 +276,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
     orders = np.array([perm_rng.permutation(p) for _ in range(m)])
     # The conditional law of each distinct prefix set, per prefix size.
-    laws = []
-    for k in range(1, p):
-        sets, where = np.unique(np.sort(orders[:, :k], axis=1), axis=0,
-                                return_inverse=True)
-        laws.append((where.reshape(-1), sets,
-                     *conditional.conditional_parts(inp.gamma, sets)))
+    laws = [(where, sets, *conditional.conditional_parts(inp.gamma, sets))
+            for sets, where in islice(conditional.prefix_sets(orders), p - 1)]
     v = np.zeros((m, p + 1))
     v[:, 0] = var_y
     # Whole orderings per chunk, at most BATCH_BYTES of points each; with

@@ -5,7 +5,9 @@ orderings of all variables, of the variance explained when it joins its
 predecessors. Enumerating every ordering gives an exact (and expensive)
 value used here as an oracle for the Shapley weighting; sampling orderings
 gives the Monte Carlo estimator whose accuracy the replicate harness
-measures.
+measures. Its conditional variances are exact, one per distinct prefix set,
+and all replicates of the harness share one pass over those sets, found by
+packed membership keys.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import conditional
 from .conditional import (all_conditional_variances, conditional_variance,
                           prefix_variances)
 from .errors import DimensionCapError
@@ -110,37 +113,58 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
     return acc / (math.factorial(p) * var_y)
 
 
+def _orderings(p: int, m: int, seed) -> np.ndarray:
+    """``m`` uniform orderings of ``p`` variables, one row each, from
+    ``seed``'s own stream."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.permutation(p) for _ in range(m)])
+
+
 def random_permutation_shapley(model: LinearGaussianModel, m: int,
                                seed) -> PermutationEstimate:
     """Monte Carlo Shapley estimate from ``m`` uniform variable orderings.
 
     One ordering updates all p components through its telescoping chain, so
     the components always sum to 1. Conditional variances are exact closed
-    forms, cached per subset within the call. Deterministic per seed.
+    forms, one per distinct prefix set of the call, found by packed
+    membership keys (:func:`conditional.prefix_sets`). Deterministic per
+    seed.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = model.p
-    rng = np.random.default_rng(seed)
-    var_y = total_variance(model)
-    orders = np.array([rng.permutation(p) for _ in range(m)])
+    orders = _orderings(model.p, m, seed)
     acc = ordering_gains(orders, prefix_variances(model, orders))
-    return PermutationEstimate(shapley_hat=acc / (m * var_y), m=m, seed=seed)
+    return PermutationEstimate(shapley_hat=acc / (m * total_variance(model)),
+                               m=m, seed=seed)
 
 
 def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
                         seed: int) -> np.ndarray:
     """Matrix of ``reps`` independent estimates, one row per replicate.
 
-    Replicate ``r`` uses the r-th child of the seed sequence, so the result
-    does not depend on how replicates would be scheduled.
+    Row ``r`` equals :func:`random_permutation_shapley` with the r-th child
+    of the seed sequence, so it does not depend on how replicates are
+    scheduled. All replicates share one pass over distinct prefix sets,
+    found by packed membership keys: their orderings are stacked, whole
+    replicates at a time, in chunks of at most ``conditional.BATCH_BYTES``
+    of prefix variances.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    p = model.p
+    var_y = total_variance(model)
     children = np.random.SeedSequence(seed).spawn(reps)
-    return np.array(
-        [random_permutation_shapley(model, m, s).shapley_hat for s in children]
-    )
+    out = np.empty((reps, p))
+    step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
+    for lo in range(0, reps, step):
+        orders = np.array([_orderings(p, m, s) for s in children[lo:lo + step]])
+        v = prefix_variances(model, orders.reshape(-1, p)).reshape(
+            len(orders), m, p + 1)
+        for r in range(len(orders)):
+            out[lo + r] = ordering_gains(orders[r], v[r]) / (m * var_y)
+    return out
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

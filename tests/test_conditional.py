@@ -202,6 +202,23 @@ def test_prefix_variances_match_schur_oracle(name):
     assert np.all(v[:, 0] == var_y) and np.all(v[:, p] == 0.0)
 
 
+@pytest.mark.parametrize("m", [1, 30])
+@pytest.mark.parametrize("p", [1, 5, 16, 70])
+def test_prefix_sets_match_plain_sorting(p, m):
+    # p = 70 packs each membership row into a 9-byte key.
+    rng = np.random.default_rng(p + m)
+    orders = np.array([rng.permutation(p) for _ in range(m)])
+    steps = list(conditional.prefix_sets(orders))
+    assert len(steps) == p
+    for k, (sets, where) in enumerate(steps, 1):
+        assert sets.shape[1] == k and where.shape == (m,)
+        for r in range(m):
+            assert sets[where[r]].tolist() == sorted(orders[r, :k].tolist())
+        rows = {tuple(row) for row in sets.tolist()}
+        assert len(rows) == len(sets)
+        assert len(sets) == len({tuple(sorted(o[:k])) for o in orders.tolist()})
+
+
 @pytest.mark.parametrize("make", [_duplicate_variable,
                                   _tiny_independent_variable])
 def test_ill_conditioned_blocks_take_pseudo_inverse(make, monkeypatch):

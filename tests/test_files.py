@@ -457,6 +457,17 @@ def test_rows_beyond_int64_masks_round_trip(tmp_path):
     assert files.read_report(tmp_path / "wide.json") == _row_dicts(doc)
 
 
+def test_report_with_a_huge_p_is_a_format_error(tmp_path):
+    # p is 1 followed by 400 zeros: no 2**p can be built, and the report
+    # holds 2 Shapley values.
+    doc = {**_meta(p=_BIG), "sobol": _ROWS, "closed_sobol": _ROWS}
+    path = tmp_path / "huge-p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="metadata.p"):
+        files.read_report(path)
+    assert files._row_error(_ROWS, _BIG) is None
+
+
 def _set(i, key, value):
     def corrupt(rows):
         rows[i] = dict(rows[i], **{key: value})

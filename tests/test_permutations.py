@@ -13,7 +13,7 @@ from shapley_lg import (DimensionCapError, all_conditional_variances,
                         random_permutation_shapley, replicate_estimates,
                         shapley_from_table, total_variance, validate_model,
                         verify_weight_collapse, weight_collapse_sides)
-from shapley_lg import permutations
+from shapley_lg import conditional, permutations
 from conftest import (_duplicate_variable, _tiny_independent_variable,
                       assert_close)
 
@@ -66,6 +66,43 @@ def test_random_estimate_matches_the_literal_walk(make):
             acc, rng.permutation(model.p),
             lambda mask: conditional_variance(model, mask))
     assert np.array_equal(est.shapley_hat, acc / (30 * total_variance(model)))
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: generate_random_instance(7, 40), 30),
+    (_duplicate_variable, 30),
+    (_tiny_independent_variable, 30),
+    (lambda: generate_random_instance(70, 41), 3),
+], ids=["dense", "duplicate", "tiny", "p70"])
+def test_replicates_match_per_seed_estimates(make, m):
+    # Stacking the replicates' orderings changes no bit of any row, on the
+    # generalized-inverse paths and with multi-byte prefix keys too.
+    model = make()
+    children = np.random.SeedSequence(6).spawn(4)
+    samples = replicate_estimates(model, m, 4, seed=6)
+    for row, child in zip(samples, children):
+        assert np.array_equal(
+            row, random_permutation_shapley(model, m, child).shapley_hat)
+
+
+def test_replicates_split_into_chunks_match_per_seed_estimates(monkeypatch):
+    # Two replicates' prefix variances exceed BATCH_BYTES, so each one
+    # gets its own stacked call.
+    model = generate_random_instance(5, seed=42)
+    m = conditional.BATCH_BYTES // (8 * 6) // 2 + 1
+    children = np.random.SeedSequence(8).spawn(3)
+    alone = [random_permutation_shapley(model, m, c).shapley_hat
+             for c in children]
+    calls = []
+
+    def counted(model, orders):
+        calls.append(len(orders))
+        return conditional.prefix_variances(model, orders)
+
+    monkeypatch.setattr(permutations, "prefix_variances", counted)
+    samples = replicate_estimates(model, m, 3, seed=8)
+    assert len(calls) > 1 and sum(calls) == 3 * m
+    assert np.array_equal(samples, alone)
 
 
 def test_exact_enumeration_guard():
