@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import subsets
-from .errors import ModelValidationError, ValidationKind
 from .conditional import conditional_variance_tables
-# lg_indices is not called here; perfbench/tracing.py wraps it by this name.
+# lg_indices and validate_model are not called here; perfbench/tracing.py
+# wraps both by these names.
 from .indices import (NUM_TOL, SensitivityReport, indices_from_table,
                       lg_indices)
 from .model import LinearGaussianModel, total_variance, validate_model
@@ -76,16 +76,18 @@ class BlockPartition:
 class GroupedReport:
     """Sensitivity indices assembled from independent per-group computations.
 
-    ``scaled_sobol[j]`` is the group's Sobol array (indexed by the local
-    subset mask within group ``j``) scaled by its variance share; Sobol
-    indices of subsets straddling groups are zero and not materialised.
+    ``group_reports[j]`` holds group ``j``'s own indices, indexed by the
+    local subset mask within the group, and ``group_weights[j]`` its share
+    of ``var_y``; a global index of a subset inside group ``j`` is the
+    product of the two. A group with no output variance has weight 0 and an
+    all-zero report. Sobol indices of subsets straddling groups are zero
+    and not materialised.
     """
 
     partition: BlockPartition
     group_weights: np.ndarray
     group_reports: list[SensitivityReport]
     shapley: np.ndarray
-    scaled_sobol: list[np.ndarray]
     var_y: float
     eval_count: int
 
@@ -135,63 +137,51 @@ def group_weight(model: LinearGaussianModel, group: Sequence[int]) -> float:
     return quad / total_variance(model)
 
 
-def _group_submodel(model: LinearGaussianModel, group: Sequence[int]) -> LinearGaussianModel:
-    idx = np.asarray(group, dtype=np.int64) - 1
-    try:
-        return validate_model(
-            model.beta[idx], model.gamma[np.ix_(idx, idx)], model.mu[idx]
-        )
-    except ModelValidationError as err:
-        if err.kind is ValidationKind.ZERO_OUTPUT_VARIANCE:
-            raise ModelValidationError(
-                ValidationKind.ZERO_OUTPUT_VARIANCE,
-                f"group {tuple(group)} contributes no output variance",
-            ) from err
-        raise
-
-
 def lg_groups_indices(model: LinearGaussianModel,
                       eps_block: float = 0.0) -> GroupedReport:
     """Exact indices through the per-group decomposition.
 
     Detects the independent groups, runs the full lattice computation inside
-    each group only, and rescales by the group variance shares. The number
+    each group only, and rescales by the group variance shares. Each group
+    is a principal slice of the validated model, so it is symmetric and
+    positive semi-definite already and is not checked again. The number
     of conditional-variance evaluations is the sum of the per-group lattice
     sizes rather than 2**p. Groups of one size build their tables together.
     """
     partition = detect_blocks(model.gamma, eps_block)
     var_y = total_variance(model)
-    p = model.p
-    subs = [_group_submodel(model, group) for group in partition.groups]
+    idxs = [np.asarray(group, dtype=np.int64) - 1 for group in partition.groups]
+    slices = [LinearGaussianModel(beta=model.beta[i],
+                                  gamma=model.gamma[np.ix_(i, i)],
+                                  mu=model.mu[i]) for i in idxs]
     tables = [None] * partition.k
-    for n in {sub.p for sub in subs}:
-        same = [j for j, sub in enumerate(subs) if sub.p == n]
+    for n in {i.size for i in idxs}:
+        same = [j for j, i in enumerate(idxs) if i.size == n]
         for j, table in zip(same, conditional_variance_tables(
-                [subs[j] for j in same])):
+                [slices[j] for j in same])):
             tables[j] = table
 
-    shapley = np.empty(p)
-    weights = np.empty(partition.k)
+    shapley = np.empty(model.p)
+    weights = np.zeros(partition.k)
     reports: list[SensitivityReport] = []
-    scaled: list[np.ndarray] = []
-    eval_count = 0
-    for j, group in enumerate(partition.groups):
-        rep = indices_from_table(tables[j])
-        w = rep.var_y / var_y
-        weights[j] = w
+    for j, (idx, table) in enumerate(zip(idxs, tables)):
+        if table.var_y > 0.0:
+            rep = indices_from_table(table)
+            weights[j] = rep.var_y / var_y
+        else:                       # no share of var_y: all indices are 0
+            n = table.values.size
+            rep = SensitivityReport(var_y=table.var_y, sobol=np.zeros(n),
+                                    closed_sobol=np.zeros(n),
+                                    shapley=np.zeros(table.p), eval_count=n)
         reports.append(rep)
-        scaled.append(w * rep.sobol)
-        idx = np.asarray(group, dtype=np.int64) - 1
-        shapley[idx] = w * rep.shapley
-        eval_count += rep.eval_count
+        shapley[idx] = weights[j] * rep.shapley
     return GroupedReport(
         partition=partition,
         group_weights=weights,
         group_reports=reports,
         shapley=shapley,
-        scaled_sobol=scaled,
         var_y=var_y,
-        eval_count=eval_count,
+        eval_count=sum(rep.eval_count for rep in reports),
     )
 
 

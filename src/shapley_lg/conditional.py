@@ -128,11 +128,17 @@ def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
 
 def psd_factor(mats: np.ndarray) -> np.ndarray:
     """Square roots ``F`` with ``F F' = mat`` of a stack of symmetric
-    matrices: Cholesky, or eigenvector scaling with negative round-off
-    clipped for a block that is only semi-definite."""
-    out, bad = _cholesky(mats)
+    matrices: Cholesky, or for a block failing :func:`_factor`'s tests
+    eigenvectors with the largest-magnitude entry positive, scaled by the
+    roots of the clipped eigenvalues, so round-off picks neither path nor
+    sign."""
+    if mats.shape[-1] == 0:                 # conditioned on every variable
+        return mats.copy()
+    out, _, bad = _factor(mats)
     if bad.any():
         w, q = np.linalg.eigh(mats[bad])
+        top = np.take_along_axis(q, np.abs(q).argmax(axis=1)[:, None], axis=1)
+        q *= np.where(top < 0.0, -1.0, 1.0)
         out[bad] = q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     return out
 

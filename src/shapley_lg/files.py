@@ -445,7 +445,7 @@ def report_from_grouped(grep: GroupedReport, algorithm: str) -> dict:
     for j, group in enumerate(grep.partition.groups):
         weight = float(grep.group_weights[j])
         masks += _lattice(group, 0, lambda i: 1 << (i - 1))[1:]
-        sobol.append(grep.scaled_sobol[j][1:])
+        sobol.append(weight * grep.group_reports[j].sobol[1:])
         closed.append(weight * grep.group_reports[j].closed_sobol[1:])
     masks = np.array(masks, dtype=np.int64 if grep.p < 63 else object)
     order = np.argsort(masks)

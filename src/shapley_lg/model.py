@@ -25,6 +25,8 @@ class LinearGaussianModel:
 
     Instances are produced by :func:`validate_model` and must be treated as
     immutable; every function in the package reads them without copying.
+    The grouped route also builds them, unchecked, from principal slices of
+    a validated model, whose output variance may be 0.
 
     Attributes
     ----------

@@ -113,11 +113,25 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
     return acc / (math.factorial(p) * var_y)
 
 
-def _orderings(p: int, m: int, seed) -> np.ndarray:
-    """``m`` uniform orderings of ``p`` variables, one row each, from
-    ``seed``'s own stream."""
-    rng = np.random.default_rng(seed)
-    return np.array([rng.permutation(p) for _ in range(m)])
+def _estimates(model: LinearGaussianModel, m: int, seeds) -> np.ndarray:
+    """One estimate per seed, a row each, from ``m`` orderings drawn from
+    that seed's own stream. The seeds share one pass over distinct prefix
+    sets, stacked whole seeds at a time in chunks of at most
+    ``conditional.BATCH_BYTES`` of prefix variances."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    p = model.p
+    var_y = total_variance(model)
+    out = np.empty((len(seeds), p))
+    step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
+    for lo in range(0, len(seeds), step):
+        orders = np.array([[rng.permutation(p) for _ in range(m)] for rng in
+                           map(np.random.default_rng, seeds[lo:lo + step])])
+        v = prefix_variances(model, orders.reshape(-1, p)).reshape(
+            len(orders), m, p + 1)
+        for r in range(len(orders)):
+            out[lo + r] = ordering_gains(orders[r], v[r]) / (m * var_y)
+    return out
 
 
 def random_permutation_shapley(model: LinearGaussianModel, m: int,
@@ -130,11 +144,7 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     membership keys (:func:`conditional.prefix_sets`). Deterministic per
     seed.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    orders = _orderings(model.p, m, seed)
-    acc = ordering_gains(orders, prefix_variances(model, orders))
-    return PermutationEstimate(shapley_hat=acc / (m * total_variance(model)),
+    return PermutationEstimate(shapley_hat=_estimates(model, m, [seed])[0],
                                m=m, seed=seed)
 
 
@@ -143,28 +153,12 @@ def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
     """Matrix of ``reps`` independent estimates, one row per replicate.
 
     Row ``r`` equals :func:`random_permutation_shapley` with the r-th child
-    of the seed sequence, so it does not depend on how replicates are
-    scheduled. All replicates share one pass over distinct prefix sets,
-    found by packed membership keys: their orderings are stacked, whole
-    replicates at a time, in chunks of at most ``conditional.BATCH_BYTES``
-    of prefix variances.
+    of the seed sequence: both are :func:`_estimates`, here over all
+    children at once.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    p = model.p
-    var_y = total_variance(model)
-    children = np.random.SeedSequence(seed).spawn(reps)
-    out = np.empty((reps, p))
-    step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
-    for lo in range(0, reps, step):
-        orders = np.array([_orderings(p, m, s) for s in children[lo:lo + step]])
-        v = prefix_variances(model, orders.reshape(-1, p)).reshape(
-            len(orders), m, p + 1)
-        for r in range(len(orders)):
-            out[lo + r] = ordering_gains(orders[r], v[r]) / (m * var_y)
-    return out
+    return _estimates(model, m, np.random.SeedSequence(seed).spawn(reps))
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

@@ -9,7 +9,7 @@ from shapley_lg import (BlockPartition, combine_block_shapley,
                         group_weight, lg_groups_indices, lg_indices,
                         total_variance, validate_model,
                         verify_cross_block_zeros)
-from shapley_lg import subsets
+from shapley_lg import blocks, subsets
 from conftest import assert_close
 
 
@@ -110,8 +110,84 @@ def test_single_dense_group_reduces_to_full_report():
     assert grouped.partition.groups == ((1, 2, 3, 4),)
     assert grouped.group_weights[0] == pytest.approx(1.0, rel=1e-12)
     assert_close(grouped.shapley, full.shapley, tol=1e-12)
-    assert_close(grouped.scaled_sobol[0], full.sobol, tol=1e-12)
+    assert_close(grouped.group_weights[0] * grouped.group_reports[0].sobol,
+                 full.sobol, tol=1e-12)
     assert grouped.eval_count == full.eval_count
+
+
+#: Models the dense route answers whose groups would fail validation on
+#: their own: a group of zero output variance (by a zero ``beta`` or by
+#: ``beta`` in the null space of its covariance), and a group whose
+#: negative round-off eigenvalue is small against the model's largest
+#: eigenvalue but not against the group's.
+SLICE_MODELS = {
+    "zero-beta": ([1, 1, 0], [[1, .5, 0], [.5, 1, 0], [0, 0, 1]]),
+    "null-space": ([1, 1, -1], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]),
+    "group-not-psd": ([1, 1, 1], [[1, 0, 0], [0, 1e-6, 1e-6],
+                                  [0, 1e-6, 0.999998e-6]]),
+}
+
+
+def _zero_group_instance(k, n, seed, zero):
+    model = generate_block_instance(k, n, seed)
+    beta = model.beta.copy()
+    beta[zero * n:(zero + 1) * n] = 0.0
+    return validate_model(beta, model.gamma)
+
+
+def assert_grouped_matches_dense(model, grouped, zero_groups=()):
+    full = lg_indices(model)
+    assert_close(grouped.shapley, full.shapley, tol=1e-10)
+    for j, group in enumerate(grouped.partition.groups):
+        rep, w = grouped.group_reports[j], grouped.group_weights[j]
+        local = np.arange(1 << len(group))
+        masks = sum(((local >> t) & 1) << (i - 1) for t, i in enumerate(group))
+        assert_close(w * rep.sobol, full.sobol[masks], tol=1e-10)
+        assert_close(w * rep.closed_sobol, full.closed_sobol[masks], tol=1e-10)
+        assert (w == 0.0) == (j in zero_groups)
+    assert grouped.eval_count == sum(1 << len(g)
+                                     for g in grouped.partition.groups)
+
+
+@pytest.mark.parametrize("make,zero", [
+    (lambda: validate_model(*SLICE_MODELS["zero-beta"]), 1),
+    (lambda: validate_model(*SLICE_MODELS["null-space"]), 1),
+    (lambda: _zero_group_instance(2, 3, seed=0, zero=0), 0),
+    (lambda: _zero_group_instance(3, 2, seed=1, zero=1), 1),
+    (lambda: _zero_group_instance(4, 3, seed=2, zero=3), 3),
+    (lambda: _zero_group_instance(3, 4, seed=3, zero=0), 0),
+], ids=["zero-beta", "null-space", "2x3", "3x2", "4x3", "3x4"])
+def test_zero_share_group_matches_dense(make, zero):
+    model = make()
+    grouped = lg_groups_indices(model)
+    assert_grouped_matches_dense(model, grouped, (zero,))
+    rep = grouped.group_reports[zero]
+    assert not rep.sobol.any() and not rep.closed_sobol.any()
+    assert not rep.shapley.any()
+    assert grouped.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_group_psd_round_off_is_not_checked_again():
+    # The dense table's round-off of -2e-12 is far below 1e-9 of var(y) = 1,
+    # so it is zeroed silently; against the group's var(y) of 4e-6 the
+    # clamp warns. The group is not rejected as NotPSD either way.
+    model = validate_model(*SLICE_MODELS["group-not-psd"])
+    with pytest.warns(RuntimeWarning, match="clamped to 0"):
+        grouped = lg_groups_indices(model)
+    assert_grouped_matches_dense(model, grouped)
+
+
+def test_grouped_route_does_not_validate_groups_again(monkeypatch):
+    model = _zero_group_instance(3, 3, seed=5, zero=1)
+    before = lg_groups_indices(model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_model called by the grouped route")
+
+    monkeypatch.setattr(blocks, "validate_model", refuse)
+    after = lg_groups_indices(model)
+    assert np.array_equal(after.shapley, before.shapley)
+    assert np.array_equal(after.group_weights, before.group_weights)
 
 
 def test_cross_block_zero_scan_clean_and_faulty():

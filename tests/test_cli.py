@@ -72,6 +72,24 @@ def test_compute_groups_eval_count_and_agreement(tmp_path):
                   - np.array(full["shapley"])).max() <= 1e-10
 
 
+def test_compute_groups_answers_a_zero_share_group(tmp_path, capsys):
+    # Group (3,) has beta 0: no share of var(y), and no error.
+    model = write_json(tmp_path / "m.json", {
+        "beta": [1.0, 1.0, 0.0],
+        "gamma": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    })
+    grouped_out, full_out = tmp_path / "g.json", tmp_path / "f.json"
+    assert run(["compute", "--model", model, "--groups",
+                "--out", grouped_out]) == 0
+    assert run(["compute", "--model", model, "--out", full_out]) == 0
+    assert capsys.readouterr().err == ""
+    grouped = json.loads(grouped_out.read_text())
+    full = json.loads(full_out.read_text())
+    assert grouped["shapley"] == pytest.approx(full["shapley"], abs=1e-10)
+    assert grouped["shapley"] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+    assert grouped["metadata"]["partition"] == [[1, 2], [3]]
+
+
 @pytest.mark.parametrize("eps_block", [0.1, 0.0])
 def test_compute_groups_says_when_eps_block_drops_covariance(
         eps_block, tmp_path, capsys):

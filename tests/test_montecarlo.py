@@ -394,3 +394,20 @@ def test_conditional_parts_match_the_pinv_oracle(make):
         est = mc_shapley(linear_black_box(model.beta), inp,
                          McConfig(m=20, n_var=500, n_outer=10, seed=1))
     assert est.shapley_hat.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_singular_input_draws_survive_a_last_bit_change():
+    # X4 copies X1, so blocks holding both are singular and their factor
+    # path and eigenvector signs hang on round-off. Rescaling the
+    # covariance by a few ulps must move the estimate by round-off only,
+    # not by its sampling noise.
+    model = _duplicate_variable()
+    bb = linear_black_box(model.beta)
+    cfg = McConfig(m=30, n_var=500, n_outer=20, seed=1)
+    est = np.array([
+        mc_shapley(bb, GaussianInput(mu=np.zeros(model.p),
+                                     gamma=model.gamma * (1 + k * 2.0**-52)),
+                   cfg).shapley_hat
+        for k in range(6)])
+    assert np.ptp(est, axis=0).max() <= 1e-8
+
