@@ -14,12 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import subsets
-from .conditional import conditional_variance_tables
+from . import indices, subsets
+from .conditional import CondVarTable, conditional_variance_tables
 # lg_indices and validate_model are not called here; perfbench/tracing.py
 # wraps both by these names.
-from .indices import (NUM_TOL, SensitivityReport, indices_from_table,
-                      lg_indices)
+from .indices import NUM_TOL, SensitivityReport, lg_indices
 from .model import LinearGaussianModel, total_variance, validate_model
 
 #: Tolerance on the sums to 1 of the weights and of each group's effects
@@ -101,7 +100,10 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
 
     Two variables are linked when ``|gamma[a, b]| > eps_block`` for ``a != b``;
     the groups are the connected components of that graph, sorted by their
-    smallest member. A negative or NaN ``eps_block`` is a ``ValueError``.
+    smallest member. Each variable takes the smallest label among itself and
+    its links until no label changes, which leaves every component labelled
+    by its smallest member. A negative or NaN ``eps_block`` is a
+    ``ValueError``.
     """
     gamma = np.asarray(gamma, dtype=float)
     p = gamma.shape[0]
@@ -109,24 +111,20 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
         raise ValueError(f"gamma must be square, got shape {gamma.shape}")
     if not eps_block >= 0:
         raise ValueError(f"eps_block must be >= 0, got {eps_block}")
-    adj = np.abs(gamma) > eps_block
-    np.fill_diagonal(adj, False)
-    # Breadth-first search from the smallest variable not yet grouped, so
-    # groups come out ordered by their smallest member.
-    groups = []
-    free = np.ones(p, dtype=bool)
-    for start in range(p):
-        if not free[start]:
-            continue
-        members = np.zeros(p, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~members
-            members |= frontier
-        free &= ~members
-        groups.append(np.flatnonzero(members) + 1)
-    return BlockPartition.from_groups(groups, p)
+    link = np.abs(gamma) > eps_block
+    link.flat[::p + 1] = True
+    label = link.argmax(axis=1)             # the first link of each row
+    while True:
+        lower = np.where(link, label, p).min(axis=1)
+        if (lower == label).all():
+            break
+        label = lower
+    roots = (label == np.arange(p)).nonzero()[0]      # smallest members
+    group_of = roots.searchsorted(label)
+    groups = [[] for _ in roots]
+    for i, g in enumerate(group_of.tolist(), 1):
+        groups[g].append(i)
+    return BlockPartition(groups=tuple(map(tuple, groups)), group_of=group_of)
 
 
 def group_weight(model: LinearGaussianModel, group: Sequence[int]) -> float:
@@ -146,35 +144,38 @@ def lg_groups_indices(model: LinearGaussianModel,
     is a principal slice of the validated model, so it is symmetric and
     positive semi-definite already and is not checked again. The number
     of conditional-variance evaluations is the sum of the per-group lattice
-    sizes rather than 2**p. Groups of one size build their tables together.
+    sizes rather than 2**p. Groups of one size build one stacked table and
+    take their indices from it in one pass; a group with no output variance
+    gets weight 0 and all-zero indices.
     """
     partition = detect_blocks(model.gamma, eps_block)
     var_y = total_variance(model)
-    idxs = [np.asarray(group, dtype=np.int64) - 1 for group in partition.groups]
-    slices = [LinearGaussianModel(beta=model.beta[i],
-                                  gamma=model.gamma[np.ix_(i, i)],
-                                  mu=model.mu[i]) for i in idxs]
-    tables = [None] * partition.k
-    for n in {i.size for i in idxs}:
-        same = [j for j, i in enumerate(idxs) if i.size == n]
-        for j, table in zip(same, conditional_variance_tables(
-                [slices[j] for j in same])):
-            tables[j] = table
-
     shapley = np.empty(model.p)
     weights = np.zeros(partition.k)
-    reports: list[SensitivityReport] = []
-    for j, (idx, table) in enumerate(zip(idxs, tables)):
-        if table.var_y > 0.0:
-            rep = indices_from_table(table)
-            weights[j] = rep.var_y / var_y
-        else:                       # no share of var_y: all indices are 0
-            n = table.values.size
-            rep = SensitivityReport(var_y=table.var_y, sobol=np.zeros(n),
-                                    closed_sobol=np.zeros(n),
-                                    shapley=np.zeros(table.p), eval_count=n)
-        reports.append(rep)
-        shapley[idx] = weights[j] * rep.shapley
+    reports: list[SensitivityReport] = [None] * partition.k
+    for n in sorted({len(g) for g in partition.groups}):
+        same = [j for j, g in enumerate(partition.groups) if len(g) == n]
+        rows = np.array([partition.groups[j] for j in same]) - 1
+        table = conditional_variance_tables(
+            model.gamma[rows[:, :, None], rows[:, None, :]], model.beta[rows])
+        var_g = table.var_y
+        dead = var_g <= 0.0
+        any_dead = dead.any()
+        if any_dead:
+            table = CondVarTable(values=table.values,
+                                 var_y=np.where(dead, 1.0, var_g))
+        sobol = indices.sobol_from_table(table)
+        closed = indices.closed_sobol_from_table(table)
+        eta = indices.shapley_from_table(table)
+        share = var_g / var_y
+        if any_dead:
+            sobol[dead] = closed[dead] = eta[dead] = share[dead] = 0.0
+        weights[same] = share
+        shapley[rows] = share[:, None] * eta
+        for r, (j, var) in enumerate(zip(same, var_g.tolist())):
+            reports[j] = SensitivityReport(
+                var_y=var, sobol=sobol[r], closed_sobol=closed[r],
+                shapley=eta[r], eval_count=1 << n)
     return GroupedReport(
         partition=partition,
         group_weights=weights,

@@ -2,25 +2,28 @@
 
 For a subset ``u`` of inputs the conditional variance of the output given
 ``X_u`` does not depend on the observed value of ``X_u``, so a single number
-per subset is the whole story. Every exact route uses one form of it, the
-explained variance ``var_y - c_u' gamma_uu^{-1} c_u`` with ``c = gamma @
-beta``, built by :func:`_variances` from stacked blocks ``gamma[u, u]``: the
-``2**p`` table, the prefixes of variable orderings and the single subset,
-with one clamp for their negative round-off. The Schur-complement form is
-the oracle in the tests.
+per subset is the whole story. Every exact route computes it one way:
+``gamma`` is factored once as ``A A'`` (``eigh``, eigenvalues clipped at 0),
+and ``Var(Y | X_u)`` is the squared norm of the part of ``a = A' beta``
+orthogonal to the rows ``A[u]``. One modified Gram-Schmidt :func:`_step` per
+member of ``u`` projects that member's residual row out of ``a`` and out of
+the rows still to come; a residual at or below ``PINV_RTOL`` times its row's
+own squared norm is dependent and skipped. Every value is a sum of squares,
+so none is negative. The ``2**p`` tables and the single subset take the
+members in ascending order, bit for bit alike; the prefixes of variable
+orderings sweep along each ordering. The Schur complement is the oracle in
+the tests.
 
 The Gaussian conditional laws that the Monte Carlo estimators sample from
-come from :func:`conditional_parts`, which factors many conditioning sets
-in one stacked call. Both go through one solver: a stacked Cholesky, with
-the blocks that have none or fail ``COND_LIMIT`` sent to a stacked
-``eigh`` generalized inverse.
+come from :func:`conditional_parts`: a stacked Cholesky, with the blocks
+that have none or fail ``COND_LIMIT`` sent to a stacked ``eigh``
+generalized inverse.
 """
 
 from __future__ import annotations
 
-import warnings
+import weakref
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -28,20 +31,17 @@ from numpy.linalg import _umath_linalg
 from .model import LinearGaussianModel, total_variance
 from . import subsets
 
-#: Relative eigenvalue threshold of the symmetric generalized inverse.
+#: Relative eigenvalue threshold of the symmetric generalized inverse, and
+#: the relative squared residual below which a sweep skips a row.
 PINV_RTOL = 1e-12
 #: Condition estimate above which the factorization path defers to the
 #: generalized inverse.
 COND_LIMIT = 1e12
-#: A clamped negative result below ``-NEG_WARN_FACTOR * var_y`` triggers a
-#: warning instead of being silently zeroed.
-NEG_WARN_FACTOR = 1e-9
 
-#: Upper bound, in bytes, on the stacked ``gamma`` blocks gathered in one
-#: batch of the table build or of :func:`conditional_parts`, and on the
-#: model points of one chunk of ``montecarlo.mc_shapley``. At p = 25 the
-#: 12-element subsets alone would need about 6 GB in a single batch; a
-#: batch this small also keeps the stacked solves in cache.
+#: Upper bound, in bytes, on the sweep states of one chunk of a table or of
+#: :func:`prefix_variances`, on the stacked ``gamma`` blocks of one batch of
+#: :func:`conditional_parts`, and on the model points of one chunk of
+#: ``montecarlo.mc_shapley``. A chunk this small stays in cache.
 BATCH_BYTES = 1 << 20
 
 
@@ -49,16 +49,17 @@ BATCH_BYTES = 1 << 20
 class CondVarTable:
     """Conditional variances of all subsets, indexed by their bitmask.
 
-    ``values[j]`` is the conditional variance given the subset encoded by
-    mask ``j``; ``values[0] == var_y`` and the entry of the full set is 0.
+    ``values[..., j]`` is the conditional variance given the subset encoded
+    by mask ``j``; ``values[..., 0] == var_y`` and the entry of the full set
+    is 0. Tables of several models stack along a leading axis.
     """
 
     values: np.ndarray
-    var_y: float
+    var_y: float | np.ndarray
 
     @property
     def p(self) -> int:
-        return int(self.values.size).bit_length() - 1
+        return self.values.shape[-1].bit_length() - 1
 
 
 def _cholesky(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,19 +114,6 @@ def _pinv(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, inv_w
 
 
-def _explained(blocks: np.ndarray, c_u: np.ndarray) -> np.ndarray:
-    """``c_u' block^{-1} c_u`` per block of a stack, through :func:`_factor`
-    and, for its failing blocks, :func:`_pinv`."""
-    chol, diag, bad = _factor(blocks)
-    y = _forward(chol, diag, c_u)
-    out = np.einsum("ni,ni->n", y, y)
-    if bad.any():
-        q, inv_w = _pinv(blocks[bad])
-        proj = np.einsum("nji,nj->ni", q, c_u[bad])
-        out[bad] = np.einsum("ni,ni->n", inv_w * proj, proj)
-    return out
-
-
 def psd_factor(mats: np.ndarray) -> np.ndarray:
     """Square roots ``F`` with ``F F' = mat`` of a stack of symmetric
     matrices: Cholesky, or for a block failing :func:`_factor`'s tests
@@ -153,8 +141,9 @@ def conditional_parts(gamma: np.ndarray, rows: np.ndarray
     coefficients ``gamma_uu^{-1} gamma_ur`` ``(n, k, p - k)``, so that the
     conditional mean is ``mu_r + (x_u - mu_u) @ coef``, and
     :func:`psd_factor` of the Schur complements ``gamma_rr - gamma_ru
-    gamma_uu^{-1} gamma_ur`` ``(n, p - k, p - k)``. The solver is the one
-    of the tables, block by block, in batches of at most ``BATCH_BYTES``.
+    gamma_uu^{-1} gamma_ur`` ``(n, p - k, p - k)``. Each block takes the
+    Cholesky of :func:`_factor` or the generalized inverse of :func:`_pinv`
+    by itself, in batches of at most ``BATCH_BYTES``.
     """
     p = len(gamma)
     n, k = rows.shape
@@ -188,56 +177,57 @@ def conditional_parts(gamma: np.ndarray, rows: np.ndarray
     return rest, coef, factor
 
 
-def _stack(models: Sequence[LinearGaussianModel]) -> tuple[np.ndarray, ...]:
-    """Stacked ``gamma``, ``c = gamma @ beta`` and ``var_y`` of the models."""
-    return (np.array([m.gamma for m in models]),
-            np.array([m.gamma @ m.beta for m in models]),
-            np.array([total_variance(m) for m in models]))
+def _roots(gammas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``(..., p + 1, p)`` rows of ``A`` then ``a = A' beta`` of a stack
+    of models, and each variable's cut: ``PINV_RTOL`` times its row's
+    squared norm."""
+    w, q = np.linalg.eigh(gammas)
+    a = q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    return (np.concatenate([a, betas[..., None, :] @ a], axis=-2),
+            PINV_RTOL * np.einsum("...ij,...ij->...i", a, a))
 
 
-def _variances(stack: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """Unclamped conditional variances, ``(models, n)``, of the models of a
-    :func:`_stack` given each row of ``rows``: ``n`` subsets of size ``k``,
-    each as its zero-based members in ascending order. The blocks of all
-    models share batches of at most ``BATCH_BYTES``; ``k = p`` gives 0.
-    """
-    gammas, c, var_y = stack
-    models, p = c.shape
-    n, k = rows.shape
-    if k == 0:
-        return np.repeat(var_y[:, None], n, axis=1)
-    if k == p:
-        return np.zeros((models, n))
-    out = np.empty((models, n))
-    step = max(1, BATCH_BYTES // (8 * k * k * models))
-    for lo in range(0, n, step):
-        idx = rows[lo:lo + step]
-        blocks = gammas[:, idx[:, :, None], idx[:, None, :]]
-        explained = _explained(blocks.reshape(-1, k, k),
-                               c[:, idx].reshape(-1, k))
-        out[:, lo:lo + step] = var_y[:, None] - explained.reshape(models, -1)
-    return out
+#: :func:`_roots` of each model seen, so that a walk of many scalar calls
+#: factors its model once.
+_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _clamp(values: np.ndarray, var_y: float) -> np.ndarray:
-    """Zero one model's negative round-off in place, warning once when it
-    goes below ``-NEG_WARN_FACTOR * var_y``."""
-    neg = values < 0.0
-    if neg.any():
-        lowest = float(values.min())
-        if lowest < -NEG_WARN_FACTOR * var_y:
-            warnings.warn(f"{int(neg.sum())} conditional variances clamped "
-                          f"to 0, the lowest {lowest:.3e}; the covariance "
-                          "appears badly conditioned", RuntimeWarning,
-                          stacklevel=3)
-        values[neg] = 0.0
-    return values
+def _root(model: LinearGaussianModel) -> tuple[np.ndarray, ...]:
+    root = _ROOTS.get(model)
+    if root is None:
+        root = _ROOTS[model] = _roots(model.gamma[None], model.beta[None])
+    return root
+
+
+def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """One modified Gram-Schmidt step of every state ``(models, n)``: the
+    first of its ``t`` residual rows is projected out of the others (the
+    rows to come, ``a`` last), unless its squared norm is at most ``cut``.
+    The reduction is ``einsum``, so no bit depends on the stack's shape."""
+    r = rows[:, :, :1]
+    dots = np.einsum("mnki,mnji->mnkj", rows, r)
+    rr = dots[:, :, :1]
+    rr[rr <= cut] = np.inf
+    return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
+
+
+def _along(model: LinearGaussianModel, order: np.ndarray) -> np.ndarray:
+    """Squared norm of ``a`` after each step of a sweep along each row of
+    ``order``: ``k`` zero-based variables, then ``p``, the row of ``a``."""
+    rows, cut = _root(model)
+    m, k = order.shape[0], order.shape[1] - 1
+    state = rows[:, order]
+    cut = cut[:, order[:, :-1], None, None]
+    seen = np.empty((m, k, rows.shape[-1]))
+    for i in range(k):
+        state = _step(state, cut[:, :, i])
+        seen[:, i] = state[0, :, -1]
+    return np.einsum("...i,...i->...", seen, seen)
 
 
 def conditional_variance(model: LinearGaussianModel, j: int) -> float:
-    """Conditional variance of the output given the inputs in mask ``j``.
-
-    One row of :func:`_variances`, clamped like the tables.
+    """Conditional variance of the output given the inputs in mask ``j``,
+    swept over its members in ascending order like the table's entry ``j``.
 
     Parameters
     ----------
@@ -248,9 +238,12 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     p = model.p
     if not 0 <= j < (1 << p):
         raise ValueError(f"mask {j} outside [0:2**{p}-1]")
-    row = np.array([[i for i in range(p) if j >> i & 1]], dtype=np.intp)
-    values = _variances(_stack([model]), row)[0]
-    return float(_clamp(values, total_variance(model))[0])
+    if j == 0:
+        return total_variance(model)
+    if j == (1 << p) - 1:
+        return 0.0
+    order = np.array([[i for i in range(p) if j >> i & 1] + [p]])
+    return float(_along(model, order)[0, -1])
 
 
 def prefix_sets(orders: np.ndarray):
@@ -279,50 +272,69 @@ def prefix_variances(model: LinearGaussianModel,
     """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
 
     ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
-    the result is ``(m, p + 1)``. Each distinct prefix set of
-    :func:`prefix_sets` is computed once.
+    the result is ``(m, p + 1)``: one sweep along each ordering, in chunks
+    whose residual rows take a quarter of ``BATCH_BYTES``, leaving the rest
+    to the temporaries of a step.
     """
-    stack = _stack([model])
-    var_y = total_variance(model)
-    out = np.empty((len(orders), orders.shape[1] + 1))
-    out[:, 0] = var_y
-    for k, (sets, where) in enumerate(prefix_sets(orders), 1):
-        out[:, k] = _variances(stack, sets)[0][where]
-    return _clamp(out, var_y)
+    m, p = orders.shape
+    out = np.zeros((m, p + 1))
+    out[:, 0] = total_variance(model)
+    step = max(1, BATCH_BYTES // (4 * 8 * p * (p + 1)))
+    order = orders.copy()
+    order[:, -1] = p            # sweep p - 1 steps; given all p it is 0
+    for lo in range(0, m, step):
+        out[lo:lo + step, 1:p] = _along(model, order[lo:lo + step])
+    return out
 
 
-def _members(masks: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Zero-based members of each mask, one ascending row of ``k`` per mask,
-    decoded in chunks so that the bit matrix stays small."""
-    rows = np.empty((masks.size, k), dtype=np.uint8)
-    step = 1 << 16
-    for lo in range(0, masks.size, step):
-        bits = masks[lo:lo + step, None] >> np.arange(p) & 1
-        rows[lo:lo + step] = np.nonzero(bits)[1].reshape(len(bits), k)
+def _expand(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Sweep the states ``rows`` over the variables of the ``(models, s)``
+    cuts: each step keeps the states and appends their children holding the
+    step's variable, so a frontier in mask order stays in mask order."""
+    cut = cut[:, :, None, None, None]
+    for i in range(cut.shape[1]):
+        rows = np.concatenate([rows[:, :, 1:], _step(rows, cut[:, i])], axis=1)
     return rows
 
 
-def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
-    """Table of conditional variances for every subset mask of ``[1:p]``,
-    built one subset cardinality at a time."""
-    return conditional_variance_tables([model])[0]
-
-
-def conditional_variance_tables(
-        models: Sequence[LinearGaussianModel]) -> list[CondVarTable]:
-    """:func:`all_conditional_variances` of several models of one dimension.
-
-    The blocks of all models share each batch, so many small lattices (the
-    groups of a block-diagonal model) cost a few stacked calls, not a few
-    per model.
-    """
-    p = models[0].p
+def _tables(rows: np.ndarray, cut: np.ndarray, var_y) -> np.ndarray:
+    """Conditional variances ``(models, 2**p)`` of every subset mask from
+    stacked :func:`_roots`: the first ``s`` steps on the whole frontier,
+    then each chunk of that frontier over the other ``p - s`` variables,
+    with ``s`` and the chunks sized to about ``BATCH_BYTES`` of states."""
+    models, p = cut.shape
     subsets.check_lattice_cap(p)
-    stack = _stack(models)
-    values = np.empty((len(models), 1 << p))
-    card = subsets.cardinality_table(p)
-    for k in range(p + 1):
-        masks = np.flatnonzero(card == k)
-        values[:, masks] = _variances(stack, _members(masks, p, k))
-    return [CondVarTable(values=_clamp(row, row[0]), var_y=float(row[0]))
-            for row in values]
+    states = max(1, BATCH_BYTES // (8 * p * models))
+    s = p
+    while s and (p - s + 1) << s > states:
+        s -= 1
+    rows = _expand(rows[:, None], cut[:, :s])
+    if s == p:                  # the lattice in one chunk: ``a`` is left
+        values = np.einsum("mni,mni->mn", rows[:, :, 0], rows[:, :, 0])
+    else:
+        values = np.empty((models, 1 << (p - s), 1 << s))
+        step = max(1, states >> (p - s))
+        for lo in range(0, 1 << s, step):
+            a = _expand(rows[:, lo:lo + step], cut[:, s:])[:, :, 0]
+            values[:, :, lo:lo + step] = np.einsum(
+                "mni,mni->mn", a, a).reshape(models, 1 << (p - s), -1)
+        values = values.reshape(models, 1 << p)
+    values[:, 0] = var_y
+    values[:, -1] = 0.0
+    return values
+
+
+def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
+    """Table of conditional variances for every subset mask of ``[1:p]``."""
+    var_y = total_variance(model)
+    return CondVarTable(values=_tables(*_root(model), var_y)[0], var_y=var_y)
+
+
+def conditional_variance_tables(gammas: np.ndarray,
+                                betas: np.ndarray) -> CondVarTable:
+    """:func:`all_conditional_variances` of ``(models, p, p)`` covariances
+    and ``(models, p)`` coefficients, as one stacked table. The models share
+    each step, so many small lattices cost a few calls, not a few each."""
+    var_y = (betas[:, None, :] @ gammas @ betas[:, :, None])[:, 0, 0]
+    return CondVarTable(values=_tables(*_roots(gammas, betas), var_y),
+                        var_y=var_y)

@@ -2,13 +2,14 @@
 
 All three families are linear functionals of the conditional-variance table,
 so once the table is available each extraction is a pass over the subset
-lattice. The interaction (Sobol) indices use a subset-sum lattice transform,
-which costs p * 2**p instead of the 3**p of the literal superset
+lattice. The interaction (Sobol) indices use the Moebius transform over the
+lattice, which costs p * 2**p instead of the 3**p of the literal superset
 accumulation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,58 +53,76 @@ class SensitivityReport:
         return self.shapley.size
 
 
-def _subset_sum_transform(values: np.ndarray, p: int) -> np.ndarray:
-    """In-place-style zeta transform: out[u] = sum of values[v] over v <= u."""
-    out = values.copy()
-    for b in range(p):
-        lo = 1 << b
-        view = out.reshape(-1, 2, lo)
-        view[:, 1, :] += view[:, 0, :]
-    return out
+#: Lattices of at most this many variables take a linear index family as
+#: one product with its matrix, the family of the identity table.
+SMALL_LATTICE = 6
 
 
-def _sign_from_parity(card: np.ndarray) -> np.ndarray:
-    return np.where(card % 2 == 0, 1.0, -1.0)
+def _linear(extract):
+    """``extract``, linear in ``table.values / var_y``, as one product with
+    its matrix on a lattice of at most ``SMALL_LATTICE`` variables, where
+    per-call overhead, not the lattice, is the cost."""
+    matrices: dict[int, np.ndarray] = {}
+
+    @functools.wraps(extract)
+    def apply(table: CondVarTable) -> np.ndarray:
+        p = table.p
+        if p > SMALL_LATTICE:
+            return extract(table)
+        if p not in matrices:
+            matrices[p] = extract(CondVarTable(np.eye(1 << p), 1.0))
+        return table.values @ matrices[p] / np.asarray(table.var_y)[..., None]
+    return apply
 
 
+@_linear
 def sobol_from_table(table: CondVarTable) -> np.ndarray:
     """Interaction index of every subset, from the conditional-variance table.
 
-    Entry ``j`` is the alternating subset sum of the table scaled by the
-    output variance; the empty set is fixed to 0.
+    Entry ``j`` is ``-sum over v <= j of (-1)**|j - v| * table[v] / var_y``,
+    the in-place Moebius transform, one subtraction per bit; the empty set
+    is fixed to 0. A stacked table gives one row per model, here and below.
     """
     p = table.p
-    card = subsets.cardinality_table(p)
-    sign_v = -_sign_from_parity(card)          # (-1)^(|v|+1)
-    acc = _subset_sum_transform(sign_v * table.values, p)
-    out = _sign_from_parity(card) * acc / table.var_y
-    out[0] = 0.0
+    out = -table.values
+    for b in range(p):
+        view = out.reshape(*out.shape[:-1], 1 << (p - b - 1), 2, 1 << b)
+        view[..., 1, :] -= view[..., 0, :]
+    out /= np.asarray(table.var_y)[..., None]
+    out[..., 0] = 0.0
     return out
 
 
 def closed_sobol_from_table(table: CondVarTable) -> np.ndarray:
     """Explained-variance share of every subset: (var_y - table) / var_y."""
-    return (table.var_y - table.values) / table.var_y
+    var_y = np.asarray(table.var_y)[..., None]
+    return (var_y - table.values) / var_y
 
 
+@_linear
 def shapley_from_table(table: CondVarTable) -> np.ndarray:
     """Shapley effect of every variable from the conditional-variance table.
 
     For variable ``i`` the pairs ``(u, u + {i})`` over all subsets ``u`` not
     containing ``i`` are weighted by the inverse binomial coefficient of
-    ``|u|`` among ``p - 1`` and averaged.
+    ``|u|`` among ``p - 1`` and averaged. With ``w0[u] = table[u] / C(p -
+    1, |u|)`` and ``w1[u] = table[u] / C(p - 1, |u| - 1)``, that is the sum
+    of ``w0`` less the sum of ``w0 + w1`` over the subsets holding ``i``.
     """
     p = table.p
     values = table.values
-    card = subsets.cardinality_table(p)
-    inv_binom = np.array([1.0 / math.comb(p - 1, s) for s in range(p)])
-    eta = np.empty(p)
+    lead = values.shape[:-1]
+    # 1 / C(p - 1, k) at k = |u| and at k = |u| - 1, and 0 outside 0..p-1.
+    inv = [1.0 / math.comb(p - 1, k) for k in range(p)]
+    w = values[..., None, :] * np.array([inv + [0.0], [0.0] + inv])[
+        :, subsets.cardinality_table(p)]
+    w0, both = w[..., 0, :], w[..., 0, :] + w[..., 1, :]
+    held = np.empty(lead + (p,))
     for i in range(p):
-        lo = 1 << i
-        w = values.reshape(-1, 2, lo)
-        c = card.reshape(-1, 2, lo)
-        eta[i] = np.sum((w[:, 0, :] - w[:, 1, :]) * inv_binom[c[:, 0, :]])
-    return eta / (p * table.var_y)
+        view = both.reshape(*lead, 1 << (p - i - 1), 2, 1 << i)
+        held[..., i] = view[..., 1, :].sum(axis=(-2, -1))
+    return (w0.sum(axis=-1)[..., None] - held) / (
+        p * np.asarray(table.var_y)[..., None])
 
 
 def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
@@ -112,11 +131,7 @@ def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
     Builds the 2**p conditional-variance table once and extracts the Sobol,
     closed Sobol and Shapley families from it.
     """
-    return indices_from_table(all_conditional_variances(model))
-
-
-def indices_from_table(table: CondVarTable) -> SensitivityReport:
-    """The Sobol, closed Sobol and Shapley families of one table."""
+    table = all_conditional_variances(model)
     return SensitivityReport(
         var_y=table.var_y,
         sobol=sobol_from_table(table),

@@ -5,8 +5,9 @@ nested Monte Carlo loop (outer draw of the conditioning variables, inner
 conditional draws of the rest) and plugged into the random-ordering
 estimator. The conditional law of each distinct conditioning set is
 factored once, stacked with the other sets of its size by
-``conditional.conditional_parts`` (the solver of the exact tables), and
-the model is evaluated on whole orderings at once, in chunks of at most
+``conditional.conditional_parts`` (a Cholesky solver with a generalized
+inverse for the blocks it cannot take), and the model is evaluated on
+whole orderings at once, in chunks of at most
 ``conditional.BATCH_BYTES`` of points. When the model is a sum of
 functions of independent groups, the per-group estimates combine exactly,
 which is dramatically cheaper than estimating on the full input space.

@@ -5,9 +5,8 @@ orderings of all variables, of the variance explained when it joins its
 predecessors. Enumerating every ordering gives an exact (and expensive)
 value used here as an oracle for the Shapley weighting; sampling orderings
 gives the Monte Carlo estimator whose accuracy the replicate harness
-measures. Its conditional variances are exact, one per distinct prefix set,
-and all replicates of the harness share one pass over those sets, found by
-packed membership keys.
+measures. Its conditional variances are exact, one sweep along each
+ordering, and the replicates of the harness share those calls.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
 
 def _estimates(model: LinearGaussianModel, m: int, seeds) -> np.ndarray:
     """One estimate per seed, a row each, from ``m`` orderings drawn from
-    that seed's own stream. The seeds share one pass over distinct prefix
-    sets, stacked whole seeds at a time in chunks of at most
+    that seed's own stream. Whole seeds share each call of
+    :func:`prefix_variances`, in chunks of at most
     ``conditional.BATCH_BYTES`` of prefix variances."""
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -140,9 +139,7 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
 
     One ordering updates all p components through its telescoping chain, so
     the components always sum to 1. Conditional variances are exact closed
-    forms, one per distinct prefix set of the call, found by packed
-    membership keys (:func:`conditional.prefix_sets`). Deterministic per
-    seed.
+    forms, one sweep along each ordering. Deterministic per seed.
     """
     return PermutationEstimate(shapley_hat=_estimates(model, m, [seed])[0],
                                m=m, seed=seed)

@@ -7,7 +7,8 @@ from shapley_lg import (all_conditional_variances, closed_sobol_from_table,
                         exact_permutation_shapley, generate_block_instance,
                         generate_random_instance, lg_indices,
                         shapley_from_table, sobol_from_table, validate_model)
-from shapley_lg import subsets
+from shapley_lg import indices, subsets
+from shapley_lg.conditional import CondVarTable, conditional_variance_tables
 from shapley_lg.blocks import detect_blocks
 from conftest import assert_close
 
@@ -184,3 +185,20 @@ def test_straddling_subsets_have_zero_sobol():
 def test_eval_count_is_lattice_size():
     rep = lg_indices(generate_random_instance(5, seed=0))
     assert rep.eval_count == 32
+
+
+@pytest.mark.parametrize("p", range(1, indices.SMALL_LATTICE + 1))
+def test_small_lattice_product_matches_the_pass(p, monkeypatch):
+    # A lattice this small takes the Sobol and Shapley families as one
+    # product with a kept matrix; the per-bit passes give the same values,
+    # alone and stacked.
+    models = [generate_random_instance(p, seed=s) for s in range(3)]
+    stacked = conditional_variance_tables(
+        np.array([m.gamma for m in models]), np.array([m.beta for m in models]))
+    tables = [stacked, CondVarTable(stacked.values[1], float(stacked.var_y[1]))]
+    by_product = [(sobol_from_table(t), shapley_from_table(t)) for t in tables]
+    monkeypatch.setattr(indices, "SMALL_LATTICE", 0)
+    for table, (sobol, shapley) in zip(tables, by_product):
+        assert_close(sobol, sobol_from_table(table), tol=1e-14)
+        assert_close(shapley, shapley_from_table(table), tol=1e-14)
+        assert not sobol[..., 0].any()

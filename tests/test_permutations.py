@@ -56,16 +56,23 @@ def test_exact_memoized_and_literal_are_bit_identical():
                                   _tiny_independent_variable],
                          ids=["dense", "duplicate", "tiny"])
 def test_random_estimate_matches_the_literal_walk(make):
-    # The same orderings walked one conditional variance at a time.
+    # The same orderings walked one at a time: bit for bit with one sweep
+    # per ordering, and within round-off with one scalar conditional
+    # variance per step, whose sweep takes the members in ascending order.
     model = make()
     est = random_permutation_shapley(model, 30, seed=4)
     rng = np.random.default_rng(4)
-    acc = np.zeros(model.p)
+    swept, scalar = np.zeros(model.p), np.zeros(model.p)
     for _ in range(30):
+        order = rng.permutation(model.p)
+        v = conditional.prefix_variances(model, order[None])[0]
+        permutations._chain_update(swept, order,
+                                   lambda mask: v[mask.bit_count()])
         permutations._chain_update(
-            acc, rng.permutation(model.p),
-            lambda mask: conditional_variance(model, mask))
-    assert np.array_equal(est.shapley_hat, acc / (30 * total_variance(model)))
+            scalar, order, lambda mask: conditional_variance(model, mask))
+    var_y = total_variance(model)
+    assert np.array_equal(est.shapley_hat, swept / (30 * var_y))
+    assert np.max(np.abs(est.shapley_hat - scalar / (30 * var_y))) <= 1e-13
 
 
 @pytest.mark.parametrize("make, m", [
