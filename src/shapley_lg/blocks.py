@@ -207,8 +207,8 @@ def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
     """Assemble global Shapley effects from per-group effects and weights.
 
     Each variable receives its group's weight times its within-group
-    Shapley effect. Weights must sum to 1 and each group's effects must sum
-    to 1, both within ``COMBINE_SUM_TOL``.
+    Shapley effect. Weights must sum to 1 and the effects of each group of
+    nonzero weight must sum to 1, both within ``COMBINE_SUM_TOL``.
     """
     weights = np.asarray(group_weights, dtype=float)
     if weights.size != partition.k or len(group_shapleys) != partition.k:
@@ -226,7 +226,7 @@ def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
                 f"group {j} has {len(group)} variables but a Shapley vector "
                 f"of length {eta_g.size}"
             )
-        if abs(eta_g.sum() - 1.0) > COMBINE_SUM_TOL:
+        if weights[j] and abs(eta_g.sum() - 1.0) > COMBINE_SUM_TOL:
             raise ValueError(f"group {j} Shapley effects sum to {eta_g.sum()}, not 1")
         out[np.asarray(group, dtype=np.int64) - 1] = weights[j] * eta_g
     return out

@@ -14,10 +14,10 @@ members in ascending order, bit for bit alike; the prefixes of variable
 orderings sweep along each ordering. The Schur complement is the oracle in
 the tests.
 
-The Gaussian conditional laws that the Monte Carlo estimators sample from
-come from :func:`conditional_parts`: a stacked Cholesky, with the blocks
-that have none or fail ``COND_LIMIT`` sent to a stacked ``eigh``
-generalized inverse.
+The Monte Carlo estimators sample from the same sweep:
+:func:`residual_rows` runs it on all rows of a sampling factor ``A`` of
+``gamma``, which leaves the rows ``R = A (I - P_u)`` of the conditional
+noise given ``X_u``, and ``A - R`` as the map of the conditional mean.
 """
 
 from __future__ import annotations
@@ -26,22 +26,18 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .model import LinearGaussianModel, total_variance
 from . import subsets
 
-#: Relative eigenvalue threshold of the symmetric generalized inverse, and
-#: the relative squared residual below which a sweep skips a row.
+#: Relative squared residual at or below which a sweep skips a row as
+#: dependent, like a generalized inverse with this eigenvalue threshold.
 PINV_RTOL = 1e-12
-#: Condition estimate above which the factorization path defers to the
-#: generalized inverse.
-COND_LIMIT = 1e12
 
 #: Upper bound, in bytes, on the sweep states of one chunk of a table or of
-#: :func:`prefix_variances`, on the stacked ``gamma`` blocks of one batch of
-#: :func:`conditional_parts`, and on the model points of one chunk of
-#: ``montecarlo.mc_shapley``. A chunk this small stays in cache.
+#: :func:`prefix_variances`, and on the model points and their normal draws
+#: of one chunk of ``montecarlo.mc_shapley``. A chunk this small stays in
+#: cache.
 BATCH_BYTES = 1 << 20
 
 
@@ -62,119 +58,24 @@ class CondVarTable:
         return self.values.shape[-1].bit_length() - 1
 
 
-def _cholesky(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a stack, and which blocks have none (their
-    factor is the identity).
-
-    This is the stacked kernel behind ``np.linalg.cholesky`` with its error
-    silenced: it factorizes every block on its own and fills a block it
-    cannot factorize with NaN, so one failing block costs its neighbours
-    nothing and the outcome never depends on the batch.
-    """
-    with np.errstate(invalid="ignore"):
-        chol = _umath_linalg.cholesky_lo(blocks, signature="d->d")
-    bad = np.isnan(chol[:, :1, :1]).any(axis=(1, 2))
-    if bad.any():
-        chol[bad] = np.eye(blocks.shape[-1])
-    return chol, bad
-
-
-def _factor(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stacked Cholesky factors, their diagonals, and which blocks go to
-    the generalized inverse: those with no factor, and those failing the
-    ``COND_LIMIT`` test. Each block's path depends on that block alone."""
-    chol, bad = _cholesky(blocks)
-    diag = chol.diagonal(0, 1, 2)
-    # (max/min diag)**2 lower-bounds the condition number of each block.
-    bad |= diag.max(axis=1) ** 2 > COND_LIMIT * diag.min(axis=1) ** 2
-    return chol, diag, bad
-
-
-def _forward(chol: np.ndarray, diag: np.ndarray,
-             rhs: np.ndarray) -> np.ndarray:
-    """``L^{-1} rhs`` per block for an ``(n, k)`` or ``(n, k, c)``
-    right-hand side, one row at a time across the stack."""
-    if rhs.ndim == 3:
-        diag = diag[:, :, None]
-    y = rhs / diag
-    for i in range(1, rhs.shape[1]):
-        y[:, i] = (rhs[:, i] - np.einsum("nj,nj...->n...", chol[:, i, :i],
-                                         y[:, :i])) / diag[:, i]
-    return y
-
-
-def _pinv(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``q`` and inverted eigenvalues ``inv_w`` of each block,
-    so that its generalized inverse is ``q diag(inv_w) q'``; eigenvalues at
-    or below ``PINV_RTOL`` times the largest count as zero."""
-    w, q = np.linalg.eigh(blocks)
-    tau = PINV_RTOL * np.maximum(w[:, -1:], 0.0)
-    inv_w = np.zeros_like(w)
-    np.divide(1.0, w, out=inv_w, where=w > tau)
-    return q, inv_w
-
-
-def psd_factor(mats: np.ndarray) -> np.ndarray:
-    """Square roots ``F`` with ``F F' = mat`` of a stack of symmetric
-    matrices: Cholesky, or for a block failing :func:`_factor`'s tests
-    eigenvectors with the largest-magnitude entry positive, scaled by the
-    roots of the clipped eigenvalues, so round-off picks neither path nor
-    sign."""
-    if mats.shape[-1] == 0:                 # conditioned on every variable
-        return mats.copy()
-    out, _, bad = _factor(mats)
-    if bad.any():
-        w, q = np.linalg.eigh(mats[bad])
-        top = np.take_along_axis(q, np.abs(q).argmax(axis=1)[:, None], axis=1)
-        q *= np.where(top < 0.0, -1.0, 1.0)
-        out[bad] = q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+def psd_factor(mat: np.ndarray) -> np.ndarray:
+    """A square root ``F`` with ``F F' = mat`` of a symmetric matrix: its
+    Cholesky factor, unless it has none or a variable depends on the ones
+    before it by the sweep's cut (a squared pivot at most ``PINV_RTOL``
+    times its variance). Then it is the eigenvectors, each signed so that
+    its largest-magnitude entry is positive, scaled by the roots of the
+    clipped eigenvalues, so round-off picks neither path nor sign."""
+    try:
+        out = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        out = None
+    if out is None or (out.diagonal() ** 2
+                       <= PINV_RTOL * mat.diagonal()).any():
+        w, q = np.linalg.eigh(mat)
+        q *= np.where(q[np.abs(q).argmax(axis=0), np.arange(len(q))] < 0.0,
+                      -1.0, 1.0)
+        out = q * np.sqrt(np.clip(w, 0.0, None))
     return out
-
-
-def conditional_parts(gamma: np.ndarray, rows: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian conditional laws of the variables outside each row of
-    ``rows`` given those inside it.
-
-    ``rows`` is an ``(n, k)`` array of zero-based members in ascending
-    order. Returns the ``(n, p - k)`` remaining members ``r``, the mean
-    coefficients ``gamma_uu^{-1} gamma_ur`` ``(n, k, p - k)``, so that the
-    conditional mean is ``mu_r + (x_u - mu_u) @ coef``, and
-    :func:`psd_factor` of the Schur complements ``gamma_rr - gamma_ru
-    gamma_uu^{-1} gamma_ur`` ``(n, p - k, p - k)``. Each block takes the
-    Cholesky of :func:`_factor` or the generalized inverse of :func:`_pinv`
-    by itself, in batches of at most ``BATCH_BYTES``.
-    """
-    p = len(gamma)
-    n, k = rows.shape
-    keep = np.ones((n, p), dtype=bool)
-    keep[np.arange(n)[:, None], rows] = False
-    rest = np.nonzero(keep)[1].reshape(n, p - k)
-    coef = np.empty((n, k, p - k))
-    factor = np.empty((n, p - k, p - k))
-    step = max(1, BATCH_BYTES // (8 * p * p))
-    for lo in range(0, n, step):
-        u, r = rows[lo:lo + step], rest[lo:lo + step]
-        g_rr = gamma[r[:, :, None], r[:, None, :]]
-        if k and p - k:
-            g_uu = gamma[u[:, :, None], u[:, None, :]]
-            g_ur = gamma[u[:, :, None], r[:, None, :]]
-            chol, diag, bad = _factor(g_uu)
-            y = _forward(chol, diag, g_ur)
-            # L' with rows and columns reversed is lower triangular.
-            solved = _forward(chol.transpose(0, 2, 1)[:, ::-1, ::-1],
-                              diag[:, ::-1], y[:, ::-1])[:, ::-1]
-            schur = g_rr - np.einsum("nki,nkj->nij", y, y)
-            if bad.any():
-                q, inv_w = _pinv(g_uu[bad])
-                b_ur = g_ur[bad]
-                solved[bad] = q @ (inv_w[:, :, None]
-                                   * (q.transpose(0, 2, 1) @ b_ur))
-                schur[bad] = g_rr[bad] - b_ur.transpose(0, 2, 1) @ solved[bad]
-            g_rr = (schur + schur.transpose(0, 2, 1)) / 2.0
-            coef[lo:lo + step] = solved
-        factor[lo:lo + step] = psd_factor(g_rr)
-    return rest, coef, factor
 
 
 def _roots(gammas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -211,6 +112,31 @@ def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
 
 
+def residual_rows(factor: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Rows of ``A (I - P_u)`` for a factor ``A A' = gamma`` and each row
+    ``u`` of the boolean ``(n, p)`` ``member``, with the rows of ``u`` zero.
+
+    ``P_u`` projects onto the span of the rows ``A[u]``: :func:`_step` sweeps
+    them, in ascending order and with the exact routes' cut, out of all
+    ``p`` rows of ``A``. A state with fewer members than the largest ``u``
+    sweeps a zero row in the slots left over, which changes no bit, so a
+    state's rows never depend on the others in the stack. ``A - R`` is the
+    conditional mean map ``(gamma_uu^+ gamma_ur)' A[u]`` and ``R R'`` the
+    Schur complement.
+    """
+    n, p = member.shape
+    rows = np.concatenate([factor, np.zeros((1, p))])
+    slots = member.sum(axis=1).max(initial=0)
+    pivots = np.sort(np.where(member, np.arange(p), p), axis=1)[:, :slots]
+    state = np.concatenate([rows[pivots], np.broadcast_to(factor, (n, p, p))],
+                           axis=1)[None]
+    cut = (PINV_RTOL * np.einsum("ij,ij->i", rows, rows))[pivots]
+    for i in range(slots):
+        state = _step(state, cut[None, :, i, None, None])
+    state[0][member] = 0.0
+    return state[0]
+
+
 def _along(model: LinearGaussianModel, order: np.ndarray) -> np.ndarray:
     """Squared norm of ``a`` after each step of a sweep along each row of
     ``order``: ``k`` zero-based variables, then ``p``, the row of ``a``."""
@@ -244,27 +170,6 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
         return 0.0
     order = np.array([[i for i in range(p) if j >> i & 1] + [p]])
     return float(_along(model, order)[0, -1])
-
-
-def prefix_sets(orders: np.ndarray):
-    """Distinct prefix sets of variable orderings, one prefix size at a time.
-
-    ``orders`` is an ``(m, p)`` array of zero-based orderings. For ``k = 1,
-    ..., p`` this yields ``(sets, where)``: the distinct sets among the
-    prefixes ``orders[:, :k]`` as ascending member rows ``(n, k)``, and the
-    row ``where[r]`` of ordering ``r``'s prefix. A membership matrix gains
-    one column per step; its rows, packed into bytes, are the keys of one
-    1-D ``np.unique``, for any ``p``.
-    """
-    m, p = orders.shape
-    member = np.zeros((m, p), dtype=bool)
-    for k in range(1, p + 1):
-        member[np.arange(m), orders[:, k - 1]] = True
-        packed = np.packbits(member, axis=1)
-        keys = packed.view(f"V{packed.shape[1]}").reshape(-1)
-        _, first, where = np.unique(keys, return_index=True,
-                                    return_inverse=True)
-        yield np.nonzero(member[first])[1].reshape(first.size, k), where
 
 
 def prefix_variances(model: LinearGaussianModel,

@@ -241,13 +241,12 @@ def _subsets(masks: list, start, step) -> list:
                          if m >> i & 1), start) for m in masks]
 
 
-def _row_heads(masks: list) -> list[str]:
-    """Text of each row up to its value; subset texts are lattice values."""
-    texts = _subsets(masks, "", ",\n        {}".format)
+def _row_texts(masks: list, texts: list, values: list) -> list[str]:
+    """Text of each row up to its closing brace, from its subset's text."""
     return [f'    {{\n      "subset": [{t[1:]}\n      ],\n      "mask": {m},'
-            f'\n      "value": ' if m else
-            '    {\n      "subset": [],\n      "mask": 0,\n      "value": '
-            for t, m in zip(texts, masks)]
+            f'\n      "value": {v!r}' if m else
+            f'    {{\n      "subset": [],\n      "mask": 0,\n      "value": {v!r}'
+            for t, m, v in zip(texts, masks, values)]
 
 
 def render_json(obj) -> str:
@@ -498,19 +497,21 @@ def write_report(doc: dict, path=None) -> None:
     except ValueError as err:                      # NaN or infinity
         raise FileFormatError(f"{where} is not a valid report file: "
                               f"{err}") from err
-    heads = {id(rows.masks): rows.masks for rows in arrays.values()}
-    heads = {key: _row_heads(masks.tolist()) for key, masks in heads.items()}
+    # Subset texts once per mask array, row texts per chunk.
+    subsets = {id(rows.masks): rows.masks.tolist() for rows in arrays.values()}
+    subsets = {key: (masks, _subsets(masks, "", ",\n        {}".format))
+               for key, masks in subsets.items()}
     with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         for family, rows in arrays.items():
             # At depth one, the key starts a line after two spaces.
             head, text = text.split(f'\n  "{family}": []', 1)
             out.write(f'{head}\n  "{family}": ')
-            sep, family_heads = "[\n", heads[id(rows.masks)]
+            sep, (masks, texts) = "[\n", subsets[id(rows.masks)]
             for start in range(0, len(rows), CHUNK_ROWS):
                 stop = start + CHUNK_ROWS
-                out.write(sep + "\n    },\n".join(map(
-                    add, family_heads[start:stop],
-                    map(float.__repr__, rows.values[start:stop].tolist()))))
+                out.write(sep + "\n    },\n".join(_row_texts(
+                    masks[start:stop], texts[start:stop],
+                    rows.values[start:stop].tolist())))
                 sep = "\n    },\n"
             out.write("\n    }\n  ]" if len(rows) else "[]")
         out.write(text)

@@ -3,20 +3,21 @@
 Nothing here assumes linearity: conditional variances are estimated by a
 nested Monte Carlo loop (outer draw of the conditioning variables, inner
 conditional draws of the rest) and plugged into the random-ordering
-estimator. The conditional law of each distinct conditioning set is
-factored once, stacked with the other sets of its size by
-``conditional.conditional_parts`` (a Cholesky solver with a generalized
-inverse for the blocks it cannot take), and the model is evaluated on
-whole orderings at once, in chunks of at most
-``conditional.BATCH_BYTES`` of points. When the model is a sum of
-functions of independent groups, the per-group estimates combine exactly,
-which is dramatically cheaper than estimating on the full input space.
+estimator. The conditional draws come from the Gram-Schmidt sweep of the
+exact routes, run on the rows of the input's sampling factor ``A``
+(``conditional.residual_rows``): given ``X_u``, the rest moves by the
+residual rows ``R = A (I - P_u)`` times fresh normals. Each ordering's
+prefix sets are swept in ascending order, stacked over the orderings of
+a chunk, and the model is evaluated on whole orderings at once, in chunks
+of at most ``conditional.BATCH_BYTES`` of normals and points. When the
+model is a sum of functions of independent groups, the per-group estimates
+combine exactly, which is dramatically cheaper than estimating on the full
+input space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +56,9 @@ class GaussianInput:
     """Gaussian input distribution with a cached sampling factor.
 
     ``gamma`` is symmetrised on construction and ``factor`` is computed from
-    it: a square root ``F`` with ``F F' = gamma`` (Cholesky, or eigenvector
-    scaling when ``gamma`` is only semi-definite).
+    it by :func:`conditional.psd_factor`: a square root ``F`` with ``F F' =
+    gamma`` (Cholesky, or eigenvector scaling when ``gamma`` is singular or
+    ill-conditioned).
     """
 
     mu: np.ndarray
@@ -72,7 +74,7 @@ class GaussianInput:
                 f"gamma has shape {self.gamma.shape}, expected ({p}, {p})"
             )
         self.gamma = (self.gamma + self.gamma.T) / 2.0
-        self.factor = conditional.psd_factor(self.gamma[None])[0]
+        self.factor = conditional.psd_factor(self.gamma)
 
     @property
     def p(self) -> int:
@@ -83,48 +85,59 @@ class GaussianInput:
         return self.mu + rng.standard_normal((n, self.p)) @ self.factor.T
 
 
-def _index_split(p: int, u: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    u_idx = np.asarray(sorted(u), dtype=np.int64) - 1
+def _member(p: int, u: Sequence[int]) -> np.ndarray:
+    """Mask of the 1-based variables ``u`` among ``p``, checked."""
+    u_idx = np.asarray(list(u), dtype=np.int64) - 1
     if u_idx.size:
-        if u_idx[0] < 0 or u_idx[-1] >= p:
+        if u_idx.min() < 0 or u_idx.max() >= p:
             raise ValueError(f"conditioning set {tuple(u)} outside [1:{p}]")
         if np.unique(u_idx).size != u_idx.size:
             raise ValueError(f"conditioning set {tuple(u)} has repeats")
-    mask = np.ones(p, dtype=bool)
-    mask[u_idx] = False
-    return u_idx, np.flatnonzero(mask)
+    member = np.zeros(p, dtype=bool)
+    member[u_idx] = True
+    return member
 
 
-def _draw(inp: GaussianInput, u_idx: np.ndarray, r_idx: np.ndarray,
-          coef: np.ndarray, factor: np.ndarray, rng: np.random.Generator,
-          out: np.ndarray) -> None:
-    """Fill ``out``, shape ``(n_outer, n_inner, p)``, with ``n_outer`` joint
-    draws of ``X_u``, each repeated with ``n_inner`` conditional draws of
-    the rest (mean coefficient ``coef``, sampling factor ``factor``)."""
-    n_outer, n_inner, _ = out.shape
-    x_u = inp.sample(n_outer, rng)[:, u_idx]
-    means = inp.mu[r_idx] + (x_u - inp.mu[u_idx]) @ coef
-    z = rng.standard_normal((n_outer * n_inner, r_idx.size)) @ factor.T
-    out[..., u_idx] = x_u[:, None, :]
-    out[..., r_idx] = means[:, None, :] + z.reshape(n_outer, n_inner, -1)
+def _draw(inp: GaussianInput, rows: np.ndarray, z: np.ndarray,
+          n_inner: int) -> np.ndarray:
+    """Points ``(..., n_outer, n_inner, p)`` from the normals ``z``
+    ``(..., n_outer * (1 + n_inner), p)`` and the residual rows ``R``
+    ``(..., p, p)`` of :func:`conditional.residual_rows` for ``u``.
+
+    The first ``n_outer`` normals ``z_outer`` give joint draws ``x = mu +
+    A z_outer``; each is repeated with ``n_inner`` conditional draws ``x + R
+    (z_new - z_outer)``, computed as ``mu + (A - R) z_outer + R z_new``. The
+    rows of ``u`` are zero in ``R``, so every inner point keeps ``x_u``.
+    """
+    n_outer = z.shape[-2] // (1 + n_inner)
+    x = z[..., n_outer:, :] @ rows.swapaxes(-1, -2)
+    x = x.reshape(*x.shape[:-2], n_outer, n_inner, -1)
+    x += (inp.mu + z[..., :n_outer, :]
+          @ (inp.factor - rows).swapaxes(-1, -2))[..., None, :]
+    return x
 
 
 def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
                        n: int, seed) -> np.ndarray:
     """n conditional draws of the variables outside ``u`` given ``X_u = x_u``.
 
-    ``u`` holds 1-based variable indices. Singular conditioning blocks go
-    through the symmetric generalized inverse. Conditioning on every
-    variable returns an (n, 0) array.
+    ``u`` holds 1-based variable indices and ``x_u`` their values in
+    ascending order of index. The mean is ``mu + (A - R) z`` for the
+    min-norm ``z`` with ``A[u] z = x_u - mu_u``, whose singular values are
+    cut at ``sqrt(PINV_RTOL)``, the sweep's cut on squares; the noise is
+    ``R`` times fresh normals. Conditioning on every variable returns an
+    (n, 0) array.
     """
     rng = np.random.default_rng(seed)
-    u_idx, r_idx = _index_split(inp.p, u)
+    member = _member(inp.p, u)
     x_u = np.asarray(x_u, dtype=float).reshape(-1)
-    if x_u.size != u_idx.size:
-        raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
-    _, coef, factor = conditional.conditional_parts(inp.gamma, u_idx[None])
-    mean = inp.mu[r_idx] + (x_u - inp.mu[u_idx]) @ coef[0]
-    return mean + rng.standard_normal((n, r_idx.size)) @ factor[0].T
+    if x_u.size != member.sum():
+        raise ValueError(f"x_u has length {x_u.size}, expected {member.sum()}")
+    rows = conditional.residual_rows(inp.factor, member[None])[0]
+    z = np.linalg.lstsq(inp.factor[member], x_u - inp.mu[member],
+                        rcond=conditional.PINV_RTOL ** 0.5)[0]
+    mean = inp.mu + (inp.factor - rows) @ z
+    return (mean + rng.standard_normal((n, inp.p)) @ rows.T)[:, ~member]
 
 
 def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
@@ -135,20 +148,21 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     Draws ``n_outer`` values of the conditioning variables, then for each
     one the unbiased sample variance of the model over ``n_inner``
     conditional draws of the remaining variables; returns the outer mean.
-    Conditioning on the full set costs nothing and is exactly 0.
+    The normals are one draw of ``n_outer * (1 + n_inner)`` rows from
+    ``seed``. Conditioning on the full set costs nothing and is exactly 0.
     """
     if n_inner < 2:
         raise ValueError("n_inner must be >= 2 for a sample variance")
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
     p = inp.p
-    u_idx, r_idx = _index_split(p, u)
-    if r_idx.size == 0:
+    member = _member(p, u)
+    if member.all():
         return 0.0
-    _, coef, factor = conditional.conditional_parts(inp.gamma, u_idx[None])
-    points = np.empty((n_outer, n_inner, p))
-    _draw(inp, u_idx, r_idx, coef[0], factor[0], np.random.default_rng(seed),
-          points)
+    rows = conditional.residual_rows(inp.factor, member[None])[0]
+    z = np.random.default_rng(seed).standard_normal(
+        (n_outer * (1 + n_inner), p))
+    points = _draw(inp, rows, z, n_inner)
     values = model(points.reshape(-1, p)).reshape(n_outer, n_inner)
     return float(np.mean(np.var(values, axis=1, ddof=1)))
 
@@ -167,6 +181,13 @@ def _check_variance(var: float, what: str) -> float:
     return var
 
 
+def _sample_variance(model: BlackBoxModel, inp: GaussianInput, n: int,
+                     seed) -> float:
+    values = model(inp.sample(n, np.random.default_rng(seed)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.var(values, ddof=1))
+
+
 def output_variance(model: BlackBoxModel, inp: GaussianInput, n: int, seed,
                     what: str = "the model") -> float:
     """Unbiased sample variance of the model output over ``n`` joint draws.
@@ -175,10 +196,7 @@ def output_variance(model: BlackBoxModel, inp: GaussianInput, n: int, seed,
     ``ZeroOutputVariance``) unless the estimate is finite and positive;
     ``what`` names the model in the message.
     """
-    values = model(inp.sample(n, np.random.default_rng(seed)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        var = float(np.var(values, ddof=1))
-    return _check_variance(var, what)
+    return _check_variance(_sample_variance(model, inp, n, seed), what)
 
 
 #: Joint draws on which :func:`check_block_terms` compares the model with
@@ -263,7 +281,9 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     both ends of every telescoping chain, so the components sum to 1
     exactly. Every sampling stage has its own child seed, making the result
     independent of evaluation order: it equals one :func:`double_mc_cond_var`
-    per ordering and step with those seeds.
+    per ordering and step with those seeds. The residual rows of every
+    (ordering, step) of a chunk come from one stacked sweep, and their
+    points from one stacked product.
     """
     p = model.p
     if inp.p != p:
@@ -276,27 +296,26 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     perm_rng = np.random.default_rng(children[1])
     m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
     orders = np.array([perm_rng.permutation(p) for _ in range(m)])
-    # The conditional law of each distinct prefix set, per prefix size.
-    laws = [(where, sets, *conditional.conditional_parts(inp.gamma, sets))
-            for sets, where in islice(conditional.prefix_sets(orders), p - 1)]
+    # member[j, k - 1] marks the first k variables of ordering j.
+    member = np.argsort(orders, axis=1)[:, None, :] < np.arange(1, p)[:, None]
     v = np.zeros((m, p + 1))
     v[:, 0] = var_y
-    # Whole orderings per chunk, at most BATCH_BYTES of points each; with
-    # p = 1 there is no step to estimate.
-    per_order = 8 * (p - 1) * n_outer * n_inner * p
+    # Whole orderings per chunk, at most BATCH_BYTES of normals (1 + n_inner
+    # per outer point) and points (n_inner); with p = 1 there is no step.
+    size = n_outer * (1 + n_inner)
+    per_order = 8 * (p - 1) * p * (size + n_outer * n_inner)
     step = max(1, conditional.BATCH_BYTES // max(per_order, 1))
     for lo in range(0, m if p > 1 else 0, step):
-        points = np.empty((min(step, m - lo), p - 1, n_outer, n_inner, p))
-        for j, out in enumerate(points, lo):
-            step_seeds = children[2 + j].spawn(p - 1)
-            for (where, sets, rest, coef, factor), seed, pts in zip(
-                    laws, step_seeds, out):
-                i = where[j]
-                _draw(inp, sets[i], rest[i], coef[i], factor[i],
-                      np.random.default_rng(seed), pts)
+        hi = min(lo + step, m)
+        z = np.empty((hi - lo, p - 1, size, p))
+        for j in range(lo, hi):
+            for seed, out in zip(children[2 + j].spawn(p - 1), z[j - lo]):
+                np.random.default_rng(seed).standard_normal(out=out)
+        rows = conditional.residual_rows(inp.factor,
+                                         member[lo:hi].reshape(-1, p))
+        points = _draw(inp, rows.reshape(hi - lo, p - 1, p, p), z, n_inner)
         values = model(points.reshape(-1, p)).reshape(points.shape[:-1])
-        v[lo:lo + len(points), 1:p] = np.var(values, axis=-1,
-                                             ddof=1).mean(axis=-1)
+        v[lo:hi, 1:p] = np.var(values, axis=-1, ddof=1).mean(axis=-1)
     acc = ordering_gains(orders, v)
     return PermutationEstimate(
         shapley_hat=acc / (cfg.m * var_y), m=cfg.m, seed=cfg.seed,
@@ -311,8 +330,11 @@ def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]]
     Each term's variance is estimated to form the group weights
     (renormalized to sum to 1), each group gets its own within-group
     estimate, and the two are combined; this never samples the full joint
-    space. ``partition`` maps groups to global variable indices, defaulting
-    to consecutive runs in the given order.
+    space. A term whose variance estimate is exactly 0 (a constant) gets
+    weight 0 and zero effects without being sampled further; if every term
+    is constant, this raises ``ZeroOutputVariance``. ``partition`` maps
+    groups to global variable indices, defaulting to consecutive runs in
+    the given order.
     """
     k = len(blocks)
     if k == 0:
@@ -334,13 +356,18 @@ def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]]
     children = np.random.SeedSequence(cfg.seed).spawn(2 * k)
     variances = np.empty(k)
     for j, (bb, gi) in enumerate(blocks):
-        variances[j] = output_variance(bb, gi, cfg.n_var, children[j],
-                                       f"block {j}")
-    weights = variances / variances.sum()
+        variances[j] = _sample_variance(bb, gi, cfg.n_var, children[j])
+        if variances[j]:                # NaN too; a constant term's is 0
+            _check_variance(variances[j], f"block {j}")
+    weights = variances / _check_variance(variances.sum(), "every block")
 
     group_estimates = []
     for j, (bb, gi) in enumerate(blocks):
-        sub_cfg = replace(cfg, seed=int(children[k + j].generate_state(1)[0]))
-        est = mc_shapley(bb, gi, sub_cfg, var_y=float(variances[j]))
-        group_estimates.append(est.shapley_hat)
+        eta = np.zeros(bb.p)
+        if weights[j]:
+            sub_cfg = replace(cfg,
+                              seed=int(children[k + j].generate_state(1)[0]))
+            eta = mc_shapley(bb, gi, sub_cfg,
+                             var_y=float(variances[j])).shapley_hat
+        group_estimates.append(eta)
     return combine_block_shapley(weights, group_estimates, partition)

@@ -32,8 +32,9 @@ def _duplicate_variable():
 
 
 def _tiny_independent_variable():
-    # X3 is independent of the rest with variance 1e-13: blocks holding it
-    # factorize but fail the COND_LIMIT test.
+    # X3 is independent of the rest with variance 1e-13: the blocks holding
+    # it are badly scaled, and the normwise round-off of an eigh factor
+    # would swamp the zeros of its covariances.
     model = generate_random_instance(5, seed=8)
     gamma = model.gamma.copy()
     gamma[2, :] = gamma[:, 2] = 0.0

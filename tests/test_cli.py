@@ -477,6 +477,29 @@ def test_mc_blocks_rejects_broken_preconditions(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_mc_blocks_constant_terms(tmp_path, capsys):
+    # A constant block term gets weight 0; if every term is constant the
+    # call exits 2 with one line and writes nothing.
+    dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0, 0.0],
+                                                         [0.0, 1.0]]})
+
+    def mc(f, blocks, out):
+        expr = write_json(tmp_path / "expr.json", {
+            "f": f, "blocks": [{"inputs": ["x1"], "expr": blocks[0]},
+                               {"inputs": ["x2"], "expr": blocks[1]}]})
+        return run(["mc", "--model", expr, "--dist", dist, "--blocks",
+                    "--m", 5, "--n-outer", 10, "--out", out])
+
+    assert mc("2*x1 + 3", ["2*x1", "3"], tmp_path / "one.json") == 0
+    assert json.loads((tmp_path / "one.json").read_text())["shapley"] \
+        == [1.0, 0.0]
+    assert mc("3 + 4", ["3", "4"], tmp_path / "all.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZeroOutputVariance:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "all.json").exists()
+
+
 def test_console_entry_point(tmp_path):
     # The child imports the package these tests import, also when only
     # pytest's ``pythonpath`` setting puts it on sys.path.

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -99,29 +98,23 @@ def test_scale_equivariance(p, seed, c):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_factor_and_pseudo_paths_agree(seed):
-    # The two paths of the Monte Carlo sampler's solver on the same blocks,
-    # the stacked Cholesky and the stacked eigh: the explained part
-    # t' gamma_uu^{-1} t and the mean coefficients gamma_uu^{-1} gamma_ur.
+    # The two paths of the sampling factor, Cholesky and the signed eigh
+    # factor, give the sweep the same conditional laws on every subset:
+    # the Schur complement R R' and the cross-covariance (A - R) A' of the
+    # conditional mean with the input.
     model = generate_random_instance(6, seed)
-    var_y = total_variance(model)
-    for k in range(1, 6):
-        u = np.array(list(itertools.combinations(range(6), k)))
-        blocks = model.gamma[u[:, :, None], u[:, None, :]]
-        rest = np.array([np.setdiff1d(np.arange(6), row) for row in u])
-        g_ur = model.gamma[u[:, :, None], rest[:, None, :]]
-        t = np.einsum("nij,nj->ni", g_ur, model.beta[rest])
-        chol, diag, bad = conditional._factor(blocks)
-        assert not bad.any()
-        y = conditional._forward(chol, diag, t[:, :, None])[:, :, 0]
-        q, inv_w = conditional._pinv(blocks)
-        proj = np.einsum("nji,nj->ni", q, t)
-        np.testing.assert_allclose(
-            np.einsum("ni,ni->n", inv_w * proj, proj),
-            np.einsum("ni,ni->n", y, y), rtol=1e-10, atol=1e-10 * var_y)
-        # The mean coefficients gamma_uu^{-1} gamma_ur of the same blocks.
-        _, coef, _ = conditional.conditional_parts(model.gamma, u)
-        pseudo = q @ (inv_w[:, :, None] * (q.transpose(0, 2, 1) @ g_ur))
-        np.testing.assert_allclose(coef, pseudo, rtol=1e-10, atol=1e-10)
+    gamma = model.gamma
+    chol = conditional.psd_factor(gamma)
+    assert np.array_equal(chol, np.linalg.cholesky(gamma))
+    w, q = np.linalg.eigh(gamma)
+    member = (np.arange(64)[:, None] >> np.arange(6) & 1).astype(bool)
+    laws = []
+    for a in (chol, q * np.sqrt(w)):
+        r = conditional.residual_rows(a, member)
+        laws.append((r @ r.transpose(0, 2, 1), (a - r) @ a.T))
+    scale = np.abs(gamma).max()
+    for one, other in zip(*laws):
+        np.testing.assert_allclose(one, other, rtol=0, atol=1e-10 * scale)
 
 
 def test_singular_conditioning_block_uses_generalized_inverse():
@@ -210,23 +203,6 @@ def test_prefix_variances_match_schur_oracle(name):
     assert np.all(v[:, 0] == var_y) and np.all(v[:, p] == 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 30])
-@pytest.mark.parametrize("p", [1, 5, 16, 70])
-def test_prefix_sets_match_plain_sorting(p, m):
-    # p = 70 packs each membership row into a 9-byte key.
-    rng = np.random.default_rng(p + m)
-    orders = np.array([rng.permutation(p) for _ in range(m)])
-    steps = list(conditional.prefix_sets(orders))
-    assert len(steps) == p
-    for k, (sets, where) in enumerate(steps, 1):
-        assert sets.shape[1] == k and where.shape == (m,)
-        for r in range(m):
-            assert sets[where[r]].tolist() == sorted(orders[r, :k].tolist())
-        rows = {tuple(row) for row in sets.tolist()}
-        assert len(rows) == len(sets)
-        assert len(sets) == len({tuple(sorted(o[:k])) for o in orders.tolist()})
-
-
 @pytest.mark.parametrize("make", [_duplicate_variable,
                                   _tiny_independent_variable])
 def test_ill_conditioned_blocks_take_pseudo_inverse(make):
@@ -237,42 +213,50 @@ def test_ill_conditioned_blocks_take_pseudo_inverse(make):
     assert_matches_schur(model, all_conditional_variances(model))
 
 
-def test_cholesky_marks_the_blocks_numpy_cannot_factorize():
-    # The stacked kernel agrees block by block with np.linalg.cholesky.
-    gamma = _duplicate_variable().gamma
-    rows = np.array(list(itertools.combinations(range(5), 3)))
-    blocks = gamma[rows[:, :, None], rows[:, None, :]]
-    chol, bad = conditional._cholesky(blocks)
-    for block, factor, failed in zip(blocks, chol, bad):
-        try:
-            expected = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            assert failed and np.array_equal(factor, np.eye(3))
-        else:
-            assert not failed and np.array_equal(factor, expected)
-    assert bad.any() and not bad.all()
+def _count_expand(monkeypatch):
+    """Record the number of frontier states and of variables of every
+    ``conditional._expand`` call: the first is the sweep before the split,
+    each later one a chunk."""
+    calls = []
+    expand = conditional._expand
+
+    def counted(rows, cut):
+        calls.append((rows.shape[1], cut.shape[1]))
+        return expand(rows, cut)
+
+    monkeypatch.setattr(conditional, "_expand", counted)
+    return calls
 
 
 def test_small_batch_cap_gives_the_same_table(monkeypatch):
     # Each sweep state's result depends on that state alone, so the
-    # chunking cannot change a single bit, dependent rows included.
-    models = [generate_random_instance(9, seed=21), _duplicate_variable(),
-              _tiny_independent_variable()]
-    whole = [all_conditional_variances(m) for m in models]
-    # Room for three 4 x 4 blocks: most cardinalities split into many chunks.
-    monkeypatch.setattr(conditional, "BATCH_BYTES", 3 * 8 * 16)
-    for model, one in zip(models, whole):
+    # chunking cannot change a single bit, dependent rows included. Each
+    # cap leaves room for 128 states at p = 9 (4 steps before the split,
+    # then 4 chunks) or 24 at p = 5 (3 steps, then 2 chunks).
+    cases = [(generate_random_instance(9, seed=21), 8 * 9 * 128),
+             (_duplicate_variable(), 8 * 5 * 24),
+             (_tiny_independent_variable(), 8 * 5 * 24)]
+    whole = [all_conditional_variances(model) for model, _ in cases]
+    calls = _count_expand(monkeypatch)
+    for (model, cap), one in zip(cases, whole):
+        monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
+        calls.clear()
         chunked = all_conditional_variances(model)
+        assert 0 < calls[0][1] < model.p and len(calls) > 2
         assert np.array_equal(chunked.values, one.values)
 
 
-@pytest.mark.parametrize("cap", [conditional.BATCH_BYTES, 3 * 8 * 16])
+@pytest.mark.parametrize("cap", [conditional.BATCH_BYTES, 8 * 6 * 4 * 20])
 def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
+    # 20 states of four p = 6 models: 2 steps before the split, 4 chunks.
     models = [generate_random_instance(6, seed=s) for s in range(4)]
     alone = [all_conditional_variances(m) for m in models]
+    calls = _count_expand(monkeypatch)
     monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
     stacked = conditional.conditional_variance_tables(
         np.array([m.gamma for m in models]), np.array([m.beta for m in models]))
+    if cap < conditional.BATCH_BYTES:
+        assert 0 < calls[0][1] < 6 and len(calls) > 2
     for one, values, var_y in zip(alone, stacked.values, stacked.var_y):
         assert var_y == one.var_y
         assert np.array_equal(values, one.values)
@@ -302,14 +286,7 @@ def test_chunked_table_matches_oracle_and_one_chunk(monkeypatch):
     # steps into two chunks, and 64 KiB into 32; one chunk is the oracle of
     # their bits.
     model = generate_random_instance(14, seed=140)
-    calls = []
-    expand = conditional._expand
-
-    def counted(rows, cut):
-        calls.append(rows.shape[1])
-        return expand(rows, cut)
-
-    monkeypatch.setattr(conditional, "_expand", counted)
+    calls = _count_expand(monkeypatch)
     tables, chunks = [], []
     for cap in (1 << 30, conditional.BATCH_BYTES, 1 << 16):
         monkeypatch.setattr(conditional, "BATCH_BYTES", cap)

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -282,15 +281,25 @@ def test_block_additive_nonlinear_matches_full_model_estimate():
     assert block_samples.mean(0).sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_block_additive_rejects_zero_variance_block():
+def test_block_additive_rejects_zero_variance_block(monkeypatch):
+    # A constant term gets weight 0 and zero effects, and is not sampled;
+    # the live term keeps its own estimate. All terms constant is an error.
     dead = BlackBoxModel(eval=lambda x: np.zeros(x.shape[0]), p=1)
-    live = linear_black_box([1.0])
-    inp = GaussianInput(mu=np.zeros(1), gamma=np.eye(1))
-    with pytest.raises(ModelValidationError):
-        block_additive_shapley(
-            [(live, inp), (dead, inp)],
-            McConfig(m=5, n_var=200, seed=0),
-        )
+    live = linear_black_box([1.0, -2.0])
+    inp1 = GaussianInput(mu=np.zeros(1), gamma=np.eye(1))
+    inp2 = GaussianInput(mu=np.zeros(2), gamma=[[1.0, 0.3], [0.3, 1.0]])
+    cfg = McConfig(m=5, n_var=200, seed=0)
+    sampled = []
+    mc = montecarlo.mc_shapley
+    monkeypatch.setattr(montecarlo, "mc_shapley",
+                        lambda bb, gi, sub_cfg, var_y: sampled.append(bb)
+                        or mc(bb, gi, sub_cfg, var_y=var_y))
+    eta = block_additive_shapley([(live, inp2), (dead, inp1)], cfg)
+    assert sampled == [live]
+    assert eta[2] == 0.0 and eta.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ModelValidationError) as err:
+        block_additive_shapley([(dead, inp1), (dead, inp1)], cfg)
+    assert err.value.kind is ValidationKind.ZERO_OUTPUT_VARIANCE
 
 
 def test_block_additive_validates_partition():
@@ -371,24 +380,31 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
 @pytest.mark.parametrize("make", [_duplicate_variable,
                                   _tiny_independent_variable],
                          ids=["duplicate", "tiny"])
-def test_conditional_parts_match_the_pinv_oracle(make):
+def test_sweep_rows_match_the_pinv_oracle(make):
+    # On every subset u of the singular and the ill-conditioned fixture, the
+    # residual rows R of the sampling factor A give the Schur complement
+    # R_r R_r' and the mean map A[r] - R_r = (gamma_uu^+ gamma_ur)' A[u],
+    # and the rows of u are zero.
     model = make()
     gamma, p = model.gamma, model.p
-    for k in range(p + 1):
-        combos = list(itertools.combinations(range(p), k))
-        rows = np.array(combos, dtype=np.intp).reshape(len(combos), k)
-        rest, coef, factor = conditional.conditional_parts(gamma, rows)
-        for u, r, c, f in zip(rows, rest, coef, factor):
-            assert np.array_equal(np.sort(np.concatenate([u, r])),
-                                  np.arange(p))
-            g_ur = gamma[np.ix_(u, r)]
-            solved = np.linalg.pinv(gamma[np.ix_(u, u)],
-                                    rtol=conditional.PINV_RTOL,
-                                    hermitian=True) @ g_ur
-            schur = gamma[np.ix_(r, r)] - g_ur.T @ solved
-            np.testing.assert_allclose(c, solved, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(f @ f.T, schur, rtol=0, atol=1e-12)
     inp = GaussianInput(mu=np.zeros(p), gamma=gamma)
+    a = inp.factor
+    member = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).astype(bool)
+    rows = conditional.residual_rows(a, member)
+    for mask, u_mask, r in zip(range(1 << p), member, rows):
+        assert np.array_equal(
+            r, conditional.residual_rows(a, u_mask[None])[0]), mask
+        u, rest = np.flatnonzero(u_mask), np.flatnonzero(~u_mask)
+        g_ur = gamma[np.ix_(u, rest)]
+        solved = np.linalg.pinv(gamma[np.ix_(u, u)],
+                                rtol=conditional.PINV_RTOL,
+                                hermitian=True) @ g_ur
+        schur = gamma[np.ix_(rest, rest)] - g_ur.T @ solved
+        assert np.all(r[u] == 0.0)
+        np.testing.assert_allclose(r[rest] @ r[rest].T, schur,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a[rest] - r[rest], solved.T @ a[u],
+                                   rtol=0, atol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = mc_shapley(linear_black_box(model.beta), inp,
