@@ -9,15 +9,15 @@ orthogonal to the rows ``A[u]``. One modified Gram-Schmidt :func:`_step` per
 member of ``u`` projects that member's residual row out of ``a`` and out of
 the rows still to come; a residual at or below ``PINV_RTOL`` times its row's
 own squared norm is dependent and skipped. Every value is a sum of squares,
-so none is negative. The ``2**p`` tables and the single subset take the
-members in ascending order, bit for bit alike; the prefixes of variable
-orderings sweep along each ordering. The Schur complement is the oracle in
-the tests.
+so none is negative. Orderings read :func:`_sweep`, one sweep along each,
+with every prefix bit for bit a sweep of that prefix alone; the single
+subset and the ``2**p`` tables take members in ascending order, bit for bit
+alike. The Schur complement is the oracle in the tests.
 
 The Monte Carlo estimators sample from the same sweep:
 :func:`residual_rows` runs it on all rows of a sampling factor ``A`` of
 ``gamma``, which leaves the rows ``R = A (I - P_u)`` of the conditional
-noise given ``X_u``, and ``A - R`` as the map of the conditional mean.
+noise given each prefix ``X_u``, and ``A - R`` as the conditional mean map.
 """
 
 from __future__ import annotations
@@ -112,42 +112,49 @@ def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
 
 
-def residual_rows(factor: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Rows of ``A (I - P_u)`` for a factor ``A A' = gamma`` and each row
-    ``u`` of the boolean ``(n, p)`` ``member``, with the rows of ``u`` zero.
-
-    ``P_u`` projects onto the span of the rows ``A[u]``: :func:`_step` sweeps
-    them, in ascending order and with the exact routes' cut, out of all
-    ``p`` rows of ``A``. A state with fewer members than the largest ``u``
-    sweeps a zero row in the slots left over, which changes no bit, so a
-    state's rows never depend on the others in the stack. ``A - R`` is the
-    conditional mean map ``(gamma_uu^+ gamma_ur)' A[u]`` and ``R R'`` the
-    Schur complement.
-    """
-    n, p = member.shape
-    rows = np.concatenate([factor, np.zeros((1, p))])
-    slots = member.sum(axis=1).max(initial=0)
-    pivots = np.sort(np.where(member, np.arange(p), p), axis=1)[:, :slots]
-    state = np.concatenate([rows[pivots], np.broadcast_to(factor, (n, p, p))],
-                           axis=1)[None]
-    cut = (PINV_RTOL * np.einsum("ij,ij->i", rows, rows))[pivots]
-    for i in range(slots):
-        state = _step(state, cut[None, :, i, None, None])
-    state[0][member] = 0.0
-    return state[0]
-
-
-def _along(model: LinearGaussianModel, order: np.ndarray) -> np.ndarray:
-    """Squared norm of ``a`` after each step of a sweep along each row of
-    ``order``: ``k`` zero-based variables, then ``p``, the row of ``a``."""
-    rows, cut = _root(model)
-    m, k = order.shape[0], order.shape[1] - 1
-    state = rows[:, order]
-    cut = cut[:, order[:, :-1], None, None]
-    seen = np.empty((m, k, rows.shape[-1]))
+def _sweep(rows: np.ndarray, cut: np.ndarray, orders: np.ndarray, tail):
+    """Sweep the rows ``orders`` ``(m, k)`` of the stacked ``rows``, in order,
+    out of the rows ``tail``; yield the ``(models, m, len(tail), w)`` tail
+    after each step, bit for bit a sweep of that prefix alone."""
+    m, k = orders.shape
+    at = np.empty((m, k + len(tail)), dtype=np.intp)
+    at[:, :k] = orders
+    at[:, k:] = tail
+    state = rows[:, at]
+    cut = cut[:, orders, None, None]
     for i in range(k):
         state = _step(state, cut[:, :, i])
-        seen[:, i] = state[0, :, -1]
+        yield state[:, :, k - 1 - i:]
+
+
+def residual_rows(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Rows of ``A (I - P_u)`` ``(m, k + 1, p, p)`` for a factor ``A A' =
+    gamma`` and each prefix ``u``, of length 0 to ``k``, of each row of the
+    zero-based ``(m, k)`` ``orders``, with the rows of ``u`` zero.
+
+    ``P_u`` projects onto the span of the rows ``A[u]``: :func:`_sweep`
+    takes them along the ordering, with the exact routes' cut, out of all
+    ``p`` rows of ``A``. ``A - R`` is the conditional mean map ``(gamma_uu^+
+    gamma_ur)' A[u]`` and ``R R'`` the Schur complement.
+    """
+    m, k = orders.shape
+    out = np.empty((m, k + 1, *factor.shape))
+    out[:, 0] = factor
+    cut = PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
+    for i, tail in enumerate(_sweep(factor[None], cut[None], orders,
+                                    np.arange(len(factor))), 1):
+        out[:, i] = tail[0]
+        out[np.arange(m)[:, None], i, orders[:, :i]] = 0.0
+    return out
+
+
+def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
+    """Squared norm of ``a`` after each step along each zero-based row of
+    ``orders`` ``(m, k)``: the conditional variance given each prefix."""
+    rows, cut = _root(model)
+    seen = np.empty((*orders.shape, rows.shape[-1]))
+    for i, tail in enumerate(_sweep(rows, cut, orders, [cut.shape[-1]])):
+        seen[:, i] = tail[0, :, 0]
     return np.einsum("...i,...i->...", seen, seen)
 
 
@@ -168,8 +175,9 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
         return total_variance(model)
     if j == (1 << p) - 1:
         return 0.0
-    order = np.array([[i for i in range(p) if j >> i & 1] + [p]])
-    return float(_along(model, order)[0, -1])
+    order = np.array([[i for i in range(p) if j >> i & 1]])
+    *_, a = _sweep(*_root(model), order, [p])     # ``a`` after the last step
+    return float(np.einsum("...i,...i->...", a, a)[0, 0, 0])
 
 
 def prefix_variances(model: LinearGaussianModel,
@@ -185,10 +193,8 @@ def prefix_variances(model: LinearGaussianModel,
     out = np.zeros((m, p + 1))
     out[:, 0] = total_variance(model)
     step = max(1, BATCH_BYTES // (4 * 8 * p * (p + 1)))
-    order = orders.copy()
-    order[:, -1] = p            # sweep p - 1 steps; given all p it is 0
-    for lo in range(0, m, step):
-        out[lo:lo + step, 1:p] = _along(model, order[lo:lo + step])
+    for lo in range(0, m, step):    # p - 1 steps; given all p it is 0
+        out[lo:lo + step, 1:p] = _along(model, orders[lo:lo + step, :-1])
     return out
 
 
@@ -214,16 +220,13 @@ def _tables(rows: np.ndarray, cut: np.ndarray, var_y) -> np.ndarray:
     while s and (p - s + 1) << s > states:
         s -= 1
     rows = _expand(rows[:, None], cut[:, :s])
-    if s == p:                  # the lattice in one chunk: ``a`` is left
-        values = np.einsum("mni,mni->mn", rows[:, :, 0], rows[:, :, 0])
-    else:
-        values = np.empty((models, 1 << (p - s), 1 << s))
-        step = max(1, states >> (p - s))
-        for lo in range(0, 1 << s, step):
-            a = _expand(rows[:, lo:lo + step], cut[:, s:])[:, :, 0]
-            values[:, :, lo:lo + step] = np.einsum(
-                "mni,mni->mn", a, a).reshape(models, 1 << (p - s), -1)
-        values = values.reshape(models, 1 << p)
+    values = np.empty((models, 1 << (p - s), 1 << s))
+    step = max(1, states >> (p - s))
+    for lo in range(0, 1 << s, step):
+        a = _expand(rows[:, lo:lo + step], cut[:, s:])[:, :, 0]
+        values[:, :, lo:lo + step] = np.einsum(
+            "mni,mni->mn", a, a).reshape(models, 1 << (p - s), -1)
+    values = values.reshape(models, 1 << p)
     values[:, 0] = var_y
     values[:, -1] = 0.0
     return values

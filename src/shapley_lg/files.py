@@ -232,13 +232,19 @@ def _check_report(doc: dict, where) -> None:
                                   f"{family}: {why}")
 
 
+def _bits(m: int):
+    """1-based positions of the set bits of ``m``, ascending."""
+    while m:
+        yield (m & -m).bit_length()
+        m &= m - 1
+
+
 def _subsets(masks: list, start, step) -> list:
     """:func:`_lattice` value of each subset in ``masks``, ascending."""
     if masks and masks[-1] == len(masks) - 1:    # 0 .. n - 1: one lattice
         return _lattice(range(1, masks[-1].bit_length() + 1), start,
                         step)[:len(masks)]
-    return [reduce(add, (step(i + 1) for i in range(m.bit_length())
-                         if m >> i & 1), start) for m in masks]
+    return [reduce(add, map(step, _bits(m)), start) for m in masks]
 
 
 def _row_texts(masks: list, texts: list, values: list) -> list[str]:

@@ -6,13 +6,14 @@ conditional draws of the rest) and plugged into the random-ordering
 estimator. The conditional draws come from the Gram-Schmidt sweep of the
 exact routes, run on the rows of the input's sampling factor ``A``
 (``conditional.residual_rows``): given ``X_u``, the rest moves by the
-residual rows ``R = A (I - P_u)`` times fresh normals. Each ordering's
-prefix sets are swept in ascending order, stacked over the orderings of
-a chunk, and the model is evaluated on whole orderings at once, in chunks
-of at most ``conditional.BATCH_BYTES`` of normals and points. When the
-model is a sum of functions of independent groups, the per-group estimates
-combine exactly, which is dramatically cheaper than estimating on the full
-input space.
+residual rows ``R = A (I - P_u)`` times fresh normals. Each ordering is
+swept once, its prefix sets read after each step, stacked over the
+orderings of a chunk; all normals of a call come from one stream, and the
+model is evaluated on whole orderings at once, in chunks of at most
+``conditional.BATCH_BYTES`` of normals and points. When the model is a sum
+of functions of independent groups, the per-group estimates combine
+exactly, which is dramatically cheaper than estimating on the full input
+space.
 """
 
 from __future__ import annotations
@@ -85,24 +86,22 @@ class GaussianInput:
         return self.mu + rng.standard_normal((n, self.p)) @ self.factor.T
 
 
-def _member(p: int, u: Sequence[int]) -> np.ndarray:
-    """Mask of the 1-based variables ``u`` among ``p``, checked."""
+def _indices(p: int, u: Sequence[int]) -> np.ndarray:
+    """The 1-based ``u`` of ``p`` as checked zero-based indices, in order."""
     u_idx = np.asarray(list(u), dtype=np.int64) - 1
     if u_idx.size:
         if u_idx.min() < 0 or u_idx.max() >= p:
             raise ValueError(f"conditioning set {tuple(u)} outside [1:{p}]")
         if np.unique(u_idx).size != u_idx.size:
             raise ValueError(f"conditioning set {tuple(u)} has repeats")
-    member = np.zeros(p, dtype=bool)
-    member[u_idx] = True
-    return member
+    return u_idx
 
 
-def _draw(inp: GaussianInput, rows: np.ndarray, z: np.ndarray,
-          n_inner: int) -> np.ndarray:
-    """Points ``(..., n_outer, n_inner, p)`` from the normals ``z``
-    ``(..., n_outer * (1 + n_inner), p)`` and the residual rows ``R``
-    ``(..., p, p)`` of :func:`conditional.residual_rows` for ``u``.
+def _nested(model: BlackBoxModel, inp: GaussianInput, rows: np.ndarray,
+            z: np.ndarray, n_inner: int) -> np.ndarray:
+    """Nested Monte Carlo variances ``(...)`` given each ``u`` of the stacked
+    residual rows ``R`` ``(..., p, p)``, from normals ``z`` ``(..., n_outer *
+    (1 + n_inner), p)``: the outer mean of the inner sample variances.
 
     The first ``n_outer`` normals ``z_outer`` give joint draws ``x = mu +
     A z_outer``; each is repeated with ``n_inner`` conditional draws ``x + R
@@ -114,7 +113,8 @@ def _draw(inp: GaussianInput, rows: np.ndarray, z: np.ndarray,
     x = x.reshape(*x.shape[:-2], n_outer, n_inner, -1)
     x += (inp.mu + z[..., :n_outer, :]
           @ (inp.factor - rows).swapaxes(-1, -2))[..., None, :]
-    return x
+    values = model(x.reshape(-1, inp.p)).reshape(x.shape[:-1])
+    return np.var(values, axis=-1, ddof=1).mean(axis=-1)
 
 
 def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
@@ -129,15 +129,16 @@ def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
     (n, 0) array.
     """
     rng = np.random.default_rng(seed)
-    member = _member(inp.p, u)
+    u_idx = np.sort(_indices(inp.p, u))
     x_u = np.asarray(x_u, dtype=float).reshape(-1)
-    if x_u.size != member.sum():
-        raise ValueError(f"x_u has length {x_u.size}, expected {member.sum()}")
-    rows = conditional.residual_rows(inp.factor, member[None])[0]
-    z = np.linalg.lstsq(inp.factor[member], x_u - inp.mu[member],
+    if x_u.size != u_idx.size:
+        raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
+    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
+    z = np.linalg.lstsq(inp.factor[u_idx], x_u - inp.mu[u_idx],
                         rcond=conditional.PINV_RTOL ** 0.5)[0]
     mean = inp.mu + (inp.factor - rows) @ z
-    return (mean + rng.standard_normal((n, inp.p)) @ rows.T)[:, ~member]
+    draws = mean + rng.standard_normal((n, inp.p)) @ rows.T
+    return np.delete(draws, u_idx, axis=1)
 
 
 def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
@@ -148,23 +149,21 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     Draws ``n_outer`` values of the conditioning variables, then for each
     one the unbiased sample variance of the model over ``n_inner``
     conditional draws of the remaining variables; returns the outer mean.
-    The normals are one draw of ``n_outer * (1 + n_inner)`` rows from
-    ``seed``. Conditioning on the full set costs nothing and is exactly 0.
+    ``u`` is swept in the order given, and the normals are the next ``n_outer
+    * (1 + n_inner)`` rows of ``seed``'s stream. Conditioning on the full
+    set costs nothing and is exactly 0.
     """
     if n_inner < 2:
         raise ValueError("n_inner must be >= 2 for a sample variance")
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
-    p = inp.p
-    member = _member(p, u)
-    if member.all():
+    u_idx = _indices(inp.p, u)
+    if u_idx.size == inp.p:
         return 0.0
-    rows = conditional.residual_rows(inp.factor, member[None])[0]
+    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
     z = np.random.default_rng(seed).standard_normal(
-        (n_outer * (1 + n_inner), p))
-    points = _draw(inp, rows, z, n_inner)
-    values = model(points.reshape(-1, p)).reshape(n_outer, n_inner)
-    return float(np.mean(np.var(values, axis=1, ddof=1)))
+        (n_outer * (1 + n_inner), inp.p))
+    return float(_nested(model, inp, rows, z, n_inner))
 
 
 def _check_variance(var: float, what: str) -> float:
@@ -279,25 +278,25 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     The output variance is estimated once from ``cfg.n_var`` joint samples
     (or taken from ``var_y`` when the caller already has one) and anchors
     both ends of every telescoping chain, so the components sum to 1
-    exactly. Every sampling stage has its own child seed, making the result
-    independent of evaluation order: it equals one :func:`double_mc_cond_var`
-    per ordering and step with those seeds. The residual rows of every
-    (ordering, step) of a chunk come from one stacked sweep, and their
-    points from one stacked product.
+    exactly. The output variance, the orderings and the normals each draw
+    from their own child seed; every normal comes from one stream, in
+    (ordering, step) order, so the result equals one
+    :func:`double_mc_cond_var` per ordering and step that continues that
+    stream. The residual rows of a chunk of orderings come from one sweep
+    along each of them, and their points from one stacked product.
     """
     p = model.p
     if inp.p != p:
         raise ValueError(f"input dimension {inp.p} does not match model p={p}")
-    children = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.m)
+    var_seed, order_seed, z_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     if var_y is None:
-        var_y = output_variance(model, inp, cfg.n_var, children[0])
+        var_y = output_variance(model, inp, cfg.n_var, var_seed)
     else:
         _check_variance(var_y, "the model")
-    perm_rng = np.random.default_rng(children[1])
     m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
-    orders = np.array([perm_rng.permutation(p) for _ in range(m)])
-    # member[j, k - 1] marks the first k variables of ordering j.
-    member = np.argsort(orders, axis=1)[:, None, :] < np.arange(1, p)[:, None]
+    orders = np.random.default_rng(order_seed).permuted(
+        np.tile(np.arange(p), (m, 1)), axis=1)
+    rng = np.random.default_rng(z_seed)
     v = np.zeros((m, p + 1))
     v[:, 0] = var_y
     # Whole orderings per chunk, at most BATCH_BYTES of normals (1 + n_inner
@@ -307,19 +306,11 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     step = max(1, conditional.BATCH_BYTES // max(per_order, 1))
     for lo in range(0, m if p > 1 else 0, step):
         hi = min(lo + step, m)
-        z = np.empty((hi - lo, p - 1, size, p))
-        for j in range(lo, hi):
-            for seed, out in zip(children[2 + j].spawn(p - 1), z[j - lo]):
-                np.random.default_rng(seed).standard_normal(out=out)
-        rows = conditional.residual_rows(inp.factor,
-                                         member[lo:hi].reshape(-1, p))
-        points = _draw(inp, rows.reshape(hi - lo, p - 1, p, p), z, n_inner)
-        values = model(points.reshape(-1, p)).reshape(points.shape[:-1])
-        v[lo:hi, 1:p] = np.var(values, axis=-1, ddof=1).mean(axis=-1)
-    acc = ordering_gains(orders, v)
-    return PermutationEstimate(
-        shapley_hat=acc / (cfg.m * var_y), m=cfg.m, seed=cfg.seed,
-    )
+        rows = conditional.residual_rows(inp.factor, orders[lo:hi, :-1])
+        z = rng.standard_normal((hi - lo, p - 1, size, p))
+        v[lo:hi, 1:p] = _nested(model, inp, rows[:, 1:], z, n_inner)
+    return PermutationEstimate(shapley_hat=ordering_gains(orders, v)
+                               / (m * var_y), m=m, seed=cfg.seed)
 
 
 def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]],

@@ -124,8 +124,8 @@ def _estimates(model: LinearGaussianModel, m: int, seeds) -> np.ndarray:
     out = np.empty((len(seeds), p))
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
     for lo in range(0, len(seeds), step):
-        orders = np.array([[rng.permutation(p) for _ in range(m)] for rng in
-                           map(np.random.default_rng, seeds[lo:lo + step])])
+        orders = np.array([np.random.default_rng(s).permuted(np.tile(
+            np.arange(p), (m, 1)), axis=1) for s in seeds[lo:lo + step]])
         v = prefix_variances(model, orders.reshape(-1, p)).reshape(
             len(orders), m, p + 1)
         for r in range(len(orders)):

@@ -314,21 +314,22 @@ def test_block_additive_validates_partition():
 
 def literal_mc_shapley(model, inp, cfg, *, var_y):
     """The per-step walk: one ``double_mc_cond_var`` per ordering and step,
-    with the child seeds of ``mc_shapley``; the oracle of the batched
-    estimator."""
+    each continuing the one normal stream of ``mc_shapley``'s third child
+    seed, and one ``permutation`` per ordering from its second; the oracle
+    of the batched estimator."""
     p = model.p
-    children = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.m)
-    perm_rng = np.random.default_rng(children[1])
+    _, order_seed, z_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    perm_rng = np.random.default_rng(order_seed)
+    normals = np.random.default_rng(z_seed)
     orders = np.empty((cfg.m, p), dtype=np.intp)
     v = np.zeros((cfg.m, p + 1))
     v[:, 0] = var_y
     for j in range(cfg.m):
         orders[j] = perm_rng.permutation(p)
-        step_seeds = children[2 + j].spawn(max(p - 1, 1))
         for step in range(1, p):
             v[j, step] = double_mc_cond_var(
                 model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
-                step_seeds[step - 1])
+                normals)
     return ordering_gains(orders, v) / (cfg.m * var_y)
 
 
@@ -371,8 +372,8 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
     inp = GaussianInput(mu=np.zeros(5), gamma=lin.gamma)
     cfg = McConfig(m=20, n_var=500, n_outer=10, n_inner=2, seed=3)
     whole = mc_shapley(bb, inp, cfg).shapley_hat
-    # Below one ordering's points and one 5 x 5 block: every chunk holds a
-    # single ordering and every batch of conditional parts a single set.
+    # Below one ordering's points: every chunk holds a single ordering, and
+    # the chunk boundaries leave the one stream of normals alone.
     monkeypatch.setattr(conditional, "BATCH_BYTES", 300)
     assert np.array_equal(mc_shapley(bb, inp, cfg).shapley_hat, whole)
 
@@ -381,30 +382,37 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
                                   _tiny_independent_variable],
                          ids=["duplicate", "tiny"])
 def test_sweep_rows_match_the_pinv_oracle(make):
-    # On every subset u of the singular and the ill-conditioned fixture, the
-    # residual rows R of the sampling factor A give the Schur complement
-    # R_r R_r' and the mean map A[r] - R_r = (gamma_uu^+ gamma_ur)' A[u],
-    # and the rows of u are zero.
+    # On every subset u of the singular and the ill-conditioned fixture,
+    # swept in ascending and in a shuffled order, the residual rows R of the
+    # sampling factor A give the Schur complement R_r R_r' and the mean map
+    # A[r] - R_r = (gamma_uu^+ gamma_ur)' A[u], and the rows of u are zero.
+    # Along each of 50 orderings, every prefix's rows are, bit for bit, a
+    # fresh sweep of that prefix.
     model = make()
     gamma, p = model.gamma, model.p
     inp = GaussianInput(mu=np.zeros(p), gamma=gamma)
     a = inp.factor
-    member = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).astype(bool)
-    rows = conditional.residual_rows(a, member)
-    for mask, u_mask, r in zip(range(1 << p), member, rows):
-        assert np.array_equal(
-            r, conditional.residual_rows(a, u_mask[None])[0]), mask
-        u, rest = np.flatnonzero(u_mask), np.flatnonzero(~u_mask)
+    rng = np.random.default_rng(p)
+    orders = rng.permuted(np.tile(np.arange(p), (50, 1)), axis=1)
+    for order, rows in zip(orders, conditional.residual_rows(a, orders)):
+        for k, r in enumerate(rows):
+            assert np.array_equal(
+                r, conditional.residual_rows(a, order[None, :k])[0, -1])
+    for mask in range(1 << p):
+        u = np.flatnonzero(mask >> np.arange(p) & 1)
+        rest = np.setdiff1d(np.arange(p), u)
         g_ur = gamma[np.ix_(u, rest)]
         solved = np.linalg.pinv(gamma[np.ix_(u, u)],
                                 rtol=conditional.PINV_RTOL,
                                 hermitian=True) @ g_ur
         schur = gamma[np.ix_(rest, rest)] - g_ur.T @ solved
-        assert np.all(r[u] == 0.0)
-        np.testing.assert_allclose(r[rest] @ r[rest].T, schur,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a[rest] - r[rest], solved.T @ a[u],
-                                   rtol=0, atol=1e-12)
+        for order in (u, rng.permutation(u)):
+            r = conditional.residual_rows(a, order[None])[0, -1]
+            assert np.all(r[u] == 0.0), (mask, order)
+            np.testing.assert_allclose(r[rest] @ r[rest].T, schur,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a[rest] - r[rest], solved.T @ a[u],
+                                       rtol=0, atol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = mc_shapley(linear_black_box(model.beta), inp,
