@@ -1,10 +1,10 @@
 """Independent groups of inputs and the grouped index computation.
 
 When the covariance is block diagonal the output decomposes into a sum of
-independent per-group terms, every Sobol index of a subset straddling two
-groups vanishes, and each Shapley effect is the group's variance share
-times the within-group Shapley effect. This turns one 2**p lattice into k
-small lattices, one per group.
+independent per-group terms: a subset inside a group has the group's
+variance share times its within-group index, every subset straddling two
+groups has Sobol index 0, and likewise for Shapley effects. One 2**p
+lattice becomes k small ones, whose global rows come out as arrays.
 """
 
 from __future__ import annotations
@@ -75,17 +75,18 @@ class BlockPartition:
 class GroupedReport:
     """Sensitivity indices assembled from independent per-group computations.
 
-    ``group_reports[j]`` holds group ``j``'s own indices, indexed by the
-    local subset mask within the group, and ``group_weights[j]`` its share
-    of ``var_y``; a global index of a subset inside group ``j`` is the
-    product of the two. A group with no output variance has weight 0 and an
-    all-zero report. Sobol indices of subsets straddling groups are zero
-    and not materialised.
+    ``group_weights[j]`` is group ``j``'s share of ``var_y``, 0 without output
+    variance. ``masks`` names each non-empty subset inside one group (int64,
+    or object past 62 variables), group-size-major, by local mask within each
+    group; ``sobol`` and ``closed_sobol`` hold its group's weight times its
+    own indices. Subsets straddling groups have Sobol index 0 and no row.
     """
 
     partition: BlockPartition
     group_weights: np.ndarray
-    group_reports: list[SensitivityReport]
+    masks: np.ndarray
+    sobol: np.ndarray
+    closed_sobol: np.ndarray
     shapley: np.ndarray
     var_y: float
     eval_count: int
@@ -145,14 +146,15 @@ def lg_groups_indices(model: LinearGaussianModel,
     positive semi-definite already and is not checked again. The number
     of conditional-variance evaluations is the sum of the per-group lattice
     sizes rather than 2**p. Groups of one size build one stacked table and
-    take their indices from it in one pass; a group with no output variance
-    gets weight 0 and all-zero indices.
+    take their global rows from it in one pass; a group with no output
+    variance gets weight 0 and all-zero indices.
     """
     partition = detect_blocks(model.gamma, eps_block)
     var_y = total_variance(model)
     shapley = np.empty(model.p)
     weights = np.zeros(partition.k)
-    reports: list[SensitivityReport] = [None] * partition.k
+    one = 1 if model.p < 63 else np.array(1, dtype=object)
+    masks, sobols, closeds = [], [], []
     for n in sorted({len(g) for g in partition.groups}):
         same = [j for j, g in enumerate(partition.groups) if len(g) == n]
         rows = np.array([partition.groups[j] for j in same]) - 1
@@ -172,17 +174,19 @@ def lg_groups_indices(model: LinearGaussianModel,
             sobol[dead] = closed[dead] = eta[dead] = share[dead] = 0.0
         weights[same] = share
         shapley[rows] = share[:, None] * eta
-        for r, (j, var) in enumerate(zip(same, var_g.tolist())):
-            reports[j] = SensitivityReport(
-                var_y=var, sobol=sobol[r], closed_sobol=closed[r],
-                shapley=eta[r], eval_count=1 << n)
+        local_bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
+        masks.append(((one << rows) @ local_bits.T).ravel())
+        sobols.append((share[:, None] * sobol[:, 1:]).ravel())
+        closeds.append((share[:, None] * closed[:, 1:]).ravel())
     return GroupedReport(
         partition=partition,
         group_weights=weights,
-        group_reports=reports,
+        masks=np.concatenate(masks),
+        sobol=np.concatenate(sobols),
+        closed_sobol=np.concatenate(closeds),
         shapley=shapley,
         var_y=var_y,
-        eval_count=sum(rep.eval_count for rep in reports),
+        eval_count=sum(1 << len(g) for g in partition.groups),
     )
 
 

@@ -31,6 +31,7 @@ from .montecarlo import (MC_MINIMUMS, GaussianInput, McConfig,
 from .permutations import (EXACT_ENUMERATION_CAP, cv_summary_from_replicates,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates)
+from .subsets import FULL_LATTICE_CAP
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -213,39 +214,25 @@ def cmd_benchmark(args) -> int:
     rows = []
     for size in _parse_sizes(args.sizes, args.groups):
         if args.groups:
-            k, n = size
-            model = generate_block_instance(k, n, args.seed)
-            label = f"{k}x{n}"
-            rows.append((
-                "lg-indices", label,
-                _median_seconds(lambda: lg_indices(model), args.repetitions),
-                1 << model.p,
-            ))
-            grouped = lg_groups_indices(model)
-            rows.append((
-                "lg-groups-indices", label,
-                _median_seconds(lambda: lg_groups_indices(model),
-                                args.repetitions),
-                grouped.eval_count,
-            ))
+            model = generate_block_instance(*size, args.seed)
+            label = "{}x{}".format(*size)
         else:
-            p = size
-            model = generate_random_instance(p, args.seed)
-            label = str(p)
-            rows.append((
-                "lg-indices", label,
-                _median_seconds(lambda: lg_indices(model), args.repetitions),
-                1 << p,
+            model = generate_random_instance(size, args.seed)
+            label = str(size)
+        # Past the lattice cap --groups times its own route; dense exits 3.
+        calls = [] if args.groups and model.p > FULL_LATTICE_CAP else [
+            ("lg-indices", lambda: lg_indices(model), 1 << model.p)]
+        if args.groups:
+            calls.append(("lg-groups-indices", lambda: lg_groups_indices(model),
+                          lg_groups_indices(model).eval_count))
+        elif model.p <= EXACT_ENUMERATION_CAP:
+            calls.append((
+                "exact-permutations",
+                lambda: exact_permutation_shapley(model, memoize=False),
+                math.factorial(model.p) * model.p,
             ))
-            if p <= EXACT_ENUMERATION_CAP:
-                rows.append((
-                    "exact-permutations", label,
-                    _median_seconds(
-                        lambda: exact_permutation_shapley(model, memoize=False),
-                        args.repetitions,
-                    ),
-                    math.factorial(p) * p,
-                ))
+        rows += [(algorithm, label, _median_seconds(call, args.repetitions),
+                  count) for algorithm, call, count in calls]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["algorithm", "size", "median_seconds", "eval_count"])

@@ -1,13 +1,13 @@
 """Model, distribution, expression and report files.
 
-Everything on disk is JSON. Floats are rendered by Python's shortest
-round-trip representation, so reading a file back reproduces the exact
-binary values that were written. Writers emit the layout of
-``json.dumps(doc, indent=2)``, so repeated runs are byte-identical. Report
-subset rows stay arrays (:class:`SubsetRows`), checked in numpy and
-streamed to the file in chunks. Every file's keys and value types are
-checked by plain code here; it accepts what the JSON Schemas in the tests
-accept (``true`` is not a number, ``3.0`` is an integer).
+Everything on disk is JSON. Floats are written in Python's shortest
+round-trip form, so a file read back gives the exact values written.
+Writers emit the layout of ``json.dumps(doc, indent=2)``, so repeated runs
+are byte-identical. Report subset rows stay arrays (:class:`SubsetRows`),
+checked in numpy and streamed in chunks that each spell out their own
+subset texts. Every file's keys and value types are checked by plain code
+here; it accepts what the JSON Schemas in the tests accept (``true`` is
+not a number, ``3.0`` is an integer).
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 from itertools import chain
-from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +208,7 @@ def _row_error(rows: list, p: int) -> str | None:
     except OverflowError:
         return "a row holds a number out of range"
     why = _array_error(SubsetRows(mask, value), p)
-    if why is None and subs != _subsets(masks, [], lambda i: [i]):
+    if why is None and any(s != list(_bits(m)) for s, m in zip(subs, masks)):
         why = "a row subset does not match its mask"
     return why
 
@@ -239,12 +238,42 @@ def _bits(m: int):
         m &= m - 1
 
 
-def _subsets(masks: list, start, step) -> list:
-    """:func:`_lattice` value of each subset in ``masks``, ascending."""
-    if masks and masks[-1] == len(masks) - 1:    # 0 .. n - 1: one lattice
-        return _lattice(range(1, masks[-1].bit_length() + 1), start,
-                        step)[:len(masks)]
-    return [reduce(add, map(step, _bits(m)), start) for m in masks]
+#: Text of one subset member in a report row: a comma, then its own line.
+_member = ",\n        {}".format
+
+
+def _text(m: int) -> str:
+    return "".join(map(_member, _bits(m)))
+
+
+def _lattice(b: int) -> list[str]:
+    """:func:`_text` of each mask below ``2**b``."""
+    out = [""]
+    for i in range(1, b + 1):
+        step = _member(i)
+        out += [t + step for t in out]
+    return out
+
+
+def _subsets(masks: list, lattice) -> list[str]:
+    """:func:`_text` of each of the ascending ``masks``.
+
+    A run ``m0 .. m0 + n - 1`` with ``m0`` a multiple of ``2**b >= n`` takes
+    the texts ``lattice(b)`` of its low bits, each followed by ``m0``'s text.
+    Any other mask ``m`` extends the text of ``m & (m - 1)`` if that came
+    earlier; the rest are spelled out from their bits.
+    """
+    b = (len(masks) - 1).bit_length()
+    run = masks and masks[-1] - masks[0] == len(masks) - 1
+    if run and masks[0] % (1 << b) == 0:
+        high = _text(masks[0])
+        return [t + high for t in lattice(b)[:len(masks)]]
+    texts = {0: ""}
+    for m in filter(None, masks):
+        rest = m & (m - 1)
+        texts[m] = (_member((m ^ rest).bit_length()) + texts[rest]
+                    if rest in texts else _text(m))
+    return [texts[m] for m in masks]
 
 
 def _row_texts(masks: list, texts: list, values: list) -> list[str]:
@@ -401,16 +430,6 @@ def build_block_functions(expr_obj: dict,
     return models, partition
 
 
-def _lattice(members, start, step) -> list:
-    """Entry ``j`` is ``start`` plus ``step(i)``, in ascending order, for
-    each of the ascending variables ``members`` that the bits of ``j`` pick."""
-    out = [start]
-    for i in members:
-        step_i = step(i)
-        out += [v + step_i for v in out]
-    return out
-
-
 def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
               seed=None, config=None) -> dict:
     if partition is not None:
@@ -443,23 +462,16 @@ def report_from_sensitivity(rep: SensitivityReport, algorithm: str) -> dict:
 def report_from_grouped(grep: GroupedReport, algorithm: str) -> dict:
     """Report document for the per-group computation.
 
-    Index rows cover the subsets contained in a single group; any other
-    subset's Sobol index is zero by construction and not materialised.
+    Index rows cover the empty set, then each subset inside one group by
+    ascending mask; any other subset's Sobol index is zero, not materialised.
     """
-    masks, sobol, closed = [0], [np.zeros(1)], [np.zeros(1)]
-    for j, group in enumerate(grep.partition.groups):
-        weight = float(grep.group_weights[j])
-        masks += _lattice(group, 0, lambda i: 1 << (i - 1))[1:]
-        sobol.append(weight * grep.group_reports[j].sobol[1:])
-        closed.append(weight * grep.group_reports[j].closed_sobol[1:])
-    masks = np.array(masks, dtype=np.int64 if grep.p < 63 else object)
-    order = np.argsort(masks)
-    masks = masks[order]
+    order = np.argsort(grep.masks)
+    masks = np.concatenate(([0], grep.masks[order]))
     return {
         "var_y": float(grep.var_y),
         "shapley": [float(v) for v in grep.shapley],
-        "sobol": SubsetRows(masks, np.concatenate(sobol)[order]),
-        "closed_sobol": SubsetRows(masks, np.concatenate(closed)[order]),
+        "sobol": SubsetRows(masks, np.r_[0.0, grep.sobol[order]]),
+        "closed_sobol": SubsetRows(masks, np.r_[0.0, grep.closed_sobol[order]]),
         "metadata": _metadata(algorithm, grep.p, eval_count=grep.eval_count,
                               partition=grep.partition),
     }
@@ -503,21 +515,18 @@ def write_report(doc: dict, path=None) -> None:
     except ValueError as err:                      # NaN or infinity
         raise FileFormatError(f"{where} is not a valid report file: "
                               f"{err}") from err
-    # Subset texts once per mask array, row texts per chunk.
-    subsets = {id(rows.masks): rows.masks.tolist() for rows in arrays.values()}
-    subsets = {key: (masks, _subsets(masks, "", ",\n        {}".format))
-               for key, masks in subsets.items()}
+    lattice = cache(_lattice)       # each size at most once per report
     with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         for family, rows in arrays.items():
             # At depth one, the key starts a line after two spaces.
             head, text = text.split(f'\n  "{family}": []', 1)
             out.write(f'{head}\n  "{family}": ')
-            sep, (masks, texts) = "[\n", subsets[id(rows.masks)]
+            sep = "[\n"
             for start in range(0, len(rows), CHUNK_ROWS):
-                stop = start + CHUNK_ROWS
+                masks = rows.masks[start:start + CHUNK_ROWS].tolist()
                 out.write(sep + "\n    },\n".join(_row_texts(
-                    masks[start:stop], texts[start:stop],
-                    rows.values[start:stop].tolist())))
+                    masks, _subsets(masks, lattice),
+                    rows.values[start:start + CHUNK_ROWS].tolist())))
                 sep = "\n    },\n"
             out.write("\n    }\n  ]" if len(rows) else "[]")
         out.write(text)

@@ -94,12 +94,9 @@ def test_grouped_report_corollary_structure():
     grouped = lg_groups_indices(model)
     for j, group in enumerate(grouped.partition.groups):
         idx = np.asarray(group) - 1
-        assert_close(
-            grouped.shapley[idx],
-            grouped.group_weights[j] * grouped.group_reports[j].shapley,
-            tol=1e-14,
-        )
-        assert grouped.group_reports[j].shapley.sum() == pytest.approx(
+        weight = grouped.group_weights[j]
+        assert weight > 0.0
+        assert (grouped.shapley[idx] / weight).sum() == pytest.approx(
             1.0, abs=1e-10)
 
 
@@ -110,8 +107,8 @@ def test_single_dense_group_reduces_to_full_report():
     assert grouped.partition.groups == ((1, 2, 3, 4),)
     assert grouped.group_weights[0] == pytest.approx(1.0, rel=1e-12)
     assert_close(grouped.shapley, full.shapley, tol=1e-12)
-    assert_close(grouped.group_weights[0] * grouped.group_reports[0].sobol,
-                 full.sobol, tol=1e-12)
+    assert np.array_equal(grouped.masks, np.arange(1, 16))
+    assert_close(grouped.sobol, full.sobol[1:], tol=1e-12)
     assert grouped.eval_count == full.eval_count
 
 
@@ -135,15 +132,22 @@ def _zero_group_instance(k, n, seed, zero):
     return validate_model(beta, model.gamma)
 
 
+def _within_group_masks(group):
+    """Global masks of the non-empty subsets of ``group``."""
+    local = np.arange(1, 1 << len(group))
+    return sum(((local >> t) & 1) << (i - 1) for t, i in enumerate(group))
+
+
 def assert_grouped_matches_dense(model, grouped, zero_groups=()):
     full = lg_indices(model)
     assert_close(grouped.shapley, full.shapley, tol=1e-10)
-    for j, group in enumerate(grouped.partition.groups):
-        rep, w = grouped.group_reports[j], grouped.group_weights[j]
-        local = np.arange(1 << len(group))
-        masks = sum(((local >> t) & 1) << (i - 1) for t, i in enumerate(group))
-        assert_close(w * rep.sobol, full.sobol[masks], tol=1e-10)
-        assert_close(w * rep.closed_sobol, full.closed_sobol[masks], tol=1e-10)
+    assert_close(grouped.sobol, full.sobol[grouped.masks], tol=1e-10)
+    assert_close(grouped.closed_sobol, full.closed_sobol[grouped.masks],
+                 tol=1e-10)
+    within = [m for g in grouped.partition.groups
+              for m in _within_group_masks(g).tolist()]
+    assert sorted(grouped.masks.tolist()) == sorted(within)
+    for j, w in enumerate(grouped.group_weights):
         assert (w == 0.0) == (j in zero_groups)
     assert grouped.eval_count == sum(1 << len(g)
                                      for g in grouped.partition.groups)
@@ -161,9 +165,12 @@ def test_zero_share_group_matches_dense(make, zero):
     model = make()
     grouped = lg_groups_indices(model)
     assert_grouped_matches_dense(model, grouped, (zero,))
-    rep = grouped.group_reports[zero]
-    assert not rep.sobol.any() and not rep.closed_sobol.any()
-    assert not rep.shapley.any()
+    group = grouped.partition.groups[zero]
+    rows = np.isin(grouped.masks, _within_group_masks(group))
+    assert rows.sum() == (1 << len(group)) - 1
+    assert not grouped.sobol[rows].any()
+    assert not grouped.closed_sobol[rows].any()
+    assert not grouped.shapley[np.asarray(group) - 1].any()
     assert grouped.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -286,6 +286,16 @@ def test_benchmark_groups_mode(tmp_path):
     assert int(by_key[("lg-groups-indices", "3x2")]["eval_count"]) == 12
 
 
+def test_benchmark_groups_past_the_lattice_cap(tmp_path):
+    # p = 30 is past the dense lattice cap: only the grouped route is timed.
+    out = tmp_path / "bench.csv"
+    assert run(["benchmark", "--sizes", "10x3", "--groups",
+                "--repetitions", 1, "--out", out]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["algorithm"], r["size"], r["eval_count"]) for r in rows] \
+        == [("lg-groups-indices", "10x3", "80")]
+
+
 def test_benchmark_bad_sizes(tmp_path):
     assert run(["benchmark", "--sizes", "2x2"]) == 4
     assert run(["benchmark", "--sizes", "abc"]) == 4

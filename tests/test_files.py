@@ -615,8 +615,11 @@ def test_render_matches_json_dumps(name, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(files, "CHUNK_ROWS", 3)
+@pytest.mark.parametrize("chunk_rows", [3, 4])
+def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch,
+                                              chunk_rows):
+    # With 4, aligned runs of a dense report take the cached text lattice.
+    monkeypatch.setattr(files, "CHUNK_ROWS", chunk_rows)
     cases = _render_cases()
     for name in ["dense-p1", "dense-p2", "dense-p4", "dense-p5",
                  "grouped-3x2", "grouped-interleaved", "awkward-floats"]:
