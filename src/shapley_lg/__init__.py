@@ -7,9 +7,8 @@ estimators with exact conditional variances; and nested Monte Carlo
 estimation for black-box models with Gaussian inputs.
 """
 
-from .blocks import (BlockPartition, GroupedReport, combine_block_shapley,
-                     detect_blocks, group_weight, lg_groups_indices,
-                     verify_cross_block_zeros)
+from .blocks import (BlockPartition, combine_block_shapley, detect_blocks,
+                     group_weight, lg_groups_indices, verify_cross_block_zeros)
 from .conditional import (CondVarTable, all_conditional_variances,
                           conditional_variance)
 from .errors import (BudgetExceededError, DimensionCapError,
@@ -40,7 +39,6 @@ __all__ = [
     "ExpressionParseError",
     "FileFormatError",
     "GaussianInput",
-    "GroupedReport",
     "LinearGaussianModel",
     "McConfig",
     "ModelValidationError",

@@ -1,10 +1,11 @@
 """Independent groups of inputs and the grouped index computation.
 
 When the covariance is block diagonal the output decomposes into a sum of
-independent per-group terms: a subset inside a group has the group's
-variance share times its within-group index, every subset straddling two
-groups has Sobol index 0, and likewise for Shapley effects. One 2**p
-lattice becomes k small ones, whose global rows come out as arrays.
+independent per-group terms: given a subset inside a group, the output
+keeps all of ``var_y`` but what that subset explains of its group's term,
+and every subset straddling two groups has Sobol index 0. One 2**p lattice
+becomes k small ones, and the result is the dense route's report on fewer
+masks.
 """
 
 from __future__ import annotations
@@ -71,31 +72,6 @@ class BlockPartition:
         return cls(groups=ordered, group_of=group_of)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupedReport:
-    """Sensitivity indices assembled from independent per-group computations.
-
-    ``group_weights[j]`` is group ``j``'s share of ``var_y``, 0 without output
-    variance. ``masks`` names each non-empty subset inside one group (int64,
-    or object past 62 variables), group-size-major, by local mask within each
-    group; ``sobol`` and ``closed_sobol`` hold its group's weight times its
-    own indices. Subsets straddling groups have Sobol index 0 and no row.
-    """
-
-    partition: BlockPartition
-    group_weights: np.ndarray
-    masks: np.ndarray
-    sobol: np.ndarray
-    closed_sobol: np.ndarray
-    shapley: np.ndarray
-    var_y: float
-    eval_count: int
-
-    @property
-    def p(self) -> int:
-        return self.shapley.size
-
-
 def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
     """Independent groups read off the sparsity pattern of a covariance.
 
@@ -137,56 +113,49 @@ def group_weight(model: LinearGaussianModel, group: Sequence[int]) -> float:
 
 
 def lg_groups_indices(model: LinearGaussianModel,
-                      eps_block: float = 0.0) -> GroupedReport:
+                      eps_block: float = 0.0) -> SensitivityReport:
     """Exact indices through the per-group decomposition.
 
-    Detects the independent groups, runs the full lattice computation inside
-    each group only, and rescales by the group variance shares. Each group
-    is a principal slice of the validated model, so it is symmetric and
-    positive semi-definite already and is not checked again. The number
-    of conditional-variance evaluations is the sum of the per-group lattice
-    sizes rather than 2**p. Groups of one size build one stacked table and
-    take their global rows from it in one pass; a group with no output
-    variance gets weight 0 and all-zero indices.
+    Detects the independent groups and runs the full lattice computation
+    inside each group only, a principal slice of the validated model that
+    is not checked again. A subset ``u`` inside group ``g`` has ``E[Var(Y |
+    X_u)] = var_y - var_g + W_g(u)``, so the group's own table ``W_g``, read
+    against the model's ``var_y``, gives its Sobol rows and Shapley effects,
+    and ``(var_g - W_g(u)) / var_y`` its closed Sobol rows. The rows are mask
+    0 and each non-empty subset inside one group; ``eval_count`` is the sum
+    of the group lattice sizes, not 2**p. Groups of one size share one
+    stacked table and pass. A group of no output variance has zero rows and
+    effects; every group's effects sum to its share of ``var_y``.
     """
     partition = detect_blocks(model.gamma, eps_block)
     var_y = total_variance(model)
     shapley = np.empty(model.p)
-    weights = np.zeros(partition.k)
     one = 1 if model.p < 63 else np.array(1, dtype=object)
-    masks, sobols, closeds = [], [], []
+    masks, sobols, closeds = [[0]], [[0.0]], [[0.0]]
     for n in sorted({len(g) for g in partition.groups}):
-        same = [j for j, g in enumerate(partition.groups) if len(g) == n]
-        rows = np.array([partition.groups[j] for j in same]) - 1
+        rows = np.array([g for g in partition.groups if len(g) == n]) - 1
         table = conditional_variance_tables(
             model.gamma[rows[:, :, None], rows[:, None, :]], model.beta[rows])
-        var_g = table.var_y
-        dead = var_g <= 0.0
-        any_dead = dead.any()
-        if any_dead:
-            table = CondVarTable(values=table.values,
-                                 var_y=np.where(dead, 1.0, var_g))
-        sobol = indices.sobol_from_table(table)
-        closed = indices.closed_sobol_from_table(table)
-        eta = indices.shapley_from_table(table)
-        share = var_g / var_y
-        if any_dead:
-            sobol[dead] = closed[dead] = eta[dead] = share[dead] = 0.0
-        weights[same] = share
-        shapley[rows] = share[:, None] * eta
+        var_g, values = table.var_y, table.values
+        if (var_g <= 0.0).any():
+            var_g = np.maximum(var_g, 0.0)
+            values = np.where(var_g[:, None] > 0.0, values, 0.0)
+        glob = CondVarTable(values, var_y)
+        shapley[rows] = indices.shapley_from_table(glob)
         local_bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
         masks.append(((one << rows) @ local_bits.T).ravel())
-        sobols.append((share[:, None] * sobol[:, 1:]).ravel())
-        closeds.append((share[:, None] * closed[:, 1:]).ravel())
-    return GroupedReport(
-        partition=partition,
-        group_weights=weights,
-        masks=np.concatenate(masks),
-        sobol=np.concatenate(sobols),
-        closed_sobol=np.concatenate(closeds),
-        shapley=shapley,
+        sobols.append(indices.sobol_from_table(glob)[:, 1:].ravel())
+        closeds.append(((var_g[:, None] - values[:, 1:]) / var_y).ravel())
+    masks = np.concatenate(masks)
+    order = np.argsort(masks)
+    return SensitivityReport(
         var_y=var_y,
+        masks=masks[order],
+        sobol=np.concatenate(sobols)[order],
+        closed_sobol=np.concatenate(closeds)[order],
+        shapley=shapley,
         eval_count=sum(1 << len(g) for g in partition.groups),
+        partition=partition,
     )
 
 
@@ -197,13 +166,13 @@ def verify_cross_block_zeros(report: SensitivityReport, partition: BlockPartitio
     Returns ``(mask, value)`` pairs; an empty list is the expected outcome
     when the report's model really respects the partition.
     """
-    p = partition.p
-    masks = np.arange(report.sobol.size)
+    masks = report.masks
     covered = np.zeros(masks.size, dtype=bool)
     for gmask in partition.masks():
         covered |= (masks & ~gmask) == 0
     bad = ~covered & (np.abs(report.sobol) > tol)
-    return [(int(j), float(report.sobol[j])) for j in np.flatnonzero(bad)]
+    return [(int(masks[j]), float(report.sobol[j]))
+            for j in np.flatnonzero(bad)]
 
 
 def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],

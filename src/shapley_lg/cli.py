@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import files
-from .blocks import COMBINE_SUM_TOL, lg_groups_indices
+from .blocks import COMBINE_SUM_TOL, detect_blocks, lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
@@ -31,7 +31,7 @@ from .montecarlo import (MC_MINIMUMS, GaussianInput, McConfig,
 from .permutations import (EXACT_ENUMERATION_CAP, cv_summary_from_replicates,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates)
-from .subsets import FULL_LATTICE_CAP
+from .subsets import FULL_LATTICE_CAP, check_lattice_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,18 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compute(args) -> int:
     model = files.read_model(args.model)
-    if args.groups:
-        grouped = lg_groups_indices(model, args.eps_block)
-        dropped = 1.0 - float(grouped.group_weights.sum())
-        if abs(dropped) > COMBINE_SUM_TOL:
-            print(f"warning: --eps-block {args.eps_block} drops the covariance "
-                  f"between groups, a share of {dropped:.6g} of var(y)",
-                  file=sys.stderr)
-        doc = files.report_from_grouped(grouped, "lg-groups-indices")
-    else:
-        report = lg_indices(model)
-        doc = files.report_from_sensitivity(report, "lg-indices")
-    files.write_report(doc, args.out)
+    rep = (lg_groups_indices(model, args.eps_block) if args.groups
+           else lg_indices(model))
+    # A group's share of var(y) is the sum of its Shapley effects.
+    dropped = 1.0 - float(rep.shapley.sum())
+    if args.groups and abs(dropped) > COMBINE_SUM_TOL:
+        print(f"warning: --eps-block {args.eps_block} drops the covariance "
+              f"between groups, a share of {dropped:.6g} of var(y)",
+              file=sys.stderr)
+    algorithm = "lg-groups-indices" if args.groups else "lg-indices"
+    files.write_report(files.report_from_sensitivity(rep, algorithm), args.out)
     return EXIT_OK
 
 
@@ -213,18 +211,21 @@ def _parse_sizes(text: str, grouped: bool):
 def cmd_benchmark(args) -> int:
     rows = []
     for size in _parse_sizes(args.sizes, args.groups):
+        # A lattice past the cap exits 3 before its instance is built.
+        check_lattice_cap(size[1] if args.groups else size)
         if args.groups:
             model = generate_block_instance(*size, args.seed)
             label = "{}x{}".format(*size)
         else:
             model = generate_random_instance(size, args.seed)
             label = str(size)
-        # Past the lattice cap --groups times its own route; dense exits 3.
+        # Past the lattice cap --groups times only its own route.
         calls = [] if args.groups and model.p > FULL_LATTICE_CAP else [
             ("lg-indices", lambda: lg_indices(model), 1 << model.p)]
         if args.groups:
             calls.append(("lg-groups-indices", lambda: lg_groups_indices(model),
-                          lg_groups_indices(model).eval_count))
+                          sum(1 << len(g)
+                              for g in detect_blocks(model.gamma).groups)))
         elif model.p <= EXACT_ENUMERATION_CAP:
             calls.append((
                 "exact-permutations",

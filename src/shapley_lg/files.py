@@ -3,7 +3,9 @@
 Everything on disk is JSON. Floats are written in Python's shortest
 round-trip form, so a file read back gives the exact values written.
 Writers emit the layout of ``json.dumps(doc, indent=2)``, so repeated runs
-are byte-identical. Report subset rows stay arrays (:class:`SubsetRows`),
+are byte-identical. Report subset rows stay arrays (:class:`SubsetRows`):
+both exact routes write the ascending masks of one
+:class:`~shapley_lg.indices.SensitivityReport`, dense or grouped. Rows are
 checked in numpy and streamed in chunks that each spell out their own
 subset texts. Every file's keys and value types are checked by plain code
 here; it accepts what the JSON Schemas in the tests accept (``true`` is
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import BlockPartition, GroupedReport
+from .blocks import BlockPartition
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
@@ -208,9 +210,28 @@ def _row_error(rows: list, p: int) -> str | None:
     except OverflowError:
         return "a row holds a number out of range"
     why = _array_error(SubsetRows(mask, value), p)
-    if why is None and any(s != list(_bits(m)) for s, m in zip(subs, masks)):
+    if why is None and not _members_match(subs, mask, p):
         why = "a row subset does not match its mask"
     return why
+
+
+def _members_match(subs: list, mask: np.ndarray, p: int) -> bool:
+    """Whether each integer list of ``subs`` names the members of its
+    ``mask``: within ``[1, p]``, ascending, with the mask's bits as sum."""
+    sizes = np.fromiter(map(len, subs), np.int64, len(subs))
+    try:
+        members = np.fromiter(chain.from_iterable(subs), np.int64, sizes.sum())
+    except OverflowError:
+        return False
+    full = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[full]
+    rising = np.diff(members) > 0
+    rising[starts[1:] - 1] = True           # each row's first member
+    if not (rising.all() and (members >= 1).all() and (members <= p).all()):
+        return False
+    one = 1 if p < 63 else np.array(1, dtype=object)
+    return bool((mask[~full] == 0).all() and (np.add.reduceat(
+        np.left_shift(one, members - 1), starts) == mask[full]).all())
 
 
 def _check_report(doc: dict, where) -> None:
@@ -445,36 +466,23 @@ def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
 
 
 def report_from_sensitivity(rep: SensitivityReport, algorithm: str) -> dict:
-    """Report document for a full-lattice computation.
+    """Report document for an exact computation, dense or grouped.
 
-    Both row families hold every mask ``0 .. 2**p - 1``, sharing one array.
+    Both row families name the report's ascending ``masks``, sharing one
+    array; a grouped report also records its partition.
     """
-    masks = np.arange(1 << rep.p, dtype=np.int64)
     return {
         "var_y": float(rep.var_y),
         "shapley": [float(v) for v in rep.shapley],
-        "sobol": SubsetRows(masks, rep.sobol),
-        "closed_sobol": SubsetRows(masks, rep.closed_sobol),
-        "metadata": _metadata(algorithm, rep.p, eval_count=rep.eval_count),
+        "sobol": SubsetRows(rep.masks, rep.sobol),
+        "closed_sobol": SubsetRows(rep.masks, rep.closed_sobol),
+        "metadata": _metadata(algorithm, rep.p, eval_count=rep.eval_count,
+                              partition=rep.partition),
     }
 
 
-def report_from_grouped(grep: GroupedReport, algorithm: str) -> dict:
-    """Report document for the per-group computation.
-
-    Index rows cover the empty set, then each subset inside one group by
-    ascending mask; any other subset's Sobol index is zero, not materialised.
-    """
-    order = np.argsort(grep.masks)
-    masks = np.concatenate(([0], grep.masks[order]))
-    return {
-        "var_y": float(grep.var_y),
-        "shapley": [float(v) for v in grep.shapley],
-        "sobol": SubsetRows(masks, np.r_[0.0, grep.sobol[order]]),
-        "closed_sobol": SubsetRows(masks, np.r_[0.0, grep.closed_sobol[order]]),
-        "metadata": _metadata(algorithm, grep.p, eval_count=grep.eval_count,
-                              partition=grep.partition),
-    }
+# Not called here; perfbench/tracing.py wraps this name.
+report_from_grouped = report_from_sensitivity
 
 
 def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,

@@ -12,12 +12,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import subsets
 from .conditional import CondVarTable, all_conditional_variances
 from .model import LinearGaussianModel
+
+if TYPE_CHECKING:
+    from .blocks import BlockPartition
 
 #: Absolute tolerance on normalized index identities (sums to one, ranges).
 NUM_TOL = 1e-10
@@ -27,26 +31,35 @@ NUM_TOL = 1e-10
 class SensitivityReport:
     """Exact variance-based sensitivity indices of one model.
 
+    Rows are ascending subset masks, mask 0 first; ``sobol[i]`` and
+    ``closed_sobol[i]`` belong to ``masks[i]``. The dense route has every
+    mask, so there entry ``j`` is mask ``j``; the grouped route has the
+    subsets inside one group, and every other subset has Sobol index 0.
+
     Attributes
     ----------
     var_y : float
         Output variance.
-    sobol : ndarray, shape (2**p,)
-        Interaction index of each subset, indexed by bitmask; entry 0 is 0
-        and the entries sum to 1.
-    closed_sobol : ndarray, shape (2**p,)
-        Explained-variance share of each subset, indexed by bitmask.
+    masks : ndarray
+        Subset bitmask of each row (int64, or object past 62 variables).
+    sobol, closed_sobol : ndarray
+        Interaction index (0 at mask 0, summing to 1) and explained-variance
+        share of each row's subset.
     shapley : ndarray, shape (p,)
         Shapley effect of each variable; non-negative, sums to 1.
     eval_count : int
         Number of conditional-variance evaluations spent.
+    partition : BlockPartition or None
+        The grouped route's independent groups; None for the dense route.
     """
 
     var_y: float
+    masks: np.ndarray
     sobol: np.ndarray
     closed_sobol: np.ndarray
     shapley: np.ndarray
     eval_count: int
+    partition: BlockPartition | None
 
     @property
     def p(self) -> int:
@@ -137,5 +150,7 @@ def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
         sobol=sobol_from_table(table),
         closed_sobol=closed_sobol_from_table(table),
         shapley=shapley_from_table(table),
+        masks=np.arange(table.values.size),  # after the extractions' peak
         eval_count=table.values.size,
+        partition=None,
     )

@@ -85,16 +85,19 @@ def test_grouped_shapley_matches_full_lattice(k, n, seed):
     full = lg_indices(model)
     assert_close(grouped.shapley, full.shapley, tol=1e-10)
     assert grouped.eval_count == k * (1 << n)
-    assert grouped.group_weights.sum() == pytest.approx(1.0, abs=1e-10)
+    for group in grouped.partition.groups:
+        assert grouped.shapley[np.asarray(group) - 1].sum() == pytest.approx(
+            group_weight(model, group), abs=1e-10)
     assert grouped.shapley.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_grouped_report_corollary_structure():
     model = generate_block_instance(3, 2, seed=7)
     grouped = lg_groups_indices(model)
-    for j, group in enumerate(grouped.partition.groups):
+    for group in grouped.partition.groups:
         idx = np.asarray(group) - 1
-        weight = grouped.group_weights[j]
+        weight = grouped.shapley[idx].sum()
+        assert weight == pytest.approx(group_weight(model, group), abs=1e-10)
         assert weight > 0.0
         assert (grouped.shapley[idx] / weight).sum() == pytest.approx(
             1.0, abs=1e-10)
@@ -105,11 +108,27 @@ def test_single_dense_group_reduces_to_full_report():
     grouped = lg_groups_indices(model)
     full = lg_indices(model)
     assert grouped.partition.groups == ((1, 2, 3, 4),)
-    assert grouped.group_weights[0] == pytest.approx(1.0, rel=1e-12)
+    assert grouped.shapley.sum() == pytest.approx(1.0, rel=1e-12)
     assert_close(grouped.shapley, full.shapley, tol=1e-12)
-    assert np.array_equal(grouped.masks, np.arange(1, 16))
-    assert_close(grouped.sobol, full.sobol[1:], tol=1e-12)
+    assert np.array_equal(grouped.masks, np.arange(16))
+    assert_close(grouped.sobol, full.sobol, tol=1e-12)
     assert grouped.eval_count == full.eval_count
+
+
+def test_both_exact_routes_list_rows_by_ascending_mask():
+    model = generate_random_instance(4, seed=6)
+    dense = lg_indices(model)
+    assert np.array_equal(dense.masks, np.arange(1 << 4))
+    assert dense.partition is None
+    # Groups {1, 3} and {2, 4}: their masks interleave.
+    interleaved = validate_model([1.0, 2.0, 3.0, 4.0], [
+        [1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, -0.3],
+        [0.5, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.0]])
+    grouped = lg_groups_indices(interleaved)
+    assert grouped.partition.groups == ((1, 3), (2, 4))
+    assert grouped.masks[0] == 0
+    assert (np.diff(grouped.masks) > 0).all()
+    assert grouped.masks.tolist() == [0, 1, 2, 4, 5, 8, 10]
 
 
 #: Models the dense route answers whose groups would fail validation on
@@ -146,9 +165,11 @@ def assert_grouped_matches_dense(model, grouped, zero_groups=()):
                  tol=1e-10)
     within = [m for g in grouped.partition.groups
               for m in _within_group_masks(g).tolist()]
-    assert sorted(grouped.masks.tolist()) == sorted(within)
-    for j, w in enumerate(grouped.group_weights):
+    assert grouped.masks.tolist() == [0] + sorted(within)
+    for j, group in enumerate(grouped.partition.groups):
+        w = grouped.shapley[np.asarray(group) - 1].sum()
         assert (w == 0.0) == (j in zero_groups)
+        assert w == pytest.approx(group_weight(model, group), abs=1e-10)
     assert grouped.eval_count == sum(1 << len(g)
                                      for g in grouped.partition.groups)
 
@@ -171,7 +192,7 @@ def test_zero_share_group_matches_dense(make, zero):
     assert not grouped.sobol[rows].any()
     assert not grouped.closed_sobol[rows].any()
     assert not grouped.shapley[np.asarray(group) - 1].any()
-    assert grouped.group_weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert grouped.shapley.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_group_psd_round_off_is_not_checked_again():
@@ -193,7 +214,9 @@ def test_grouped_route_does_not_validate_groups_again(monkeypatch):
     monkeypatch.setattr(blocks, "validate_model", refuse)
     after = lg_groups_indices(model)
     assert np.array_equal(after.shapley, before.shapley)
-    assert np.array_equal(after.group_weights, before.group_weights)
+    assert np.array_equal(after.masks, before.masks)
+    assert np.array_equal(after.sobol, before.sobol)
+    assert np.array_equal(after.closed_sobol, before.closed_sobol)
 
 
 def test_cross_block_zero_scan_clean_and_faulty():

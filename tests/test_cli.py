@@ -296,6 +296,16 @@ def test_benchmark_groups_past_the_lattice_cap(tmp_path):
         == [("lg-groups-indices", "10x3", "80")]
 
 
+@pytest.mark.parametrize("args", [["--sizes", "1000000"],
+                                  ["--groups", "--sizes", "2x100000"]],
+                         ids=["dense", "groups"])
+def test_benchmark_checks_the_lattice_cap_before_building(capsys, args):
+    # Building either instance would ask for terabytes.
+    assert run(["benchmark", *args, "--repetitions", 1]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_benchmark_bad_sizes(tmp_path):
     assert run(["benchmark", "--sizes", "2x2"]) == 4
     assert run(["benchmark", "--sizes", "abc"]) == 4

@@ -202,7 +202,7 @@ def test_report_rows_are_consistent(tmp_path):
 def test_grouped_report_skips_straddling_subsets(tmp_path):
     model = generate_block_instance(2, 2, seed=6)
     grouped = lg_groups_indices(model)
-    doc = files.report_from_grouped(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
     files.write_report(doc, tmp_path / "grouped.json")
     masks = set(doc["sobol"].masks.tolist())
     group_masks = grouped.partition.masks()
@@ -219,7 +219,7 @@ def test_grouped_report_closed_sobol_matches_full_route():
     model = generate_block_instance(2, 3, seed=13)
     grouped = lg_groups_indices(model)
     full = lg_indices(model)
-    doc = files.report_from_grouped(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
     for family in ("sobol", "closed_sobol"):
         rows = doc[family]
         np.testing.assert_allclose(rows.values,
@@ -252,8 +252,8 @@ def _docs():
     model = generate_block_instance(2, 2, seed=6)
     return [
         files.report_from_sensitivity(lg_indices(model), "lg-indices"),
-        files.report_from_grouped(lg_groups_indices(model),
-                                  "lg-groups-indices"),
+        files.report_from_sensitivity(lg_groups_indices(model),
+                                      "lg-groups-indices"),
         files.report_from_estimate([0.5, 0.25, 0.25, 0.0], 2.0,
                                    "random-permutations", seed=1),
     ]
@@ -451,7 +451,7 @@ def test_checks_accept_what_the_schema_accepts(kind, doc, names, tmp_path):
 def test_rows_beyond_int64_masks_round_trip(tmp_path):
     # 33 groups of 2: masks reach 2**65, past what an int64 holds.
     grouped = lg_groups_indices(generate_block_instance(33, 2, seed=2))
-    doc = files.report_from_grouped(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
     assert doc["sobol"].masks[-1] >= 1 << 64
     files.write_report(doc, tmp_path / "wide.json")
     assert files.read_report(tmp_path / "wide.json") == _row_dicts(doc)
@@ -573,13 +573,13 @@ def _render_cases():
         lg_indices(generate_random_instance(p, seed=p)), "lg-indices")
         for p in range(1, 13)}
     for k, n in [(3, 2), (33, 2)]:
-        cases[f"grouped-{k}x{n}"] = files.report_from_grouped(
+        cases[f"grouped-{k}x{n}"] = files.report_from_sensitivity(
             lg_groups_indices(generate_block_instance(k, n, seed=2)),
             "lg-groups-indices")
     interleaved = validate_model([1.0, 2.0, 3.0, 4.0], [
         [1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, -0.3],
         [0.5, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.0]])
-    cases["grouped-interleaved"] = files.report_from_grouped(
+    cases["grouped-interleaved"] = files.report_from_sensitivity(
         lg_groups_indices(interleaved), "lg-groups-indices")
     summary = CvSummary(per_i_cv=np.array([12.5, np.nan, 0.25]),
                         mean_cv=np.nan, m=10, reps=20, seed=3, excluded=(2,))
