@@ -8,7 +8,7 @@ estimation for black-box models with Gaussian inputs.
 """
 
 from .blocks import (BlockPartition, combine_block_shapley, detect_blocks,
-                     group_weight, lg_groups_indices, verify_cross_block_zeros)
+                     lg_groups_indices, verify_cross_block_zeros)
 from .conditional import (CondVarTable, all_conditional_variances,
                           conditional_variance)
 from .errors import (BudgetExceededError, DimensionCapError,
@@ -21,7 +21,7 @@ from .model import (LinearGaussianModel, generate_block_instance,
                     validate_covariance, validate_model)
 from .montecarlo import (BlackBoxModel, GaussianInput, McConfig,
                          block_additive_shapley, double_mc_cond_var,
-                         mc_shapley, sample_conditional)
+                         mc_shapley)
 from .permutations import (CvSummary, PermutationEstimate, cv_experiment,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates,
@@ -56,13 +56,11 @@ __all__ = [
     "exact_permutation_shapley",
     "generate_block_instance",
     "generate_random_instance",
-    "group_weight",
     "lg_groups_indices",
     "lg_indices",
     "mc_shapley",
     "random_permutation_shapley",
     "replicate_estimates",
-    "sample_conditional",
     "shapley_from_table",
     "sobol_from_table",
     "total_variance",

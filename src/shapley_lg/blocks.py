@@ -104,14 +104,6 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
     return BlockPartition(groups=tuple(map(tuple, groups)), group_of=group_of)
 
 
-def group_weight(model: LinearGaussianModel, group: Sequence[int]) -> float:
-    """Variance share of one group: its own quadratic form over the total."""
-    idx = np.asarray(group, dtype=np.int64) - 1
-    beta_g = model.beta[idx]
-    quad = float(beta_g @ model.gamma[np.ix_(idx, idx)] @ beta_g)
-    return quad / total_variance(model)
-
-
 def lg_groups_indices(model: LinearGaussianModel,
                       eps_block: float = 0.0) -> SensitivityReport:
     """Exact indices through the per-group decomposition.
@@ -175,7 +167,7 @@ def verify_cross_block_zeros(report: SensitivityReport, partition: BlockPartitio
             for j in np.flatnonzero(bad)]
 
 
-def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
+def combine_block_shapley(weights, group_shapleys: Sequence[np.ndarray],
                           partition: BlockPartition) -> np.ndarray:
     """Assemble global Shapley effects from per-group effects and weights.
 
@@ -183,7 +175,7 @@ def combine_block_shapley(group_weights, group_shapleys: Sequence[np.ndarray],
     Shapley effect. Weights must sum to 1 and the effects of each group of
     nonzero weight must sum to 1, both within ``COMBINE_SUM_TOL``.
     """
-    weights = np.asarray(group_weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if weights.size != partition.k or len(group_shapleys) != partition.k:
         raise ValueError(
             f"expected {partition.k} weights and group vectors, got "

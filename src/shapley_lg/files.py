@@ -3,13 +3,13 @@
 Everything on disk is JSON. Floats are written in Python's shortest
 round-trip form, so a file read back gives the exact values written.
 Writers emit the layout of ``json.dumps(doc, indent=2)``, so repeated runs
-are byte-identical. Report subset rows stay arrays (:class:`SubsetRows`):
+are byte-identical. Report subset rows are arrays (:class:`SubsetRows`):
 both exact routes write the ascending masks of one
 :class:`~shapley_lg.indices.SensitivityReport`, dense or grouped. Rows are
 checked in numpy and streamed in chunks that each spell out their own
 subset texts. Every file's keys and value types are checked by plain code
 here; it accepts what the JSON Schemas in the tests accept (``true`` is
-not a number, ``3.0`` is an integer).
+not a number, ``3.0`` is an integer). No report is read back.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +29,13 @@ from .blocks import BlockPartition
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
-from .model import (LinearGaussianModel, _as_array, _require_finite,
-                    validate_covariance, validate_model)
+from .model import (LinearGaussianModel, _as_array, validate_covariance,
+                    validate_mean, validate_model)
 from .montecarlo import BlackBoxModel, GaussianInput
 from .permutations import CvSummary
 
 #: Report fields holding one row per subset; up to 2**p rows each.
 _ROW_FAMILIES = ("sobol", "closed_sobol")
-_ROW_KEYS = {"subset", "mask", "value"}
 
 #: Rows rendered and written at a time by :func:`write_report`.
 CHUNK_ROWS = 1 << 14
@@ -53,6 +51,9 @@ class SubsetRows:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+_NO_ROWS = SubsetRows(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def _load_json(path) -> dict:
@@ -122,7 +123,7 @@ _integer = _kind("an integer", _is_integer)
 _string = _kind("a string", lambda v: isinstance(v, str))
 _numbers = _array(_number)
 _gamma = _array(_numbers, 1)
-_rows = _kind("an array", lambda v: isinstance(v, (list, SubsetRows)))
+_rows = _kind("an array", lambda v: isinstance(v, SubsetRows))
 
 _MODEL = _object({"beta": _array(_number, 1), "gamma": _gamma},
                  {"mu": _numbers})
@@ -165,10 +166,6 @@ def _check(obj, check, path, what: str) -> None:
                               f"{err}") from None
 
 
-def _numbers_of(types, kinds) -> bool:
-    return all(issubclass(t, kinds) and t is not bool for t in types)
-
-
 def _array_error(rows: SubsetRows, p: int) -> str | None:
     """Why ``rows`` are not finite float64 values, one per mask, with masks
     increasing strictly within ``[0, 2**p)``; None if they are."""
@@ -183,57 +180,6 @@ def _array_error(rows: SubsetRows, p: int) -> str | None:
     return None
 
 
-def _row_error(rows: list, p: int) -> str | None:
-    """Why ``rows`` are not valid subset rows, or None.
-
-    Each row is an object holding exactly an integer ``mask``, a
-    ``subset`` array of integers and a number ``value``; besides what
-    :func:`_array_error` checks, each subset must list the members of its
-    mask in order.
-    """
-    if not rows:
-        return None
-    if not all(type(r) is dict and r.keys() == _ROW_KEYS for r in rows):
-        return "each row needs exactly the keys 'subset', 'mask' and 'value'"
-    masks = [r["mask"] for r in rows]
-    subs = [r["subset"] for r in rows]
-    values = [r["value"] for r in rows]
-    if not (_numbers_of(set(map(type, masks)), int)
-            and set(map(type, subs)) == {list}
-            and _numbers_of(set(map(type, chain.from_iterable(subs))), int)
-            and _numbers_of(set(map(type, values)), (int, float))):
-        return "a row has a mask, subset or value of the wrong type"
-    # Masks of more than 62 variables do not fit an int64.
-    try:
-        mask = np.array(masks, dtype=np.int64 if p < 63 else object)
-        value = np.array(values, dtype=float)
-    except OverflowError:
-        return "a row holds a number out of range"
-    why = _array_error(SubsetRows(mask, value), p)
-    if why is None and not _members_match(subs, mask, p):
-        why = "a row subset does not match its mask"
-    return why
-
-
-def _members_match(subs: list, mask: np.ndarray, p: int) -> bool:
-    """Whether each integer list of ``subs`` names the members of its
-    ``mask``: within ``[1, p]``, ascending, with the mask's bits as sum."""
-    sizes = np.fromiter(map(len, subs), np.int64, len(subs))
-    try:
-        members = np.fromiter(chain.from_iterable(subs), np.int64, sizes.sum())
-    except OverflowError:
-        return False
-    full = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[full]
-    rising = np.diff(members) > 0
-    rising[starts[1:] - 1] = True           # each row's first member
-    if not (rising.all() and (members >= 1).all() and (members <= p).all()):
-        return False
-    one = 1 if p < 63 else np.array(1, dtype=object)
-    return bool((mask[~full] == 0).all() and (np.add.reduceat(
-        np.left_shift(one, members - 1), starts) == mask[full]).all())
-
-
 def _check_report(doc: dict, where) -> None:
     """Check the document without its subset rows, then that ``metadata.p``
     counts the Shapley values, then each family."""
@@ -244,9 +190,7 @@ def _check_report(doc: dict, where) -> None:
                               f"metadata.p does not match the "
                               f"{len(doc['shapley'])} shapley values")
     for family in _ROW_FAMILIES:
-        rows = doc[family]
-        why = (_array_error if isinstance(rows, SubsetRows)
-               else _row_error)(rows, p)
+        why = _array_error(doc[family], p)
         if why is not None:
             raise FileFormatError(f"{where} is not a valid report file: "
                                   f"{family}: {why}")
@@ -318,13 +262,11 @@ def read_model(path) -> LinearGaussianModel:
 
 
 def write_model(model: LinearGaussianModel, path=None) -> None:
-    """Write a model file; ``mu`` is included only when it is not zero."""
+    """Write a model file of ``beta`` and ``gamma``."""
     obj = {
         "beta": [float(v) for v in model.beta],
         "gamma": [[float(v) for v in row] for row in model.gamma],
     }
-    if np.any(model.mu):
-        obj["mu"] = [float(v) for v in model.mu]
     with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         out.write(render_json(obj))
 
@@ -334,14 +276,9 @@ def read_distribution(path) -> GaussianInput:
     obj = _load_json(path)
     _check(obj, _DISTRIBUTION, path, "distribution")
     gamma = validate_covariance(obj["gamma"])
-    mu = _as_array("mu", obj.get("mu", np.zeros(gamma.shape[0])))
-    if mu.size != gamma.shape[0]:
-        raise FileFormatError(
-            f"{path}: mu has length {mu.size} but gamma is "
-            f"{gamma.shape[0]} x {gamma.shape[0]}"
-        )
-    _require_finite("mu", mu)
-    return GaussianInput(mu=mu, gamma=gamma)
+    p = gamma.shape[0]
+    return GaussianInput(mu=validate_mean(obj.get("mu", np.zeros(p)), p),
+                         gamma=gamma)
 
 
 _INPUT_NAME_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -491,8 +428,8 @@ def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,
     doc = {
         "var_y": float(var_y),
         "shapley": [float(v) for v in shapley],
-        "sobol": [],
-        "closed_sobol": [],
+        "sobol": _NO_ROWS,
+        "closed_sobol": _NO_ROWS,
         "metadata": _metadata(algorithm, len(shapley), seed=seed, config=config),
     }
     if cv is not None:
@@ -539,9 +476,3 @@ def write_report(doc: dict, path=None) -> None:
             out.write("\n    }\n  ]" if len(rows) else "[]")
         out.write(text)
 
-
-def read_report(path) -> dict:
-    """Load a report file and check it, rows included."""
-    obj = _load_json(path)
-    _check_report(obj, path)
-    return obj

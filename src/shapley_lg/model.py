@@ -1,22 +1,27 @@
 """Linear model with jointly Gaussian inputs, plus random benchmark instances.
 
-The model is ``Y = beta . X`` with ``X ~ N(mu, gamma)``. The mean ``mu`` is
-stored for file round-trips but has no influence on any variance-based
-index, so every computation in the package treats it as zero.
+The model is ``Y = beta . X`` with ``X ~ N(mu, gamma)``. The mean ``mu`` has
+no influence on any variance-based index: a model file may give it, and it
+is checked but not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelValidationError, ValidationKind
+from .errors import DimensionCapError, ModelValidationError, ValidationKind
 
 #: Relative tolerance on ``|gamma - gamma.T|`` before a matrix is rejected.
 SYM_TOL = 1e-10
 #: Relative tolerance on negative eigenvalues before a matrix is rejected.
 PSD_TOL = 1e-8
+#: Largest dimension of a generated instance: twice the paper's largest
+#: dense case (p = 2,000). Its dense ``gamma`` takes 134 MB, and so does the
+#: square normal draw behind it; past it the allocation alone can exhaust
+#: the memory of a small machine.
+MAX_INSTANCE_P = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,13 +39,10 @@ class LinearGaussianModel:
         Coefficients of the linear map.
     gamma : ndarray, shape (p, p)
         Input covariance, symmetrised and checked positive semi-definite.
-    mu : ndarray, shape (p,)
-        Input mean. Stored for round-trips, ignored by index computations.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
-    mu: np.ndarray = field(repr=False)
 
     @property
     def p(self) -> int:
@@ -65,6 +67,16 @@ def _as_array(name: str, values) -> np.ndarray:
         raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH,
                                    f"{name} is not a rectangular array of "
                                    "numbers") from None
+
+
+def validate_mean(mu, p: int) -> np.ndarray:
+    """Check that ``mu`` holds ``p`` finite numbers; return it as an array."""
+    mu = _as_array("mu", mu).reshape(-1)
+    if mu.size != p:
+        raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH,
+                                   f"mu has length {mu.size}, expected {p}")
+    _require_finite("mu", mu)
+    return mu
 
 
 def validate_covariance(gamma) -> np.ndarray:
@@ -103,7 +115,8 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
     """Check model inputs and return a validated :class:`LinearGaussianModel`.
 
     The covariance is symmetrised to ``(gamma + gamma.T) / 2`` after the
-    symmetry check, so downstream code may assume exact symmetry.
+    symmetry check, so downstream code may assume exact symmetry. A given
+    ``mu`` is checked by :func:`validate_mean` and then dropped.
 
     Raises
     ------
@@ -123,16 +136,8 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
             ValidationKind.DIMENSION_MISMATCH,
             f"gamma has shape {gamma.shape}, expected ({p}, {p})",
         )
-    if mu is None:
-        mu = np.zeros(p)
-    else:
-        mu = _as_array("mu", mu).reshape(-1)
-        if mu.size != p:
-            raise ModelValidationError(
-                ValidationKind.DIMENSION_MISMATCH,
-                f"mu has length {mu.size}, expected {p}",
-            )
-        _require_finite("mu", mu)
+    if mu is not None:
+        validate_mean(mu, p)
 
     gamma = validate_covariance(gamma)
 
@@ -143,7 +148,7 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
             f"beta' gamma beta = {var_y:.3e} is not positive",
         )
 
-    return LinearGaussianModel(beta=beta, gamma=gamma, mu=mu)
+    return LinearGaussianModel(beta=beta, gamma=gamma)
 
 
 def total_variance(model: LinearGaussianModel) -> float:
@@ -151,15 +156,23 @@ def total_variance(model: LinearGaussianModel) -> float:
     return float(model.beta @ model.gamma @ model.beta)
 
 
+def _check_instance_p(p: int) -> None:
+    if p > MAX_INSTANCE_P:
+        raise DimensionCapError(f"p={p} would build a {p} x {p} covariance; "
+                                f"the cap is p <= {MAX_INSTANCE_P}")
+
+
 def generate_random_instance(p: int, seed: int) -> LinearGaussianModel:
     """Random dense benchmark instance of dimension ``p``.
 
     ``beta`` has independent standard normal entries and ``gamma = A A'``
     for a square standard normal ``A``, which is positive definite with
-    probability one. Deterministic for a fixed seed.
+    probability one. Deterministic for a fixed seed. A ``p`` past
+    :data:`MAX_INSTANCE_P` is a :class:`DimensionCapError`.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    _check_instance_p(p)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     a = rng.standard_normal((p, p))
@@ -171,12 +184,14 @@ def generate_block_instance(k: int, n: int, seed: int) -> LinearGaussianModel:
 
     The covariance is block diagonal with dense ``n x n`` blocks, each
     ``A A'`` for an independent standard normal ``A``; entries outside the
-    blocks are exactly zero. ``beta`` is standard normal of length ``k * n``.
+    blocks are exactly zero. ``beta`` is standard normal of length ``k * n``,
+    which :data:`MAX_INSTANCE_P` caps.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    rng = np.random.default_rng(seed)
     p = k * n
+    _check_instance_p(p)
+    rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     gamma = np.zeros((p, p))
     for j in range(k):

@@ -117,30 +117,6 @@ def _nested(model: BlackBoxModel, inp: GaussianInput, rows: np.ndarray,
     return np.var(values, axis=-1, ddof=1).mean(axis=-1)
 
 
-def sample_conditional(inp: GaussianInput, u: Sequence[int], x_u,
-                       n: int, seed) -> np.ndarray:
-    """n conditional draws of the variables outside ``u`` given ``X_u = x_u``.
-
-    ``u`` holds 1-based variable indices and ``x_u`` their values in
-    ascending order of index. The mean is ``mu + (A - R) z`` for the
-    min-norm ``z`` with ``A[u] z = x_u - mu_u``, whose singular values are
-    cut at ``sqrt(PINV_RTOL)``, the sweep's cut on squares; the noise is
-    ``R`` times fresh normals. Conditioning on every variable returns an
-    (n, 0) array.
-    """
-    rng = np.random.default_rng(seed)
-    u_idx = np.sort(_indices(inp.p, u))
-    x_u = np.asarray(x_u, dtype=float).reshape(-1)
-    if x_u.size != u_idx.size:
-        raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
-    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
-    z = np.linalg.lstsq(inp.factor[u_idx], x_u - inp.mu[u_idx],
-                        rcond=conditional.PINV_RTOL ** 0.5)[0]
-    mean = inp.mu + (inp.factor - rows) @ z
-    draws = mean + rng.standard_normal((n, inp.p)) @ rows.T
-    return np.delete(draws, u_idx, axis=1)
-
-
 def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
                        u: Sequence[int], n_outer: int, n_inner: int,
                        seed) -> float:

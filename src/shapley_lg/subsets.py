@@ -27,11 +27,6 @@ def check_lattice_cap(p: int) -> None:
         )
 
 
-def full_mask(p: int) -> int:
-    """Mask of the full set ``[1:p]``."""
-    return (1 << p) - 1
-
-
 def encode(u: Iterable[int], p: int) -> int:
     """Encode a collection of distinct variable indices in ``[1:p]`` as a mask."""
     mask = 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shapley_lg import generate_random_instance, validate_model
+from shapley_lg import (conditional, generate_random_instance, montecarlo,
+                        validate_model)
 
 
 @pytest.fixture
@@ -21,6 +22,26 @@ def assert_close(actual, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tol, (actual, expected)
+
+
+def sample_conditional(inp, u, x_u, n, seed):
+    """n draws of the variables outside ``u`` given ``X_u = x_u`` (1-based
+    ``u``, ``x_u`` in ascending order of index): the oracle of the sweep.
+
+    The mean is ``mu + (A - R) z`` for the min-norm ``z`` with ``A[u] z =
+    x_u - mu_u``, its singular values cut at ``sqrt(PINV_RTOL)``, the
+    sweep's cut on squares; the noise is ``R`` times fresh normals.
+    """
+    u_idx = np.sort(montecarlo._indices(inp.p, u))
+    x_u = np.asarray(x_u, dtype=float).reshape(-1)
+    if x_u.size != u_idx.size:
+        raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
+    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
+    z = np.linalg.lstsq(inp.factor[u_idx], x_u - inp.mu[u_idx],
+                        rcond=conditional.PINV_RTOL ** 0.5)[0]
+    draws = (inp.mu + (inp.factor - rows) @ z
+             + np.random.default_rng(seed).standard_normal((n, inp.p)) @ rows.T)
+    return np.delete(draws, u_idx, axis=1)
 
 
 def _duplicate_variable():

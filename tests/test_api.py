@@ -1,0 +1,33 @@
+"""Each public name is there for a user, not only for the tests that
+cross-check it: a module of the package besides ``__init__``, the
+acceptance suite or the benchmark's tracer."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import shapley_lg
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(shapley_lg.__file__).parent
+#: The attribute of each kind of node that names what it uses.
+_USES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text()))
+
+
+def test_every_public_name_has_a_user():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    users = {attr for _, attr, _ in tracing.PATCH_POINTS}
+    users |= {alias.name
+              for node in _nodes(ROOT / "tests" / "test_acceptance.py")
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for path in set(SRC.glob("*.py")) - {SRC / "__init__.py"}:
+        users |= {getattr(node, _USES[type(node)]) for node in _nodes(path)
+                  if type(node) in _USES}
+    assert sorted(set(shapley_lg.__all__) - {"__version__"} - users) == []

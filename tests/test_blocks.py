@@ -6,11 +6,17 @@ from hypothesis import strategies as st
 from shapley_lg import (BlockPartition, combine_block_shapley,
                         conditional_variance, detect_blocks,
                         generate_block_instance, generate_random_instance,
-                        group_weight, lg_groups_indices, lg_indices,
-                        total_variance, validate_model,
-                        verify_cross_block_zeros)
+                        lg_groups_indices, lg_indices, total_variance,
+                        validate_model, verify_cross_block_zeros)
 from shapley_lg import blocks, subsets
 from conftest import assert_close
+
+
+def group_weight(model, group):
+    """Variance share of one group: its own quadratic form over the total."""
+    idx = np.asarray(group) - 1
+    b = model.beta[idx]
+    return b @ model.gamma[np.ix_(idx, idx)] @ b / total_variance(model)
 
 
 def test_detect_blocks_diagonal():

@@ -12,6 +12,7 @@ import pytest
 import shapley_lg
 from shapley_lg import lg_indices, validate_model
 from shapley_lg.cli import main
+from shapley_lg.model import MAX_INSTANCE_P
 
 
 def run(args):
@@ -302,6 +303,18 @@ def test_benchmark_groups_past_the_lattice_cap(tmp_path):
 def test_benchmark_checks_the_lattice_cap_before_building(capsys, args):
     # Building either instance would ask for terabytes.
     assert run(["benchmark", *args, "--repetitions", 1]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--p", MAX_INSTANCE_P + 1],
+    ["generate", "--k", MAX_INSTANCE_P + 1, "--n", 1],
+    ["benchmark", "--groups", "--sizes", f"{MAX_INSTANCE_P + 1}x1"],
+], ids=["generate-dense", "generate-groups", "benchmark-groups"])
+def test_instances_past_the_size_cap_are_not_built(capsys, args):
+    # Each passes the lattice cap; the size check runs before any allocation.
+    assert run(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

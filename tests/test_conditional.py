@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from shapley_lg import (GaussianInput, LinearGaussianModel,
                         all_conditional_variances, conditional_variance,
-                        generate_random_instance, sample_conditional,
-                        total_variance, validate_model)
+                        generate_random_instance, total_variance,
+                        validate_model)
 from shapley_lg import conditional, subsets
 from conftest import (_duplicate_variable, _tiny_independent_variable,
-                      assert_close)
+                      assert_close, sample_conditional)
 
 
 def pinv(mat):
@@ -133,8 +133,7 @@ def test_indefinite_covariance_scalar_is_zero_without_warning():
     # purpose. The factor clips its negative eigenvalue, and a sum of
     # squares needs no clamp.
     gamma = np.array([[1.0, 2.0], [2.0, 1.0]])
-    model = LinearGaussianModel(beta=np.array([1.0, 0.0]), gamma=gamma,
-                                mu=np.zeros(2))
+    model = LinearGaussianModel(beta=np.array([1.0, 0.0]), gamma=gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = conditional_variance(model, subsets.encode([2], 2))
@@ -272,8 +271,7 @@ def test_table_is_deterministic():
 
 def test_indefinite_covariance_table_is_zero_without_warning():
     gamma = np.array([[1.0, 2.0], [2.0, 1.0]])
-    model = LinearGaussianModel(beta=np.array([1.0, 0.0]), gamma=gamma,
-                                mu=np.zeros(2))
+    model = LinearGaussianModel(beta=np.array([1.0, 0.0]), gamma=gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = all_conditional_variances(model)

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from shapley_lg import (FileFormatError, ModelValidationError,
+from shapley_lg import (FileFormatError, ModelValidationError, ValidationKind,
                         generate_block_instance, generate_random_instance,
                         lg_groups_indices, lg_indices, validate_model)
 from shapley_lg import files, subsets
@@ -127,7 +127,6 @@ def test_model_roundtrip(tmp_path):
     back = files.read_model(path)
     assert np.array_equal(back.beta, model.beta)
     assert np.array_equal(back.gamma, model.gamma)
-    assert np.array_equal(back.mu, model.mu)
 
 
 def test_model_write_is_deterministic(tmp_path):
@@ -139,13 +138,15 @@ def test_model_write_is_deterministic(tmp_path):
 
 
 def test_model_mu_roundtrip(tmp_path):
-    model = validate_model([1.0, 2.0], np.eye(2), mu=[0.5, -0.5])
+    # A model file's mu is checked on reading, then dropped.
     path = tmp_path / "model.json"
-    files.write_model(model, path)
-    raw = json.loads(path.read_text())
-    assert raw["mu"] == [0.5, -0.5]
-    back = files.read_model(path)
-    assert np.array_equal(back.mu, [0.5, -0.5])
+    path.write_text(json.dumps({**_MODEL, "mu": [0.5, -0.5]}))
+    files.write_model(files.read_model(path), path)
+    assert json.loads(path.read_text()) == _MODEL
+    path.write_text(json.dumps({**_MODEL, "mu": [0.5]}))
+    with pytest.raises(ModelValidationError) as exc:
+        files.read_model(path)
+    assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
 
 
 def test_float_rendering_roundtrips_exactly():
@@ -174,16 +175,24 @@ def test_read_model_validation_errors(tmp_path):
 
 
 def _row_dicts(doc):
-    """``doc`` with each array row family spelled out as row dicts."""
+    """``doc`` with each row family spelled out as row dicts."""
     out, p = dict(doc), doc["metadata"]["p"]
     for family in ("sobol", "closed_sobol"):
         rows = doc[family]
-        if isinstance(rows, files.SubsetRows):
-            out[family] = [{"subset": list(subsets.decode(m, p)), "mask": m,
-                            "value": v}
-                           for m, v in zip(rows.masks.tolist(),
-                                           rows.values.tolist())]
+        out[family] = [{"subset": list(subsets.decode(m, p)), "mask": m,
+                        "value": v}
+                       for m, v in zip(rows.masks.tolist(),
+                                       rows.values.tolist())]
     return out
+
+
+def _read_back(path, doc):
+    """The report at ``path``, which must pass the schema and spell out
+    ``doc``."""
+    back = json.loads(path.read_text())
+    jsonschema.validate(back, REPORT_SCHEMA)
+    assert back == _row_dicts(doc)
+    return back
 
 
 def test_report_rows_are_consistent(tmp_path):
@@ -191,8 +200,7 @@ def test_report_rows_are_consistent(tmp_path):
     doc = files.report_from_sensitivity(lg_indices(model), "lg-indices")
     path = tmp_path / "report.json"
     files.write_report(doc, path)
-    back = files.read_report(path)
-    assert back == _row_dicts(doc)
+    back = _read_back(path, doc)
     p = back["metadata"]["p"]
     assert back["metadata"]["eval_count"] == 1 << p
     for row in back["sobol"] + back["closed_sobol"]:
@@ -236,7 +244,7 @@ def test_estimate_report_with_cv_nan_round_trip(tmp_path):
                                      seed=3, config={"m": 10}, cv=summary)
     path = tmp_path / "estimate.json"
     files.write_report(doc, path)
-    back = files.read_report(path)
+    back = _read_back(path, doc)
     assert back["cv_summary"]["per_i_cv"] == [12.5, None]
     assert back["cv_summary"]["excluded"] == [2]
     assert back["sobol"] == []
@@ -261,9 +269,8 @@ def _docs():
 
 def test_every_writer_passes_the_full_schema(tmp_path):
     for i, doc in enumerate(_docs()):
-        jsonschema.validate(_row_dicts(doc), REPORT_SCHEMA)
         files.write_report(doc, tmp_path / f"r{i}.json")
-        assert files.read_report(tmp_path / f"r{i}.json") == _row_dicts(doc)
+        _read_back(tmp_path / f"r{i}.json", doc)
 
 
 _GAMMA = [[1.0, 0.0], [0.0, 1.0]]
@@ -289,10 +296,8 @@ def _without(doc, key):
 
 
 # (id, kind, document, None if valid else a text the error must name).
-# Report rows are checked further by plain code that is stricter than the
-# row schema (a mask of 1.0 or a subset that does not match its mask is
-# refused); test_write_rejects_bad_rows covers that, so rows here are
-# either valid or invalid for both.
+# A report reaches the writer as :func:`_written` gives it;
+# test_write_rejects_bad_arrays covers the row checks.
 _CORPUS = [
     ("model", "model", _MODEL, None),
     ("model-mu", "model", {**_MODEL, "mu": [0.5, -1]}, None),
@@ -418,19 +423,37 @@ _CORPUS = [
     ("report-list", "report", [_REPORT], "not an object"),
 ]
 
+def _written(doc):
+    """``doc`` as code hands it to the writer: each row family that fits the
+    row schema as :class:`files.SubsetRows`, anything else as it is."""
+    if not isinstance(doc, dict):
+        return doc
+    out = dict(doc)
+    for family in ("sobol", "closed_sobol"):
+        rows = doc.get(family)
+        if isinstance(rows, list) and jsonschema.Draft202012Validator(
+                REPORT_SCHEMA["properties"][family]).is_valid(rows):
+            out[family] = files.SubsetRows(
+                np.array([r["mask"] for r in rows], dtype=np.int64),
+                np.array([r["value"] for r in rows], dtype=float))
+    return out
+
+
 _KINDS = {
     "model": (MODEL_SCHEMA, files.read_model),
     "distribution": (DISTRIBUTION_SCHEMA, files.read_distribution),
     "expression": (EXPRESSION_SCHEMA, files.read_expression_file),
-    "report": (REPORT_SCHEMA, files.read_report),
+    "report": (REPORT_SCHEMA, lambda path: files.write_report(
+        _written(json.loads(path.read_text())), path)),
 }
 
 
 @pytest.mark.parametrize("kind, doc, names", [case[1:] for case in _CORPUS],
                          ids=[case[0] for case in _CORPUS])
 def test_checks_accept_what_the_schema_accepts(kind, doc, names, tmp_path):
-    """The plain checks and the schema agree on each document; a rejected
-    one ends in the file-kind prefix and names the offending key."""
+    """The plain checks and the schema agree on each document, as a reader
+    or the report writer takes it; a rejected one ends in the file-kind
+    prefix and names the offending key."""
     schema, read = _KINDS[kind]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -454,75 +477,18 @@ def test_rows_beyond_int64_masks_round_trip(tmp_path):
     doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
     assert doc["sobol"].masks[-1] >= 1 << 64
     files.write_report(doc, tmp_path / "wide.json")
-    assert files.read_report(tmp_path / "wide.json") == _row_dicts(doc)
+    _read_back(tmp_path / "wide.json", doc)
 
 
 def test_report_with_a_huge_p_is_a_format_error(tmp_path):
     # p is 1 followed by 400 zeros: no 2**p can be built, and the report
     # holds 2 Shapley values.
-    doc = {**_meta(p=_BIG), "sobol": _ROWS, "closed_sobol": _ROWS}
     path = tmp_path / "huge-p.json"
-    path.write_text(json.dumps(doc))
+    rows = files.SubsetRows(np.array([0, 1]), np.array([0.0, 0.25]))
     with pytest.raises(FileFormatError, match="metadata.p"):
-        files.read_report(path)
-    assert files._row_error(_ROWS, _BIG) is None
-
-
-def _set(i, key, value):
-    def corrupt(rows):
-        rows[i] = dict(rows[i], **{key: value})
-    return corrupt
-
-
-def _swap(key):
-    def corrupt(rows):
-        rows[2][key], rows[3][key] = rows[3][key], rows[2][key]
-    return corrupt
-
-
-@pytest.mark.parametrize("corrupt", [
-    _set(1, "extra", 0),
-    lambda rows: rows[1].pop("value"),
-    lambda rows: rows.__setitem__(1, [1, [1], 0.5]),
-    _set(1, "value", float("nan")),
-    _set(1, "value", float("inf")),
-    _set(1, "value", "0.5"),
-    _set(1, "value", True),
-    _set(1, "mask", 1.0),
-    _set(1, "mask", 1 << 70),
-    _set(0, "mask", -1),
-    _set(15, "mask", 16),
-    _set(3, "subset", [2, 1]),
-    _set(1, "subset", [0]),
-    _set(1, "subset", [1, 1]),
-    _set(1, "subset", [5]),
-    _set(1, "subset", (1,)),
-    _swap("subset"),
-    _swap("mask"),
-    lambda rows: rows.__setitem__(slice(2, 4), rows[3:1:-1]),
-], ids=["extra-key", "missing-key", "not-a-dict", "nan", "inf", "str-value",
-        "bool-value", "float-mask", "huge-mask", "negative-mask",
-        "mask-past-2**p", "unsorted-subset", "member-0", "repeated-member",
-        "member-past-p", "tuple-subset", "swapped-subsets", "swapped-masks",
-        "swapped-rows"])
-def test_write_rejects_bad_rows(corrupt, tmp_path):
-    """Rows given as dicts are checked on writing, and again on reading
-    from a file that ``json.dumps`` wrote."""
-    doc = _row_dicts(files.report_from_sensitivity(
-        lg_indices(generate_random_instance(4, seed=1)), "lg-indices"))
-    path = tmp_path / "bad.json"
-    for family in ("sobol", "closed_sobol"):
-        bad = json.loads(json.dumps(doc))
-        corrupt(bad[family])
-        with pytest.raises(FileFormatError, match=family):
-            files.write_report(bad, path)
-        assert not path.exists()
-        text = json.dumps(bad, indent=2)
-        if json.loads(text) != doc:     # a tuple subset reads back as a list
-            path.write_text(text)
-            with pytest.raises(FileFormatError, match=family):
-                files.read_report(path)
-            path.unlink()
+        files.write_report({**_meta(p=_BIG), "sobol": rows,
+                            "closed_sobol": rows}, path)
+    assert not path.exists()
 
 
 def _bad_masks(masks, p):
@@ -597,9 +563,6 @@ def _render_cases():
     cases["awkward-floats"] = awkward
     prefix = dict(awkward, sobol=files.SubsetRows(np.arange(5), values[:5]))
     cases["lattice-prefix"] = dict(prefix, closed_sobol=prefix["sobol"])
-    integers = _row_dicts(awkward)
-    integers["sobol"][5]["value"] = 1
-    cases["integer-value"] = integers
     return cases
 
 
@@ -610,7 +573,7 @@ def test_render_matches_json_dumps(name, tmp_path, capsys):
     path = tmp_path / "report.json"
     files.write_report(doc, path)
     assert path.read_text() == expected
-    assert files.read_report(path) == json.loads(expected)
+    _read_back(path, doc)
     files.write_report(doc)
     assert capsys.readouterr().out == expected
 
@@ -639,8 +602,9 @@ def test_distribution_loading(tmp_path):
     with pytest.raises(ModelValidationError):
         files.read_distribution(path)
     path.write_text('{"gamma": [[1.0]], "mu": [0.0, 0.0]}')
-    with pytest.raises(FileFormatError):
+    with pytest.raises(ModelValidationError) as exc:
         files.read_distribution(path)
+    assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
 
 
 def test_expression_file_validation(tmp_path):

@@ -13,7 +13,7 @@ from conftest import assert_close
 def test_identity_covariance_is_valid():
     model = validate_model([1.0, 1.0], np.eye(2))
     assert model.p == 2
-    assert_close(model.mu, [0.0, 0.0])
+    assert_close(model.gamma, np.eye(2))
 
 
 def test_indefinite_covariance_rejected():
@@ -80,11 +80,9 @@ def test_total_variance_examples(correlated_p2):
 
 
 def test_validation_is_idempotent(correlated_p2):
-    again = validate_model(correlated_p2.beta, correlated_p2.gamma,
-                           correlated_p2.mu)
+    again = validate_model(correlated_p2.beta, correlated_p2.gamma)
     assert np.array_equal(again.beta, correlated_p2.beta)
     assert np.array_equal(again.gamma, correlated_p2.gamma)
-    assert np.array_equal(again.mu, correlated_p2.mu)
 
 
 @given(st.integers(1, 8), st.integers(0, 10_000),

@@ -8,14 +8,14 @@ from shapley_lg import (BlackBoxModel, BlockPartition, BudgetExceededError,
                         block_additive_shapley, conditional_variance,
                         double_mc_cond_var, generate_block_instance,
                         generate_random_instance, lg_groups_indices,
-                        lg_indices, mc_shapley, sample_conditional,
-                        total_variance, validate_model)
+                        lg_indices, mc_shapley, total_variance,
+                        validate_model)
 from shapley_lg import (PermutationEstimate, ValidationKind, conditional,
                         montecarlo, subsets)
 from shapley_lg.montecarlo import output_variance
 from shapley_lg.permutations import ordering_gains
 from conftest import (_duplicate_variable, _tiny_independent_variable,
-                      assert_close)
+                      assert_close, sample_conditional)
 
 
 def linear_black_box(beta):

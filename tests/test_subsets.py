@@ -36,12 +36,12 @@ def test_cardinality_examples():
     assert subsets.cardinality(0) == 0
     assert subsets.cardinality(5) == 2
     for p in (1, 4, 10):
-        assert subsets.cardinality(subsets.full_mask(p)) == p
+        assert subsets.cardinality((1 << p) - 1) == p
 
 
 @given(st.integers(1, 16), st.data())
 def test_roundtrip(p, data):
-    j = data.draw(st.integers(0, subsets.full_mask(p)))
+    j = data.draw(st.integers(0, (1 << p) - 1))
     u = subsets.decode(j, p)
     assert subsets.encode(u, p) == j
     assert subsets.decode(subsets.encode(u, p), p) == u
