@@ -27,7 +27,8 @@ class ModelValidationError(ValueError):
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a request would enumerate a subset lattice beyond the supported size."""
+    """Raised when a request would enumerate a subset lattice beyond the supported
+    size, or build an instance whose covariance cannot be allocated."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -123,7 +123,7 @@ _integer = _kind("an integer", _is_integer)
 _string = _kind("a string", lambda v: isinstance(v, str))
 _numbers = _array(_number)
 _gamma = _array(_numbers, 1)
-_rows = _kind("an array", lambda v: isinstance(v, SubsetRows))
+_rows = _kind("a SubsetRows", lambda v: isinstance(v, SubsetRows))
 
 _MODEL = _object({"beta": _array(_number, 1), "gamma": _gamma},
                  {"mu": _numbers})

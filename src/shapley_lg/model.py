@@ -17,11 +17,6 @@ from .errors import DimensionCapError, ModelValidationError, ValidationKind
 SYM_TOL = 1e-10
 #: Relative tolerance on negative eigenvalues before a matrix is rejected.
 PSD_TOL = 1e-8
-#: Largest dimension of a generated instance: twice the paper's largest
-#: dense case (p = 2,000). Its dense ``gamma`` takes 134 MB, and so does the
-#: square normal draw behind it; past it the allocation alone can exhaust
-#: the memory of a small machine.
-MAX_INSTANCE_P = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +151,14 @@ def total_variance(model: LinearGaussianModel) -> float:
     return float(model.beta @ model.gamma @ model.beta)
 
 
-def _check_instance_p(p: int) -> None:
-    if p > MAX_INSTANCE_P:
-        raise DimensionCapError(f"p={p} would build a {p} x {p} covariance; "
-                                f"the cap is p <= {MAX_INSTANCE_P}")
+def _square_zeros(p: int) -> np.ndarray:
+    # Asked for before any draw, so a size that cannot be allocated fails
+    # at once and with one line.
+    try:
+        return np.zeros((p, p))
+    except (MemoryError, ValueError):         # ValueError: past the address space
+        raise DimensionCapError(f"p={p}: a {p} x {p} array does not fit in "
+                                "memory") from None
 
 
 def generate_random_instance(p: int, seed: int) -> LinearGaussianModel:
@@ -167,15 +166,15 @@ def generate_random_instance(p: int, seed: int) -> LinearGaussianModel:
 
     ``beta`` has independent standard normal entries and ``gamma = A A'``
     for a square standard normal ``A``, which is positive definite with
-    probability one. Deterministic for a fixed seed. A ``p`` past
-    :data:`MAX_INSTANCE_P` is a :class:`DimensionCapError`.
+    probability one. Deterministic for a fixed seed. A ``p`` whose
+    ``p x p`` array cannot be allocated is a :class:`DimensionCapError`.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_instance_p(p)
+    a = _square_zeros(p)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
-    a = rng.standard_normal((p, p))
+    rng.standard_normal(out=a)
     return validate_model(beta, a @ a.T)
 
 
@@ -184,16 +183,16 @@ def generate_block_instance(k: int, n: int, seed: int) -> LinearGaussianModel:
 
     The covariance is block diagonal with dense ``n x n`` blocks, each
     ``A A'`` for an independent standard normal ``A``; entries outside the
-    blocks are exactly zero. ``beta`` is standard normal of length ``k * n``,
-    which :data:`MAX_INSTANCE_P` caps.
+    blocks are exactly zero. ``beta`` is standard normal of length ``k * n``.
+    A ``k * n`` whose ``p x p`` array cannot be allocated is a
+    :class:`DimensionCapError`.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     p = k * n
-    _check_instance_p(p)
+    gamma = _square_zeros(p)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
-    gamma = np.zeros((p, p))
     for j in range(k):
         a = rng.standard_normal((n, n))
         sl = slice(j * n, (j + 1) * n)
