@@ -7,8 +7,8 @@ estimators with exact conditional variances; and nested Monte Carlo
 estimation for black-box models with Gaussian inputs.
 """
 
-from .blocks import (BlockPartition, combine_block_shapley, detect_blocks,
-                     lg_groups_indices, verify_cross_block_zeros)
+from .blocks import (BlockPartition, detect_blocks, lg_groups_indices,
+                     verify_cross_block_zeros)
 from .conditional import (CondVarTable, all_conditional_variances,
                           conditional_variance)
 from .errors import (BudgetExceededError, DimensionCapError,
@@ -48,7 +48,6 @@ __all__ = [
     "all_conditional_variances",
     "block_additive_shapley",
     "closed_sobol_from_table",
-    "combine_block_shapley",
     "conditional_variance",
     "cv_experiment",
     "detect_blocks",

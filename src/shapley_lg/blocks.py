@@ -11,7 +11,7 @@ masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,10 +21,6 @@ from .conditional import CondVarTable, conditional_variance_tables
 # wraps both by these names.
 from .indices import NUM_TOL, SensitivityReport, lg_indices
 from .model import LinearGaussianModel, total_variance, validate_model
-
-#: Tolerance on the sums to 1 of the weights and of each group's effects
-#: that :func:`combine_block_shapley` combines.
-COMBINE_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,33 +161,3 @@ def verify_cross_block_zeros(report: SensitivityReport, partition: BlockPartitio
     bad = ~covered & (np.abs(report.sobol) > tol)
     return [(int(masks[j]), float(report.sobol[j]))
             for j in np.flatnonzero(bad)]
-
-
-def combine_block_shapley(weights, group_shapleys: Sequence[np.ndarray],
-                          partition: BlockPartition) -> np.ndarray:
-    """Assemble global Shapley effects from per-group effects and weights.
-
-    Each variable receives its group's weight times its within-group
-    Shapley effect. Weights must sum to 1 and the effects of each group of
-    nonzero weight must sum to 1, both within ``COMBINE_SUM_TOL``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != partition.k or len(group_shapleys) != partition.k:
-        raise ValueError(
-            f"expected {partition.k} weights and group vectors, got "
-            f"{weights.size} and {len(group_shapleys)}"
-        )
-    if abs(weights.sum() - 1.0) > COMBINE_SUM_TOL:
-        raise ValueError(f"group weights sum to {weights.sum()}, not 1")
-    out = np.empty(partition.p)
-    for j, group in enumerate(partition.groups):
-        eta_g = np.asarray(group_shapleys[j], dtype=float)
-        if eta_g.size != len(group):
-            raise ValueError(
-                f"group {j} has {len(group)} variables but a Shapley vector "
-                f"of length {eta_g.size}"
-            )
-        if weights[j] and abs(eta_g.sum() - 1.0) > COMBINE_SUM_TOL:
-            raise ValueError(f"group {j} Shapley effects sum to {eta_g.sum()}, not 1")
-        out[np.asarray(group, dtype=np.int64) - 1] = weights[j] * eta_g
-    return out

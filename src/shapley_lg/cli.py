@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import files
-from .blocks import COMBINE_SUM_TOL, detect_blocks, lg_groups_indices
+from .blocks import detect_blocks, lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
@@ -42,6 +42,10 @@ EXIT_PARSE = 4
 #: destination; ``estimate --m`` shares the minimum of ``mc --m``.
 FLAG_MINIMUMS = {**MC_MINIMUMS, "reps": 1, "p": 1, "k": 1, "n": 1,
                  "repetitions": 1, "eps_block": 0.0, "seed": 0}
+
+#: ``compute --groups`` warns when its groups' shares of var(y) miss 1 by
+#: more than this, as when ``--eps-block`` drops covariance between groups.
+DROPPED_SHARE_TOL = 1e-8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--blocks", action="store_true",
                       help="estimate per block and combine")
     p_mc.add_argument("--m", type=int, default=100)
-    p_mc.add_argument("--n-var", type=int, default=10_000)
-    p_mc.add_argument("--n-outer", type=int, default=100)
-    p_mc.add_argument("--n-inner", type=int, default=2)
+    p_mc.add_argument("--n-var", type=int, default=McConfig.n_var)
+    p_mc.add_argument("--n-outer", type=int, default=McConfig.n_outer)
+    p_mc.add_argument("--n-inner", type=int, default=McConfig.n_inner)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--budget", type=int, default=100_000_000,
+    p_mc.add_argument("--budget", type=int, default=McConfig.budget,
                       help="cap on m * n_outer * n_inner")
     p_mc.add_argument("--out")
     return parser
@@ -117,7 +121,7 @@ def cmd_compute(args) -> int:
            else lg_indices(model))
     # A group's share of var(y) is the sum of its Shapley effects.
     dropped = 1.0 - float(rep.shapley.sum())
-    if args.groups and abs(dropped) > COMBINE_SUM_TOL:
+    if args.groups and abs(dropped) > DROPPED_SHARE_TOL:
         print(f"warning: --eps-block {args.eps_block} drops the covariance "
               f"between groups, a share of {dropped:.6g} of var(y)",
               file=sys.stderr)
@@ -317,6 +321,14 @@ def main(argv=None) -> int:
     except FileFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as err:          # reads raise FileFormatError instead
+        print(f"error: cannot write {err.filename or '<stdout>'}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError as err:      # numpy's names the array, a bare one nothing
+        print(f"error: out of memory: {str(err) or 'an array is too large'}",
+              file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ swept once, its prefix sets read after each step, stacked over the
 orderings of a chunk; all normals of a call come from one stream, and the
 model is evaluated on whole orderings at once, in chunks of at most
 ``conditional.BATCH_BYTES`` of normals and points. When the model is a sum
-of functions of independent groups, the per-group estimates combine
-exactly, which is dramatically cheaper than estimating on the full input
-space.
+of functions of independent groups, each group's own estimate times its
+share of the output variance gives its variables' effects, which is
+dramatically cheaper than estimating on the full input space.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import conditional
-from .blocks import BlockPartition, combine_block_shapley, detect_blocks
+from .blocks import BlockPartition, detect_blocks
 from .errors import BudgetExceededError, ModelValidationError, ValidationKind
 from .permutations import PermutationEstimate, ordering_gains
 
@@ -294,14 +294,13 @@ def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]]
                            partition: BlockPartition | None = None) -> np.ndarray:
     """Shapley effects of a sum of independent per-group functions.
 
-    Each term's variance is estimated to form the group weights
-    (renormalized to sum to 1), each group gets its own within-group
-    estimate, and the two are combined; this never samples the full joint
-    space. A term whose variance estimate is exactly 0 (a constant) gets
-    weight 0 and zero effects without being sampled further; if every term
-    is constant, this raises ``ZeroOutputVariance``. ``partition`` maps
-    groups to global variable indices, defaulting to consecutive runs in
-    the given order.
+    Each term's variance is estimated, and each group's within-group
+    estimate, scaled by its term's share of the summed variances, is
+    written to its variables; this never samples the full joint space. A
+    term whose variance estimate is exactly 0 (a constant) has share 0 and
+    zero effects without being sampled further; if every term is constant,
+    this raises ``ZeroOutputVariance``. ``partition`` maps groups to global
+    variable indices, defaulting to consecutive runs in the given order.
     """
     k = len(blocks)
     if k == 0:
@@ -326,15 +325,14 @@ def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]]
         variances[j] = _sample_variance(bb, gi, cfg.n_var, children[j])
         if variances[j]:                # NaN too; a constant term's is 0
             _check_variance(variances[j], f"block {j}")
-    weights = variances / _check_variance(variances.sum(), "every block")
+    total = _check_variance(variances.sum(), "every block")
 
-    group_estimates = []
-    for j, (bb, gi) in enumerate(blocks):
-        eta = np.zeros(bb.p)
-        if weights[j]:
+    out = np.zeros(p)
+    for j, ((bb, gi), group) in enumerate(zip(blocks, partition.groups)):
+        share = variances[j] / total
+        if share:
             sub_cfg = replace(cfg,
                               seed=int(children[k + j].generate_state(1)[0]))
-            eta = mc_shapley(bb, gi, sub_cfg,
-                             var_y=float(variances[j])).shapley_hat
-        group_estimates.append(eta)
-    return combine_block_shapley(weights, group_estimates, partition)
+            out[np.asarray(group) - 1] = share * mc_shapley(
+                bb, gi, sub_cfg, var_y=float(variances[j])).shapley_hat
+    return out

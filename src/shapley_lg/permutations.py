@@ -112,20 +112,23 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
     return acc / (math.factorial(p) * var_y)
 
 
-def _estimates(model: LinearGaussianModel, m: int, seeds) -> np.ndarray:
-    """One estimate per seed, a row each, from ``m`` orderings drawn from
-    that seed's own stream. Whole seeds share each call of
-    :func:`prefix_variances`, in chunks of at most
-    ``conditional.BATCH_BYTES`` of prefix variances."""
+def _estimates(model: LinearGaussianModel, m: int, reps: int,
+               spawn) -> np.ndarray:
+    """``reps`` estimates, a row each, from ``m`` orderings drawn from the
+    stream of one seed per row; ``spawn(n)`` gives the next ``n`` seeds.
+    Whole seeds share each call of :func:`prefix_variances`, in chunks of
+    at most ``conditional.BATCH_BYTES`` of prefix variances, and each
+    chunk's seeds are spawned when it starts."""
     if m < 1:
         raise ValueError("m must be >= 1")
     p = model.p
     var_y = total_variance(model)
-    out = np.empty((len(seeds), p))
+    out = np.empty((reps, p))
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
-    for lo in range(0, len(seeds), step):
+    for lo in range(0, reps, step):
         orders = np.array([np.random.default_rng(s).permuted(np.tile(
-            np.arange(p), (m, 1)), axis=1) for s in seeds[lo:lo + step]])
+            np.arange(p), (m, 1)), axis=1)
+            for s in spawn(min(step, reps - lo))])
         v = prefix_variances(model, orders.reshape(-1, p)).reshape(
             len(orders), m, p + 1)
         for r in range(len(orders)):
@@ -141,8 +144,9 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     the components always sum to 1. Conditional variances are exact closed
     forms, one sweep along each ordering. Deterministic per seed.
     """
-    return PermutationEstimate(shapley_hat=_estimates(model, m, [seed])[0],
-                               m=m, seed=seed)
+    return PermutationEstimate(
+        shapley_hat=_estimates(model, m, 1, lambda n: [seed])[0],
+        m=m, seed=seed)
 
 
 def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
@@ -151,11 +155,12 @@ def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
 
     Row ``r`` equals :func:`random_permutation_shapley` with the r-th child
     of the seed sequence: both are :func:`_estimates`, here over all
-    children at once.
+    children, spawned a chunk at a time. Successive ``spawn`` calls continue
+    the same children, so only one chunk of them is held at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _estimates(model, m, np.random.SeedSequence(seed).spawn(reps))
+    return _estimates(model, m, reps, np.random.SeedSequence(seed).spawn)
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapley_lg import (BlockPartition, combine_block_shapley,
-                        conditional_variance, detect_blocks,
+from shapley_lg import (BlockPartition, conditional_variance, detect_blocks,
                         generate_block_instance, generate_random_instance,
                         lg_groups_indices, lg_indices, total_variance,
                         validate_model, verify_cross_block_zeros)
@@ -242,43 +241,6 @@ def test_cross_block_scan_vacuous_for_dense_partition():
     report = lg_indices(model)
     assert partition.k == 1
     assert verify_cross_block_zeros(report, partition) == []
-
-
-def test_combine_identity_and_singletons():
-    one = BlockPartition.from_groups([[1, 2, 3]], 3)
-    eta = combine_block_shapley([1.0], [np.array([0.2, 0.3, 0.5])], one)
-    assert_close(eta, [0.2, 0.3, 0.5], tol=0.0)
-
-    singles = BlockPartition.from_groups([[1], [2]], 2)
-    eta = combine_block_shapley([0.7, 0.3], [np.array([1.0]), np.array([1.0])],
-                                singles)
-    assert_close(eta, [0.7, 0.3], tol=0.0)
-
-
-def test_combine_weighted_example():
-    partition = BlockPartition.from_groups([[1, 2], [3]], 3)
-    eta = combine_block_shapley([0.6, 0.4],
-                                [np.array([0.5, 0.5]), np.array([1.0])],
-                                partition)
-    assert_close(eta, [0.3, 0.3, 0.4], tol=1e-15)
-
-
-def test_combine_rejects_inconsistencies():
-    partition = BlockPartition.from_groups([[1, 2], [3]], 3)
-    with pytest.raises(ValueError):
-        combine_block_shapley([0.6], [np.array([0.5, 0.5])], partition)
-    with pytest.raises(ValueError):
-        combine_block_shapley([0.9, 0.4],
-                              [np.array([0.5, 0.5]), np.array([1.0])],
-                              partition)
-    with pytest.raises(ValueError):
-        combine_block_shapley([0.6, 0.4],
-                              [np.array([1.0]), np.array([0.5, 0.5])],
-                              partition)
-    with pytest.raises(ValueError):
-        combine_block_shapley([0.6, 0.4],
-                              [np.array([0.7, 0.5]), np.array([1.0])],
-                              partition)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2000))

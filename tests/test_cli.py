@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:                 # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 
 import shapley_lg
-from shapley_lg import lg_indices, validate_model
+from shapley_lg import cli, lg_indices, validate_model
 from shapley_lg.cli import main
 
 
@@ -327,6 +332,21 @@ def test_benchmark_bad_sizes(tmp_path):
     assert run(["benchmark", "--sizes", "abc"]) == 4
 
 
+def _verb_inputs(tmp_path):
+    """Input flags of each verb that reads files, on small valid files."""
+    model = write_json(tmp_path / "m.json", {
+        "beta": [1.0, 1.0, 0.5], "gamma": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]]})
+    expr = write_json(tmp_path / "e.json", {
+        "f": "x1 + 2*x2 + x3*x3",
+        "blocks": [{"inputs": ["x1", "x2"], "expr": "x1 + 2*x2"},
+                   {"inputs": ["x3"], "expr": "x3*x3"}]})
+    dist = write_json(tmp_path / "d.json", {
+        "gamma": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]})
+    return {"compute": ["--model", model], "estimate": ["--model", model],
+            "mc": ["--model", expr, "--dist", dist]}
+
+
 @pytest.mark.parametrize("args", [
     ["mc", "--m", 0],
     ["mc", "--n-inner", 1],
@@ -347,20 +367,95 @@ def test_benchmark_bad_sizes(tmp_path):
 def test_out_of_range_flag_exits_4_with_one_line(tmp_path, capsys, args):
     # Before the shared flag check most of these ended in a ValueError
     # traceback; --eps-block nan put every variable in its own group.
-    inputs = {
-        "compute": ["--model", write_json(tmp_path / "m.json", {
-            "beta": [1.0, 1.0], "gamma": [[1.0, 0.5], [0.5, 1.0]]})],
-        "mc": ["--model", write_json(tmp_path / "e.json", {"f": "x1 + x2"}),
-               "--dist", write_json(tmp_path / "d.json",
-                                    {"gamma": [[1.0, 0.0], [0.0, 1.0]]})],
-    }
-    inputs["estimate"] = inputs["compute"]
     out = tmp_path / "out"
-    argv = [args[0], *inputs.get(args[0], []), *args[1:], "--out", out]
+    argv = [args[0], *_verb_inputs(tmp_path).get(args[0], []), *args[1:],
+            "--out", out]
     assert run(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: --") and err.count("\n") == 1
     assert " must be a finite number >= " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compute"],
+    ["compute", "--groups"],
+    ["generate", "--p", 3],
+    ["benchmark", "--sizes", 3, "--repetitions", 1],
+    ["estimate"],
+    ["estimate", "--reps", 3],
+    ["mc", "--m", 5, "--n-outer", 5],
+    ["mc", "--blocks", "--m", 5, "--n-outer", 5],
+], ids=lambda args: " ".join(map(str, args)))
+def test_unwritable_out_exits_4_with_one_line(tmp_path, capsys, args):
+    # Each of these ended in a FileNotFoundError traceback.
+    out = tmp_path / "missing" / "out.json"
+    argv = [args[0], *_verb_inputs(tmp_path).get(args[0], []), *args[1:],
+            "--out", out]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--m", 10**15],
+    ["mc", "--n-var", 10**15],
+    ["mc", "--blocks", "--n-var", 10**15],
+    ["mc", "--m", 10**15, "--budget", 10**18],
+    ["mc", "--n-outer", 10**13, "--budget", 10**18],
+    ["mc", "--blocks", "--n-outer", 10**13, "--budget", 10**18],
+], ids=lambda args: " ".join(map(str, args)))
+def test_unallocatable_sampling_size_exits_3_with_one_line(tmp_path, capsys,
+                                                           args):
+    # Each asks numpy for petabytes, past any address space, and ended in
+    # a MemoryError traceback.
+    out = tmp_path / "out.json"
+    argv = [args[0], *_verb_inputs(tmp_path)[args[0]], *args[1:],
+            "--out", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bare_memory_error_exits_3_with_a_message(tmp_path, capsys,
+                                                  monkeypatch):
+    def exhausted(model):
+        raise MemoryError
+    monkeypatch.setattr(cli, "lg_indices", exhausted)
+    assert run(["compute", *_verb_inputs(tmp_path)["compute"]]) == 3
+    assert capsys.readouterr().err == \
+        "error: out of memory: an array is too large\n"
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("reps", [10**8, 10**15])
+def test_replicates_past_memory_exit_3_with_one_line(tmp_path, reps):
+    # Under a 2 GiB address-space limit. Spawning every replicate's seed
+    # before any work filled it (about 400 bytes a seed) and ended in a
+    # MemoryError traceback; seeds now come a chunk at a time, and the
+    # (reps, p) result, asked for first, fails at once.
+    src = str(Path(shapley_lg.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapley_lg", "estimate",
+         *map(str, _verb_inputs(tmp_path)["estimate"]), "--m", "1",
+         "--reps", str(reps), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+        preexec_fn=cap_address_space, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

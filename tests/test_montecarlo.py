@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,39 @@ def test_block_additive_rejects_zero_variance_block(monkeypatch):
     with pytest.raises(ModelValidationError) as err:
         block_additive_shapley([(dead, inp1), (dead, inp1)], cfg)
     assert err.value.kind is ValidationKind.ZERO_OUTPUT_VARIANCE
+
+
+def test_block_additive_scales_each_block_by_its_variance_share():
+    # The oracle: each block's own estimate times its share of the summed
+    # variances, recomputed from the same child seeds, on a non-consecutive
+    # partition whose constant block has share 0 and zero effects.
+    partition = BlockPartition.from_groups([[1, 3], [2], [4, 5]], 5)
+    blocks = [
+        (BlackBoxModel(eval=lambda x: x[:, 0] * x[:, 1] + x[:, 0], p=2),
+         GaussianInput(mu=[0.5, 0.0], gamma=[[1.0, 0.4], [0.4, 2.0]])),
+        (BlackBoxModel(eval=lambda x: np.full(x.shape[0], 3.0), p=1),
+         GaussianInput(mu=np.zeros(1), gamma=np.eye(1))),
+        (linear_black_box([1.0, -0.5]),
+         GaussianInput(mu=np.zeros(2), gamma=[[1.0, -0.3], [-0.3, 1.0]])),
+    ]
+    cfg = McConfig(m=20, n_var=500, n_outer=20, seed=7)
+    children = np.random.SeedSequence(cfg.seed).spawn(2 * len(blocks))
+    variances = np.array([
+        np.var(bb(gi.sample(cfg.n_var, np.random.default_rng(child))), ddof=1)
+        for (bb, gi), child in zip(blocks, children)])
+    total = variances.sum()
+    expected = np.zeros(5)
+    for j, ((bb, gi), group) in enumerate(zip(blocks, partition.groups)):
+        if variances[j]:
+            seed = int(children[len(blocks) + j].generate_state(1)[0])
+            expected[np.asarray(group) - 1] = variances[j] / total * mc_shapley(
+                bb, gi, replace(cfg, seed=seed),
+                var_y=float(variances[j])).shapley_hat
+    eta = block_additive_shapley(blocks, cfg, partition)
+    assert np.array_equal(eta, expected)
+    assert variances[1] == 0.0 and eta[1] == 0.0
+    assert (eta[[0, 2, 3, 4]] != 0.0).all()
+    assert eta.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_additive_validates_partition():
