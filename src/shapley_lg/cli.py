@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import files
-from .blocks import detect_blocks, lg_groups_indices
+from .blocks import lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
@@ -139,30 +139,30 @@ def _check_flag(dest: str, value, minimum) -> None:
 
 def cmd_estimate(args) -> int:
     model = files.read_model(args.model)
-    config = {"method": args.method, "m": args.m, "reps": args.reps}
     var_y = total_variance(model)
+    summary = None
     if args.method == "exact-perm":
-        shapley = exact_permutation_shapley(model)
-        doc = files.report_from_estimate(shapley, var_y, "exact-permutations",
+        doc = files.report_from_estimate(exact_permutation_shapley(model),
+                                         var_y, "exact-permutations",
                                          config={"method": args.method})
-    elif args.reps == 1:
-        est = random_permutation_shapley(model, args.m, args.seed)
-        doc = files.report_from_estimate(est.shapley_hat, var_y,
-                                         "random-permutations",
-                                         seed=args.seed, config=config)
     else:
-        samples = replicate_estimates(model, args.m, args.reps, args.seed)
-        summary = cv_summary_from_replicates(samples, args.m, args.seed)
-        doc = files.report_from_estimate(samples.mean(axis=0), var_y,
-                                         "random-permutations",
-                                         seed=args.seed, config=config,
-                                         cv=summary)
-        if args.out is not None:
-            cv_text = "nan" if math.isnan(summary.mean_cv) \
-                else f"{summary.mean_cv:.2f}"
-            sys.stdout.write("m,mean_cv_percent\n"
-                             f"{args.m},{cv_text}\n")
+        if args.reps == 1:
+            shapley = random_permutation_shapley(model, args.m,
+                                                 args.seed).shapley_hat
+        else:
+            samples = replicate_estimates(model, args.m, args.reps, args.seed)
+            summary = cv_summary_from_replicates(samples, args.m, args.seed)
+            shapley = samples.mean(axis=0)
+        doc = files.report_from_estimate(
+            shapley, var_y, "random-permutations", seed=args.seed,
+            config={"method": args.method, "m": args.m, "reps": args.reps},
+            cv=summary)
     files.write_report(doc, args.out)
+    # The summary line follows a written report, so a failed write prints none.
+    if summary is not None and args.out is not None:
+        cv_text = "nan" if math.isnan(summary.mean_cv) \
+            else f"{summary.mean_cv:.2f}"
+        sys.stdout.write(f"m,mean_cv_percent\n{args.m},{cv_text}\n")
     return EXIT_OK
 
 
@@ -179,13 +179,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _median_seconds(fn, repetitions: int) -> float:
+def _timed(fn, repetitions: int):
+    """Median seconds of ``repetitions`` calls of ``fn`` and its last result."""
     times = []
     for _ in range(repetitions):
         start = time.perf_counter()
-        fn()
+        result = fn()
         times.append(time.perf_counter() - start)
-    return float(np.median(times))
+    return float(np.median(times)), result
 
 
 def _parse_sizes(text: str, grouped: bool):
@@ -225,24 +226,23 @@ def cmd_benchmark(args) -> int:
             label = str(size)
         # Past the lattice cap --groups times only its own route.
         calls = [] if args.groups and model.p > FULL_LATTICE_CAP else [
-            ("lg-indices", lambda: lg_indices(model), 1 << model.p)]
+            ("lg-indices", lambda: lg_indices(model))]
         if args.groups:
-            calls.append(("lg-groups-indices", lambda: lg_groups_indices(model),
-                          sum(1 << len(g)
-                              for g in detect_blocks(model.gamma).groups)))
+            calls.append(("lg-groups-indices",
+                          lambda: lg_groups_indices(model)))
         elif model.p <= EXACT_ENUMERATION_CAP:
-            calls.append((
-                "exact-permutations",
-                lambda: exact_permutation_shapley(model, memoize=False),
-                math.factorial(model.p) * model.p,
-            ))
-        rows += [(algorithm, label, _median_seconds(call, args.repetitions),
-                  count) for algorithm, call, count in calls]
+            calls.append(("exact-permutations", lambda:
+                          exact_permutation_shapley(model, memoize=False)))
+        for algorithm, call in calls:
+            seconds, result = _timed(call, args.repetitions)
+            # The lattice routes count their table entries; the enumeration
+            # walks p steps of each of its p! orderings.
+            rows.append((algorithm, label, f"{seconds:.6f}", getattr(
+                result, "eval_count", math.factorial(model.p) * model.p)))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["algorithm", "size", "median_seconds", "eval_count"])
-    for algorithm, label, seconds, evals in rows:
-        writer.writerow([algorithm, label, f"{seconds:.6f}", evals])
+    writer.writerows(rows)
     text = buffer.getvalue()
     if args.out is None:
         sys.stdout.write(text)

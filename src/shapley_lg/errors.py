@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import enum
 
 
@@ -27,8 +28,7 @@ class ModelValidationError(ValueError):
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a request would enumerate a subset lattice beyond the supported
-    size, or build an instance whose covariance cannot be allocated."""
+    """Raised when enumerating subsets or orderings would pass a cap."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -46,3 +46,14 @@ class ExpressionParseError(FileFormatError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+@contextlib.contextmanager
+def allocation():
+    """Raise numpy's ``ValueError`` for an array past the address space as
+    the ``MemoryError`` it is. Wrap only allocations: any other
+    ``ValueError`` inside would be renamed too."""
+    try:
+        yield
+    except ValueError as err:
+        raise MemoryError(str(err)) from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, ModelValidationError, ValidationKind
+from .errors import ModelValidationError, ValidationKind, allocation
 
 #: Relative tolerance on ``|gamma - gamma.T|`` before a matrix is rejected.
 SYM_TOL = 1e-10
@@ -25,8 +25,6 @@ class LinearGaussianModel:
 
     Instances are produced by :func:`validate_model` and must be treated as
     immutable; every function in the package reads them without copying.
-    The grouped route also builds them, unchecked, from principal slices of
-    a validated model, whose output variance may be 0.
 
     Attributes
     ----------
@@ -151,27 +149,18 @@ def total_variance(model: LinearGaussianModel) -> float:
     return float(model.beta @ model.gamma @ model.beta)
 
 
-def _square_zeros(p: int) -> np.ndarray:
-    # Asked for before any draw, so a size that cannot be allocated fails
-    # at once and with one line.
-    try:
-        return np.zeros((p, p))
-    except (MemoryError, ValueError):         # ValueError: past the address space
-        raise DimensionCapError(f"p={p}: a {p} x {p} array does not fit in "
-                                "memory") from None
-
-
 def generate_random_instance(p: int, seed: int) -> LinearGaussianModel:
     """Random dense benchmark instance of dimension ``p``.
 
     ``beta`` has independent standard normal entries and ``gamma = A A'``
     for a square standard normal ``A``, which is positive definite with
-    probability one. Deterministic for a fixed seed. A ``p`` whose
-    ``p x p`` array cannot be allocated is a :class:`DimensionCapError`.
+    probability one. Deterministic for a fixed seed. A ``p x p`` array that
+    cannot be allocated raises ``MemoryError`` before any draw.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = _square_zeros(p)
+    with allocation():
+        a = np.zeros((p, p))
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     rng.standard_normal(out=a)
@@ -184,13 +173,13 @@ def generate_block_instance(k: int, n: int, seed: int) -> LinearGaussianModel:
     The covariance is block diagonal with dense ``n x n`` blocks, each
     ``A A'`` for an independent standard normal ``A``; entries outside the
     blocks are exactly zero. ``beta`` is standard normal of length ``k * n``.
-    A ``k * n`` whose ``p x p`` array cannot be allocated is a
-    :class:`DimensionCapError`.
+    A ``p x p`` array that cannot be allocated raises ``MemoryError`` first.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     p = k * n
-    gamma = _square_zeros(p)
+    with allocation():
+        gamma = np.zeros((p, p))
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(p)
     for j in range(k):

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import conditional
 from .blocks import BlockPartition, detect_blocks
-from .errors import BudgetExceededError, ModelValidationError, ValidationKind
+from .errors import (BudgetExceededError, ModelValidationError, ValidationKind,
+                     allocation)
 from .permutations import PermutationEstimate, ordering_gains
 
 
@@ -83,7 +84,8 @@ class GaussianInput:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n joint draws, shape (n, p)."""
-        return self.mu + rng.standard_normal((n, self.p)) @ self.factor.T
+        with allocation():
+            return self.mu + rng.standard_normal((n, self.p)) @ self.factor.T
 
 
 def _indices(p: int, u: Sequence[int]) -> np.ndarray:
@@ -270,10 +272,11 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     else:
         _check_variance(var_y, "the model")
     m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
-    orders = np.random.default_rng(order_seed).permuted(
-        np.tile(np.arange(p), (m, 1)), axis=1)
+    with allocation():
+        orders = np.random.default_rng(order_seed).permuted(
+            np.tile(np.arange(p), (m, 1)), axis=1)
+        v = np.zeros((m, p + 1))
     rng = np.random.default_rng(z_seed)
-    v = np.zeros((m, p + 1))
     v[:, 0] = var_y
     # Whole orderings per chunk, at most BATCH_BYTES of normals (1 + n_inner
     # per outer point) and points (n_inner); with p = 1 there is no step.
@@ -283,10 +286,11 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     for lo in range(0, m if p > 1 else 0, step):
         hi = min(lo + step, m)
         rows = conditional.residual_rows(inp.factor, orders[lo:hi, :-1])
-        z = rng.standard_normal((hi - lo, p - 1, size, p))
+        with allocation():
+            z = rng.standard_normal((hi - lo, p - 1, size, p))
         v[lo:hi, 1:p] = _nested(model, inp, rows[:, 1:], z, n_inner)
-    return PermutationEstimate(shapley_hat=ordering_gains(orders, v)
-                               / (m * var_y), m=m, seed=cfg.seed)
+    return PermutationEstimate(
+        shapley_hat=ordering_gains(orders, v)[0] / (m * var_y))
 
 
 def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]],

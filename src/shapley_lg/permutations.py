@@ -6,7 +6,8 @@ predecessors. Enumerating every ordering gives an exact (and expensive)
 value used here as an oracle for the Shapley weighting; sampling orderings
 gives the Monte Carlo estimator whose accuracy the replicate harness
 measures. Its conditional variances are exact, one sweep along each
-ordering, and the replicates of the harness share those calls.
+ordering; the replicates of the harness read consecutive orderings of one
+stream and share those calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import conditional
 from .conditional import (all_conditional_variances, conditional_variance,
                           prefix_variances)
-from .errors import DimensionCapError
+from .errors import DimensionCapError, allocation
 from .model import LinearGaussianModel, total_variance
 
 #: Full enumeration of p! orderings is refused above this dimension.
@@ -33,14 +34,9 @@ CV_MEAN_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PermutationEstimate:
-    """Shapley estimate from ``m`` sampled orderings and its seed.
-
-    ``shapley_hat`` sums to 1 by telescoping regardless of ``m``.
-    """
+    """Shapley estimate from sampled orderings; it sums to 1 by telescoping."""
 
     shapley_hat: np.ndarray
-    m: int
-    seed: int | np.random.SeedSequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +55,18 @@ class CvSummary:
     excluded: tuple[int, ...] = ()
 
 
-def ordering_gains(orders: np.ndarray, v: np.ndarray) -> np.ndarray:
+def ordering_gains(orders: np.ndarray, v: np.ndarray,
+                   m: int | None = None) -> np.ndarray:
     """Sum of each variable's gains ``v[r, k] - v[r, k + 1]`` when it joins
-    ordering ``r`` at step ``k``, added in the order of :func:`_chain_update`.
+    ordering ``r`` at step ``k``, over each run of ``m`` consecutive
+    orderings (by default all of them), one row per run, added in the order
+    of :func:`_chain_update`.
     """
-    acc = np.zeros(orders.shape[1])
-    np.add.at(acc, orders, v[:, :-1] - v[:, 1:])
-    return acc
+    n, p = orders.shape
+    m = m or n
+    keys = orders + np.arange(n)[:, None] // m * p
+    return np.bincount(keys.ravel(), (v[:, :-1] - v[:, 1:]).ravel(),
+                       minlength=n // m * p).reshape(-1, p)
 
 
 def _chain_update(acc: np.ndarray, order, value) -> None:
@@ -104,7 +105,7 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
         orders = np.array(list(itertools.permutations(range(p))))
         masks = np.pad(np.cumsum(1 << orders, axis=1), ((0, 0), (1, 0)))
         acc = ordering_gains(orders,
-                             all_conditional_variances(model).values[masks])
+                             all_conditional_variances(model).values[masks])[0]
     else:
         acc = np.zeros(p)
         for order in itertools.permutations(range(p)):
@@ -113,26 +114,25 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
 
 
 def _estimates(model: LinearGaussianModel, m: int, reps: int,
-               spawn) -> np.ndarray:
-    """``reps`` estimates, a row each, from ``m`` orderings drawn from the
-    stream of one seed per row; ``spawn(n)`` gives the next ``n`` seeds.
-    Whole seeds share each call of :func:`prefix_variances`, in chunks of
-    at most ``conditional.BATCH_BYTES`` of prefix variances, and each
-    chunk's seeds are spawned when it starts."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+               rng: np.random.Generator) -> np.ndarray:
+    """``reps`` estimates; row ``r`` reads orderings ``r m .. (r + 1) m - 1``
+    of ``rng``'s stream. Whole rows share each call of
+    :func:`prefix_variances` and :func:`ordering_gains`, in chunks of at most
+    ``conditional.BATCH_BYTES`` of prefix variances; a chunk boundary moves
+    no draw."""
+    if m < 1 or reps < 1:
+        raise ValueError("m and reps must be >= 1")
     p = model.p
     var_y = total_variance(model)
-    out = np.empty((reps, p))
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
+    with allocation():
+        out = np.empty((reps, p))
+        base = np.tile(np.arange(p), (min(step, reps) * m, 1))
     for lo in range(0, reps, step):
-        orders = np.array([np.random.default_rng(s).permuted(np.tile(
-            np.arange(p), (m, 1)), axis=1)
-            for s in spawn(min(step, reps - lo))])
-        v = prefix_variances(model, orders.reshape(-1, p)).reshape(
-            len(orders), m, p + 1)
-        for r in range(len(orders)):
-            out[lo + r] = ordering_gains(orders[r], v[r]) / (m * var_y)
+        n = min(step, reps - lo)
+        orders = rng.permuted(base[:n * m], axis=1)
+        out[lo:lo + n] = ordering_gains(
+            orders, prefix_variances(model, orders), m) / (m * var_y)
     return out
 
 
@@ -144,23 +144,18 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     the components always sum to 1. Conditional variances are exact closed
     forms, one sweep along each ordering. Deterministic per seed.
     """
-    return PermutationEstimate(
-        shapley_hat=_estimates(model, m, 1, lambda n: [seed])[0],
-        m=m, seed=seed)
+    return PermutationEstimate(shapley_hat=_estimates(
+        model, m, 1, np.random.default_rng(seed))[0])
 
 
 def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
                         seed: int) -> np.ndarray:
     """Matrix of ``reps`` independent estimates, one row per replicate.
 
-    Row ``r`` equals :func:`random_permutation_shapley` with the r-th child
-    of the seed sequence: both are :func:`_estimates`, here over all
-    children, spawned a chunk at a time. Successive ``spawn`` calls continue
-    the same children, so only one chunk of them is held at once.
+    Row ``r`` reads orderings ``r m .. (r + 1) m - 1`` of one stream, so
+    row 0 equals :func:`random_permutation_shapley` with the same seed.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    return _estimates(model, m, reps, np.random.SeedSequence(seed).spawn)
+    return _estimates(model, m, reps, np.random.default_rng(seed))
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

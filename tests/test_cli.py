@@ -332,6 +332,18 @@ def test_benchmark_bad_sizes(tmp_path):
     assert run(["benchmark", "--sizes", "abc"]) == 4
 
 
+def test_benchmark_empty_sizes_exit_4_with_one_line(capsys):
+    assert run(["benchmark", "--sizes", ","]) == 4
+    assert capsys.readouterr().err == "error: --sizes is empty\n"
+
+
+def test_benchmark_without_out_writes_the_csv_to_stdout(capsys):
+    assert run(["benchmark", "--sizes", "2", "--repetitions", 1]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["algorithm"], r["eval_count"]) for r in rows] \
+        == [("lg-indices", "4"), ("exact-permutations", "4")]
+
+
 def _verb_inputs(tmp_path):
     """Input flags of each verb that reads files, on small valid files."""
     model = write_json(tmp_path / "m.json", {
@@ -393,9 +405,11 @@ def test_unwritable_out_exits_4_with_one_line(tmp_path, capsys, args):
     argv = [args[0], *_verb_inputs(tmp_path).get(args[0], []), *args[1:],
             "--out", out]
     assert run(argv) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    # estimate --reps prints its summary only after the report is written
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -420,6 +434,28 @@ def test_unallocatable_sampling_size_exits_3_with_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--m", 10**18],
+    ["estimate", "--m", 2, "--reps", 10**18],
+    ["mc", "--n-var", 10**18],
+    ["mc", "--blocks", "--n-var", 10**18],
+    ["mc", "--m", 10**18, "--budget", 10**22],
+    ["mc", "--n-outer", 10**18, "--budget", 10**22],
+], ids=lambda args: " ".join(map(str, args)))
+def test_sizes_past_the_address_space_exit_3_with_one_line(tmp_path, capsys,
+                                                           args):
+    # numpy raises ValueError, not MemoryError, for these; each ended in a
+    # traceback and exit 1.
+    out = tmp_path / "out.json"
+    argv = [args[0], *_verb_inputs(tmp_path)[args[0]], *args[1:],
+            "--out", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: array is too big")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bare_memory_error_exits_3_with_a_message(tmp_path, capsys,
                                                   monkeypatch):
     def exhausted(model):
@@ -433,10 +469,8 @@ def test_bare_memory_error_exits_3_with_a_message(tmp_path, capsys,
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 @pytest.mark.parametrize("reps", [10**8, 10**15])
 def test_replicates_past_memory_exit_3_with_one_line(tmp_path, reps):
-    # Under a 2 GiB address-space limit. Spawning every replicate's seed
-    # before any work filled it (about 400 bytes a seed) and ended in a
-    # MemoryError traceback; seeds now come a chunk at a time, and the
-    # (reps, p) result, asked for first, fails at once.
+    # Under a 2 GiB address-space limit. The (reps, p) result is asked for
+    # before any ordering is drawn, so it fails at once with one line.
     src = str(Path(shapley_lg.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
@@ -553,6 +587,33 @@ def test_mc_deep_nesting_exits_4_with_one_line(tmp_path, capsys):
     assert run(["mc", "--model", expr, "--dist", dist]) == 4
     err = capsys.readouterr().err
     assert "nests too deeply" in err and err.count("\n") == 1
+
+
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("verb, expr, gamma, code, text", [
+    (["mc"], {"f": "x1 + a", "consts": {"a": 1.0}, "defs": {"a": "x1"}},
+     _EYE2, 4, "a name is declared twice"),
+    (["mc"], {"f": "x1 + x2 + d", "defs": {"d": "x1 * y"}},
+     _EYE2, 4, "unknown name 'y'"),
+    (["mc", "--blocks"],
+     {"f": "x1 + x2", "blocks": [{"inputs": ["x1"], "expr": "x1"},
+                                 {"inputs": ["x9"], "expr": "x9"}]},
+     _EYE2, 4, "block input 'x9' is not one of x1 .. x2"),
+    (["mc"], {"f": "x1 + x2"}, [[1.0, 0.0]], 2, "DimensionMismatch: "),
+], ids=["declared-twice", "strict-defs", "block-input", "gamma-not-square"])
+def test_mc_bad_inputs_exit_with_one_line(tmp_path, capsys, verb, expr,
+                                          gamma, code, text):
+    model = write_json(tmp_path / "expr.json", expr)
+    dist = write_json(tmp_path / "dist.json", {"gamma": gamma})
+    out = tmp_path / "out.json"
+    assert run([*verb, "--model", model, "--dist", dist, "--m", 5,
+                "--n-outer", 5, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_mc_budget_error(tmp_path):

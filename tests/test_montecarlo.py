@@ -364,7 +364,7 @@ def literal_mc_shapley(model, inp, cfg, *, var_y):
             v[j, step] = double_mc_cond_var(
                 model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
                 normals)
-    return ordering_gains(orders, v) / (cfg.m * var_y)
+    return ordering_gains(orders, v)[0] / (cfg.m * var_y)
 
 
 def _nonlinear(p):
@@ -394,8 +394,7 @@ def test_block_additive_matches_the_literal_walk(monkeypatch):
     monkeypatch.setattr(
         montecarlo, "mc_shapley",
         lambda bb, gi, sub_cfg, var_y: PermutationEstimate(
-            shapley_hat=literal_mc_shapley(bb, gi, sub_cfg, var_y=var_y),
-            m=sub_cfg.m, seed=sub_cfg.seed))
+            shapley_hat=literal_mc_shapley(bb, gi, sub_cfg, var_y=var_y)))
     walked = block_additive_shapley(pairs, cfg, partition)
     assert np.array_equal(batched, walked)
 

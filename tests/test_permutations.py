@@ -75,31 +75,43 @@ def test_random_estimate_matches_the_literal_walk(make):
     assert np.max(np.abs(est.shapley_hat - scalar / (30 * var_y))) <= 1e-13
 
 
+def _literal_replicates(model, m, reps, seed):
+    """Per-run sums of one sweep along each of ``m * reps`` orderings drawn
+    one at a time from ``default_rng(seed)``, walked by ``_chain_update``."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((reps, model.p))
+    for r in range(reps):
+        for _ in range(m):
+            order = rng.permutation(model.p)
+            v = conditional.prefix_variances(model, order[None])[0]
+            # Python ints, so that masks past 63 bits do not wrap.
+            permutations._chain_update(out[r], order.tolist(),
+                                       lambda mask: v[mask.bit_count()])
+    return out / (m * total_variance(model))
+
+
 @pytest.mark.parametrize("make, m", [
     (lambda: generate_random_instance(7, 40), 30),
     (_duplicate_variable, 30),
     (_tiny_independent_variable, 30),
     (lambda: generate_random_instance(70, 41), 3),
 ], ids=["dense", "duplicate", "tiny", "p70"])
-def test_replicates_match_per_seed_estimates(make, m):
-    # Stacking the replicates' orderings changes no bit of any row, on the
-    # generalized-inverse paths and with multi-byte prefix keys too.
+def test_replicates_are_runs_of_one_ordering_stream(make, m):
+    # Stacking the replicates' orderings and summing their gains per run
+    # changes no bit of any row, on the generalized-inverse paths and with
+    # multi-byte prefix keys too; row 0 is the single estimate.
     model = make()
-    children = np.random.SeedSequence(6).spawn(4)
     samples = replicate_estimates(model, m, 4, seed=6)
-    for row, child in zip(samples, children):
-        assert np.array_equal(
-            row, random_permutation_shapley(model, m, child).shapley_hat)
+    assert np.array_equal(samples, _literal_replicates(model, m, 4, 6))
+    assert np.array_equal(
+        samples[0], random_permutation_shapley(model, m, 6).shapley_hat)
 
 
-def test_replicates_split_into_chunks_match_per_seed_estimates(monkeypatch):
-    # Two replicates' prefix variances exceed BATCH_BYTES, so each one
-    # gets its own stacked call.
+def test_replicates_split_into_chunks_change_no_bit(monkeypatch):
+    # Two replicates' prefix variances exceed BATCH_BYTES, so each one gets
+    # its own stacked call; under four times the cap all three share one.
     model = generate_random_instance(5, seed=42)
     m = conditional.BATCH_BYTES // (8 * 6) // 2 + 1
-    children = np.random.SeedSequence(8).spawn(3)
-    alone = [random_permutation_shapley(model, m, c).shapley_hat
-             for c in children]
     calls = []
 
     def counted(model, orders):
@@ -107,9 +119,12 @@ def test_replicates_split_into_chunks_match_per_seed_estimates(monkeypatch):
         return conditional.prefix_variances(model, orders)
 
     monkeypatch.setattr(permutations, "prefix_variances", counted)
-    samples = replicate_estimates(model, m, 3, seed=8)
-    assert len(calls) > 1 and sum(calls) == 3 * m
-    assert np.array_equal(samples, alone)
+    split = replicate_estimates(model, m, 3, seed=8)
+    monkeypatch.setattr(conditional, "BATCH_BYTES",
+                        4 * conditional.BATCH_BYTES)
+    whole = replicate_estimates(model, m, 3, seed=8)
+    assert calls == [m, m, m, 3 * m]
+    assert np.array_equal(split, whole)
 
 
 def test_exact_enumeration_guard():
@@ -123,7 +138,6 @@ def test_random_estimate_components_sum_to_one():
     for m in (1, 7, 100):
         est = random_permutation_shapley(model, m, seed=m)
         assert est.shapley_hat.sum() == pytest.approx(1.0, abs=1e-12)
-        assert est.m == m
 
 
 def test_random_estimate_deterministic_per_seed():
