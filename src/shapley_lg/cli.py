@@ -4,7 +4,9 @@ Verbs: ``compute`` (exact indices of a model file), ``estimate``
 (permutation estimators), ``generate`` (random benchmark instances),
 ``benchmark`` (timing table as CSV) and ``mc`` (black-box estimation from
 an expression file). Exit codes: 0 success, 2 validation error, 3 cap or
-budget error, 4 file parse error.
+budget error, 4 file parse error or a bad command line (an unknown verb or
+flag, a flag value argparse cannot read, a missing required flag, or
+``--eps-block`` without ``--groups``), each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -48,8 +50,16 @@ FLAG_MINIMUMS = {**MC_MINIMUMS, "reps": 1, "p": 1, "k": 1, "n": 1,
 DROPPED_SHARE_TOL = 1e-8
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4 with one line, not 2
+    (the validation code) after a usage block. Its subparsers share it."""
+
+    def error(self, message):
+        raise FileFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapley-lg",
         description="Sobol indices and Shapley effects for linear Gaussian "
                     "models, with Monte Carlo estimators for black-box models.",
@@ -62,9 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--out", help="report path (default: stdout)")
     p_compute.add_argument("--groups", action="store_true",
                            help="exploit independent groups of the covariance")
-    p_compute.add_argument("--eps-block", type=float, default=0.0,
-                           help="threshold below which covariance entries "
-                                "count as zero for group detection")
+    p_compute.add_argument("--eps-block", type=float,
+                           help="with --groups, the threshold below which "
+                                "covariance entries count as zero for group "
+                                "detection (default 0)")
 
     p_estimate = sub.add_parser(
         "estimate", help="permutation-based Shapley computation")
@@ -116,13 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
+    if args.eps_block is not None and not args.groups:
+        raise FileFormatError("--eps-block needs --groups")
+    eps_block = args.eps_block or 0.0
     model = files.read_model(args.model)
-    rep = (lg_groups_indices(model, args.eps_block) if args.groups
+    rep = (lg_groups_indices(model, eps_block) if args.groups
            else lg_indices(model))
     # A group's share of var(y) is the sum of its Shapley effects.
     dropped = 1.0 - float(rep.shapley.sum())
     if args.groups and abs(dropped) > DROPPED_SHARE_TOL:
-        print(f"warning: --eps-block {args.eps_block} drops the covariance "
+        print(f"warning: --eps-block {eps_block} drops the covariance "
               f"between groups, a share of {dropped:.6g} of var(y)",
               file=sys.stderr)
     algorithm = "lg-groups-indices" if args.groups else "lg-indices"
@@ -306,8 +320,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for dest, value in vars(args).items():
             if dest in FLAG_MINIMUMS and value is not None:
                 _check_flag(dest, value, FLAG_MINIMUMS[dest])

@@ -6,10 +6,12 @@ Writers emit the layout of ``json.dumps(doc, indent=2)``, so repeated runs
 are byte-identical. Report subset rows are arrays (:class:`SubsetRows`):
 both exact routes write the ascending masks of one
 :class:`~shapley_lg.indices.SensitivityReport`, dense or grouped. Rows are
-checked in numpy and streamed in chunks that each spell out their own
-subset texts. Every file's keys and value types are checked by plain code
-here; it accepts what the JSON Schemas in the tests accept (``true`` is
-not a number, ``3.0`` is an integer). No report is read back.
+streamed in chunks that each spell out their own subset texts. The keys
+and value types of each input file (model, distribution, expression) are
+checked by plain code here; it accepts what the JSON Schemas in the tests
+accept (``true`` is not a number). Reports are laid out by their two
+builders, so the writer checks only that their numbers are finite; no
+report is read back.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .model import (LinearGaussianModel, _as_array, validate_covariance,
                     validate_mean, validate_model)
 from .montecarlo import BlackBoxModel, GaussianInput
 from .permutations import CvSummary
-
-#: Report fields holding one row per subset; up to 2**p rows each.
-_ROW_FAMILIES = ("sobol", "closed_sobol")
 
 #: Rows rendered and written at a time by :func:`write_report`.
 CHUNK_ROWS = 1 << 14
@@ -71,23 +70,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_integer(value) -> bool:
-    """An int, or a float without a fractional part (``3.0``)."""
-    return _is_number(value) and (isinstance(value, int) or value.is_integer())
-
-
 # Each check below takes a JSON value and its path in the document
-# (``gamma[1][0]``, ``metadata.p``) and raises FileFormatError naming it.
+# (``gamma[1][0]``, ``consts.c``) and raises FileFormatError naming it.
 
 def _kind(what: str, test):
     def check(value, where):
         if not test(value):
             raise FileFormatError(f"{where} is not {what}")
     return check
-
-
-def _nullable(check):
-    return lambda value, where: value is None or check(value, where)
 
 
 def _array(item, min_items=0):
@@ -119,11 +109,9 @@ def _object(required: dict, optional: dict = {}, other=None):
 
 
 _number = _kind("a number", _is_number)
-_integer = _kind("an integer", _is_integer)
 _string = _kind("a string", lambda v: isinstance(v, str))
 _numbers = _array(_number)
 _gamma = _array(_numbers, 1)
-_rows = _kind("a SubsetRows", lambda v: isinstance(v, SubsetRows))
 
 _MODEL = _object({"beta": _array(_number, 1), "gamma": _gamma},
                  {"mu": _numbers})
@@ -134,28 +122,6 @@ _EXPRESSION = _object({"f": _string}, {
     "blocks": _array(_object({"inputs": _array(_string, 1),
                               "expr": _string}), 1),
 })
-#: The report without its rows, which :func:`_check_report` checks next.
-_REPORT = _object({
-    "var_y": _number,
-    "shapley": _array(_number, 1),
-    "sobol": _rows,
-    "closed_sobol": _rows,
-    "metadata": _object({
-        "algorithm": _string,
-        "p": _kind("an integer >= 1", lambda v: _is_integer(v) and v >= 1),
-        "eval_count": _nullable(_integer),
-        "partition": _nullable(_array(_array(_integer))),
-        "seed": _nullable(_integer),
-        "config": _nullable(_object({}, other=lambda value, where: None)),
-    }),
-}, {"cv_summary": _object({
-    "per_i_cv": _array(_nullable(_number)),
-    "mean_cv": _nullable(_number),
-    "m": _integer,
-    "reps": _integer,
-    "seed": _integer,
-    "excluded": _array(_integer),
-})})
 
 
 def _check(obj, check, path, what: str) -> None:
@@ -164,36 +130,6 @@ def _check(obj, check, path, what: str) -> None:
     except FileFormatError as err:
         raise FileFormatError(f"{path} is not a valid {what} file: "
                               f"{err}") from None
-
-
-def _array_error(rows: SubsetRows, p: int) -> str | None:
-    """Why ``rows`` are not finite float64 values, one per mask, with masks
-    increasing strictly within ``[0, 2**p)``; None if they are."""
-    mask, value = rows.masks, rows.values
-    if mask.shape != value.shape or value.dtype != np.float64:
-        return "each mask needs one float64 value"
-    if not np.isfinite(value).all():
-        return "a row value is not finite"
-    if mask.size and (mask[0] < 0 or int(mask[-1]).bit_length() > p
-                      or np.any(np.diff(mask) <= 0)):
-        return f"row masks must increase strictly within [0, 2**{p})"
-    return None
-
-
-def _check_report(doc: dict, where) -> None:
-    """Check the document without its subset rows, then that ``metadata.p``
-    counts the Shapley values, then each family."""
-    _check(doc, _REPORT, where, "report")
-    p = int(doc["metadata"]["p"])
-    if p != len(doc["shapley"]):
-        raise FileFormatError(f"{where} is not a valid report file: "
-                              f"metadata.p does not match the "
-                              f"{len(doc['shapley'])} shapley values")
-    for family in _ROW_FAMILIES:
-        why = _array_error(doc[family], p)
-        if why is not None:
-            raise FileFormatError(f"{where} is not a valid report file: "
-                                  f"{family}: {why}")
 
 
 def _bits(m: int):
@@ -446,15 +382,20 @@ def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,
 
 
 def write_report(doc: dict, path=None) -> None:
-    """Check and write a report document (stdout when no path).
+    """Write a report document (stdout when no path).
 
     The text is ``json.dumps(doc, indent=2) + "\\n"`` with each
-    :class:`SubsetRows` family spelled out as row dicts. Every check runs
-    before the file is opened; the rows are then streamed in chunks.
+    :class:`SubsetRows` family spelled out as row dicts. The builders above
+    fix the document's layout, so the only check is that every number is
+    finite; it runs before the file is opened, and the rows are then
+    streamed in chunks.
     """
     where = path or "<stdout>"
-    _check_report(doc, where)
     arrays = {k: v for k, v in doc.items() if isinstance(v, SubsetRows)}
+    for family, rows in arrays.items():
+        if not np.isfinite(rows.values).all():
+            raise FileFormatError(f"{where} is not a valid report file: "
+                                  f"{family}: a row value is not finite")
     try:
         text = render_json({**doc, **dict.fromkeys(arrays, [])})
     except ValueError as err:                      # NaN or infinity

@@ -43,10 +43,9 @@ class LinearGaussianModel:
         return self.beta.size
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
+def _require_finite(name: str, values, what="holds NaN or infinite values"):
     if not np.isfinite(values).all():
-        raise ModelValidationError(ValidationKind.NOT_FINITE,
-                                   f"{name} holds NaN or infinite values")
+        raise ModelValidationError(ValidationKind.NOT_FINITE, f"{name} {what}")
 
 
 def _as_array(name: str, values) -> np.ndarray:
@@ -75,7 +74,9 @@ def validate_mean(mu, p: int) -> np.ndarray:
 def validate_covariance(gamma) -> np.ndarray:
     """Check symmetry and positive semi-definiteness; return the symmetrised matrix.
 
-    Shared by model validation and distribution-file loading.
+    Shared by model validation and distribution-file loading. Finite entries
+    whose symmetrisation or eigenvalues pass the float range are
+    ``NotFinite``.
     """
     gamma = _as_array("gamma", gamma)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
@@ -84,16 +85,20 @@ def validate_covariance(gamma) -> np.ndarray:
             f"covariance must be square, got shape {gamma.shape}",
         )
     _require_finite("gamma", gamma)
-    scale = np.abs(gamma).max()
-    asym = np.abs(gamma - gamma.T).max()
-    if asym > SYM_TOL * max(scale, 1e-300):
-        raise ModelValidationError(
-            ValidationKind.NOT_SYMMETRIC,
-            f"max |gamma - gamma.T| = {asym:.3e} exceeds {SYM_TOL} * max|gamma|",
-        )
-    gamma = (gamma + gamma.T) / 2.0
+    with np.errstate(over="ignore"):            # an overflow is checked below
+        scale = np.abs(gamma).max()
+        asym = np.abs(gamma - gamma.T).max()
+        if asym > SYM_TOL * max(scale, 1e-300):
+            raise ModelValidationError(
+                ValidationKind.NOT_SYMMETRIC,
+                f"max |gamma - gamma.T| = {asym:.3e} exceeds {SYM_TOL} * "
+                "max|gamma|",
+            )
+        gamma = (gamma + gamma.T) / 2.0
+    _require_finite("gamma", gamma, "overflows in (gamma + gamma.T) / 2")
 
     eigvals = np.linalg.eigvalsh(gamma)
+    _require_finite("gamma", eigvals, "has an eigenvalue past the float range")
     smallest, largest = float(eigvals[0]), float(eigvals[-1])
     if smallest < -PSD_TOL * max(largest, 0.0):
         raise ModelValidationError(
@@ -134,7 +139,9 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
 
     gamma = validate_covariance(gamma)
 
-    var_y = float(beta @ gamma @ beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_y = float(beta @ gamma @ beta)
+    _require_finite("beta' gamma beta", var_y, "overflows")
     if var_y <= 0.0:
         raise ModelValidationError(
             ValidationKind.ZERO_OUTPUT_VARIANCE,

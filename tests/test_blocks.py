@@ -131,9 +131,19 @@ def test_both_exact_routes_list_rows_by_ascending_mask():
         [0.5, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.0]])
     grouped = lg_groups_indices(interleaved)
     assert grouped.partition.groups == ((1, 3), (2, 4))
-    assert grouped.masks[0] == 0
-    assert (np.diff(grouped.masks) > 0).all()
     assert grouped.masks.tolist() == [0, 1, 2, 4, 5, 8, 10]
+    # 33 groups of 2: object masks past 2**64.
+    wide_model = generate_block_instance(33, 2, seed=2)
+    wide = lg_groups_indices(wide_model)
+    assert wide.masks.dtype == object and wide.masks[-1] >= 1 << 64
+    # The facts the report writer relies on without checking them.
+    for rep in (dense, lg_groups_indices(model), grouped, wide):
+        for values in (rep.sobol, rep.closed_sobol):
+            assert values.dtype == np.float64
+            assert values.shape == rep.masks.shape
+        masks = rep.masks.tolist()
+        assert masks[0] >= 0 and masks[-1] < 1 << rep.p
+        assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
 #: Models the dense route answers whose groups would fail validation on

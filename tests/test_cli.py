@@ -196,6 +196,44 @@ def test_integer_past_float_range_exits_2_with_one_line(tmp_path, capsys,
     assert not (tmp_path / "out.json").exists()
 
 
+_VAR_Y_OVERFLOWS = {"beta": [1e200, 1.0], "gamma": [[1e200, 0.0], [0.0, 1.0]]}
+_SYMMETRISED_OVERFLOWS = [[1e308, 1e308], [1e308, 1e308]]
+_EIGENVALUE_OVERFLOWS = {"beta": [1e-160] * 20, "gamma": [[1e307] * 20] * 20}
+_ASYMMETRY_OVERFLOWS = {"beta": [1.0, 1.0],
+                        "gamma": [[1.0, 1e308], [-1e308, 1.0]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb, docs, kind", [
+    (["compute"], [_VAR_Y_OVERFLOWS], "NotFinite"),
+    (["compute", "--groups"], [_VAR_Y_OVERFLOWS], "NotFinite"),
+    (["estimate"], [_VAR_Y_OVERFLOWS], "NotFinite"),
+    (["compute"], [{"beta": [1.0, 1.0], "gamma": _SYMMETRISED_OVERFLOWS}],
+     "NotFinite"),
+    (["mc"], [{"f": "x1 + x2"}, {"gamma": _SYMMETRISED_OVERFLOWS}],
+     "NotFinite"),
+    (["compute"], [_EIGENVALUE_OVERFLOWS], "NotFinite"),
+    (["compute", "--groups"], [_EIGENVALUE_OVERFLOWS], "NotFinite"),
+    (["compute"], [_ASYMMETRY_OVERFLOWS], "NotSymmetric"),
+], ids=["compute-var-y", "groups-var-y", "estimate-var-y",
+        "compute-symmetrise", "mc-symmetrise", "compute-eigenvalue",
+        "groups-eigenvalue", "compute-asymmetry"])
+def test_overflowing_model_exits_2_with_one_line(tmp_path, capsys, verb, docs,
+                                                 kind):
+    # Each passed validation, printed numpy warnings and ended in exit 4
+    # (the asymmetric one exited 2, after a warning).
+    paths = [write_json(tmp_path / f"in{i}.json", doc)
+             for i, doc in enumerate(docs)]
+    args = verb + ["--model", paths[0], "--out", tmp_path / "out.json"]
+    if verb == ["mc"]:
+        args += ["--dist", paths[1], "--m", 5, "--n-outer", 5]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {kind}:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_mc_rejects_non_finite_mean(tmp_path, capsys):
     expr = write_json(tmp_path / "expr.json", {"f": "x1 + x2"})
     dist = write_json(tmp_path / "dist.json", {
@@ -387,6 +425,40 @@ def test_out_of_range_flag_exits_4_with_one_line(tmp_path, capsys, args):
     assert err.startswith("error: --") and err.count("\n") == 1
     assert " must be a finite number >= " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, says", [
+    (["estimate", "--m", "abc"], "argument --m: invalid int value: 'abc'"),
+    (["compute", "--model"], "argument --model: expected one argument"),
+    (["compute"], "the following arguments are required: --model"),
+    (["compute", "--model", "m.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    # Refused before the model file is read.
+    (["compute", "--model", "m.json", "--eps-block", 0.5],
+     "--eps-block needs --groups"),
+    (["compute", "--model", "m.json", "--eps-block", 0],
+     "--eps-block needs --groups"),
+], ids=["bad-int", "flag-without-value", "missing-model", "unknown-flag",
+        "unknown-verb", "no-verb", "eps-block-without-groups",
+        "eps-block-0-without-groups"])
+def test_usage_error_exits_4_with_one_line(capsys, args, says):
+    # argparse exited 2, the validation code, after a usage block; an
+    # --eps-block without --groups was ignored.
+    assert run(args) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and says in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [[], ["compute"], ["mc"]])
+def test_help_exits_0_with_its_usage_on_stdout(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: shapley-lg") and captured.err == ""
 
 
 @pytest.mark.parametrize("args", [

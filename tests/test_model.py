@@ -60,6 +60,40 @@ def test_non_finite_inputs_rejected(beta, gamma, mu):
     assert exc.value.kind is ValidationKind.NOT_FINITE
 
 
+#: Finite inputs whose arithmetic passes the float range, each with the
+#: kind it ends in: ``beta' gamma beta``, the symmetrisation, the largest
+#: eigenvalue, and ``gamma - gamma.T`` in the symmetry check.
+OVERFLOWING = {
+    "var-y": ([1e200, 1.0], [[1e200, 0.0], [0.0, 1.0]],
+              ValidationKind.NOT_FINITE),
+    "var-y-nan": ([1e200, -1e200], [[1e200, 1e200], [1e200, 1e200]],
+                  ValidationKind.NOT_FINITE),
+    "symmetrise": ([1.0, 1.0], [[1e308, 1e308], [1e308, 1e308]],
+                   ValidationKind.NOT_FINITE),
+    "eigenvalue": ([1e-160] * 20, [[1e307] * 20] * 20,
+                   ValidationKind.NOT_FINITE),
+    "asymmetry": ([1.0, 1.0], [[1.0, 1e308], [-1e308, 1.0]],
+                  ValidationKind.NOT_SYMMETRIC),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, gamma, kind", OVERFLOWING.values(),
+                         ids=list(OVERFLOWING))
+def test_overflowing_inputs_are_rejected_without_warnings(beta, gamma, kind):
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(beta, gamma)
+    assert exc.value.kind is kind
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_covariance_is_rejected_on_its_own():
+    for gamma in ([[1e308, 1e308], [1e308, 1e308]], [[1e307] * 20] * 20):
+        with pytest.raises(ModelValidationError) as exc:
+            validate_covariance(gamma)
+        assert exc.value.kind is ValidationKind.NOT_FINITE
+
+
 def test_asymmetric_covariance_rejected():
     with pytest.raises(ModelValidationError) as exc:
         validate_model([1.0, 1.0], [[1.0, 0.5], [0.2, 1.0]])
