@@ -292,13 +292,9 @@ def cmd_mc(args) -> int:
         # A third child of the seed: the estimate's draws do not depend on it.
         check_block_terms(full_model, models, partition, inp,
                           seed_root.spawn(1)[0])
-        pairs = []
-        for group, block_model in zip(partition.groups, models):
-            idx = np.asarray(group) - 1
-            marginal = GaussianInput(
-                mu=inp.mu[idx], gamma=inp.gamma[np.ix_(idx, idx)]
-            )
-            pairs.append((block_model, marginal))
+        idx = [np.asarray(group) - 1 for group in partition.groups]
+        pairs = [(bm, GaussianInput(inp.mu[i], inp.gamma[np.ix_(i, i)]))
+                 for bm, i in zip(models, idx)]
         shapley = block_additive_shapley(pairs, cfg, partition)
         doc = files.report_from_estimate(shapley, var_y, "block-additive-mc",
                                          seed=args.seed, config=config)

@@ -14,10 +14,9 @@ with every prefix bit for bit a sweep of that prefix alone; the single
 subset and the ``2**p`` tables take members in ascending order, bit for bit
 alike. The Schur complement is the oracle in the tests.
 
-The Monte Carlo estimators sample from the same sweep:
-:func:`residual_rows` runs it on all rows of a sampling factor ``A`` of
-``gamma``, which leaves the rows ``R = A (I - P_u)`` of the conditional
-noise given each prefix ``X_u``, and ``A - R`` as the conditional mean map.
+The Monte Carlo estimators sample from the same sweep, run along a whole
+ordering on the rows of a sampling factor of ``gamma`` by
+:func:`ordered_factors`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from . import subsets
 PINV_RTOL = 1e-12
 
 #: Upper bound, in bytes, on the sweep states of one chunk of a table or of
-#: :func:`prefix_variances`, and on the model points and their normal draws
+#: :func:`prefix_variances`, and on the normals, model points and factors
 #: of one chunk of ``montecarlo.mc_shapley``. A chunk this small stays in
 #: cache.
 BATCH_BYTES = 1 << 20
@@ -112,40 +111,42 @@ def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
 
 
-def _sweep(rows: np.ndarray, cut: np.ndarray, orders: np.ndarray, tail):
-    """Sweep the rows ``orders`` ``(m, k)`` of the stacked ``rows``, in order,
-    out of the rows ``tail``; yield the ``(models, m, len(tail), w)`` tail
+def _sweep(rows: np.ndarray, cut: np.ndarray, orders: np.ndarray):
+    """Sweep the rows ``orders`` ``(m, k)`` of the stacked :func:`_roots`, in
+    order, out of their last row ``a``; yield the ``(models, m, w)`` ``a``
     after each step, bit for bit a sweep of that prefix alone."""
     m, k = orders.shape
-    at = np.empty((m, k + len(tail)), dtype=np.intp)
+    at = np.empty((m, k + 1), dtype=np.intp)
     at[:, :k] = orders
-    at[:, k:] = tail
+    at[:, k] = rows.shape[-2] - 1
     state = rows[:, at]
     cut = cut[:, orders, None, None]
     for i in range(k):
         state = _step(state, cut[:, :, i])
-        yield state[:, :, k - 1 - i:]
+        yield state[:, :, -1]
 
 
-def residual_rows(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Rows of ``A (I - P_u)`` ``(m, k + 1, p, p)`` for a factor ``A A' =
-    gamma`` and each prefix ``u``, of length 0 to ``k``, of each row of the
-    zero-based ``(m, k)`` ``orders``, with the rows of ``u`` zero.
-
-    ``P_u`` projects onto the span of the rows ``A[u]``: :func:`_sweep`
-    takes them along the ordering, with the exact routes' cut, out of all
-    ``p`` rows of ``A``. ``A - R`` is the conditional mean map ``(gamma_uu^+
-    gamma_ur)' A[u]`` and ``R R'`` the Schur complement.
+def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Factors ``F`` ``(m, p, p)`` of ``gamma = A A'``, one per zero-based
+    row of ``orders`` ``(m, p)``: :func:`_step` sweeps the rows of ``A``
+    along it, with the exact routes' cut, and column ``j`` is ``A q_j`` for
+    the ``j``-th pivot's residual ``q_j``, normalised, or zero when the
+    pivot is dependent. Given the ordering's first ``k`` variables ``u``,
+    ``F[:, :k] F[:, :k]'`` is ``gamma[:, u] gamma_uu^+ gamma[u, :]`` and
+    ``F[:, k:] F[:, k:]'`` the Schur complement, zero (to round-off) on
+    ``u``: ``mu + F w`` with normals ``w`` draws ``X``, and its first ``k``
+    entries of ``w`` fix ``X_u``.
     """
-    m, k = orders.shape
-    out = np.empty((m, k + 1, *factor.shape))
-    out[:, 0] = factor
     cut = PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
-    for i, tail in enumerate(_sweep(factor[None], cut[None], orders,
-                                    np.arange(len(factor))), 1):
-        out[:, i] = tail[0]
-        out[np.arange(m)[:, None], i, orders[:, :i]] = 0.0
-    return out
+    rows = factor[None, orders]
+    pivots = np.empty(rows.shape[1:])
+    for i in range(orders.shape[1]):
+        r = rows[0, :, 0]
+        rr = np.einsum("mi,mi->m", r, r)
+        pivots[:, i] = r / np.sqrt(np.where(rr > cut[orders[:, i]], rr,
+                                            np.inf))[:, None]
+        rows = _step(rows, cut[None, orders[:, i], None, None])
+    return factor @ pivots.swapaxes(-1, -2)
 
 
 def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
@@ -153,8 +154,8 @@ def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
     ``orders`` ``(m, k)``: the conditional variance given each prefix."""
     rows, cut = _root(model)
     seen = np.empty((*orders.shape, rows.shape[-1]))
-    for i, tail in enumerate(_sweep(rows, cut, orders, [cut.shape[-1]])):
-        seen[:, i] = tail[0, :, 0]
+    for i, a in enumerate(_sweep(rows, cut, orders)):
+        seen[:, i] = a[0]
     return np.einsum("...i,...i->...", seen, seen)
 
 
@@ -176,8 +177,8 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     if j == (1 << p) - 1:
         return 0.0
     order = np.array([[i for i in range(p) if j >> i & 1]])
-    *_, a = _sweep(*_root(model), order, [p])     # ``a`` after the last step
-    return float(np.einsum("...i,...i->...", a, a)[0, 0, 0])
+    *_, a = _sweep(*_root(model), order)     # ``a`` after the last step
+    return float(np.einsum("...i,...i->...", a, a)[0, 0])
 
 
 def prefix_variances(model: LinearGaussianModel,

@@ -3,16 +3,13 @@
 Nothing here assumes linearity: conditional variances are estimated by a
 nested Monte Carlo loop (outer draw of the conditioning variables, inner
 conditional draws of the rest) and plugged into the random-ordering
-estimator. The conditional draws come from the Gram-Schmidt sweep of the
-exact routes, run on the rows of the input's sampling factor ``A``
-(``conditional.residual_rows``): given ``X_u``, the rest moves by the
-residual rows ``R = A (I - P_u)`` times fresh normals. Each ordering is
-swept once, its prefix sets read after each step, stacked over the
-orderings of a chunk; all normals of a call come from one stream, and the
-model is evaluated on whole orderings at once, in chunks of at most
-``conditional.BATCH_BYTES`` of normals and points. When the model is a sum
-of functions of independent groups, each group's own estimate times its
-share of the output variance gives its variables' effects, which is
+estimator. The draws come from the exact routes' Gram-Schmidt sweep, run
+once along each ordering (``conditional.ordered_factors``), so step ``k``
+draws ``k`` normals per outer point and ``p - k`` per inner point, the
+ranks of the two laws. All normals of a call come from one stream, and the
+model is evaluated once per chunk of whole orderings. When the model is a
+sum of functions of independent groups, each group's own estimate times
+its share of the output variance gives its variables' effects, which is
 dramatically cheaper than estimating on the full input space.
 """
 
@@ -47,9 +44,8 @@ class BlackBoxModel:
             raise ValueError(f"expected batch of shape (n, {self.p}), got {x.shape}")
         out = np.asarray(self.eval(x), dtype=float).reshape(-1)
         if out.size != x.shape[0]:
-            raise ValueError(
-                f"model returned {out.size} values for {x.shape[0]} points"
-            )
+            raise ValueError(f"model returned {out.size} values for "
+                             f"{x.shape[0]} points")
         return out
 
 
@@ -72,9 +68,8 @@ class GaussianInput:
         self.gamma = np.asarray(self.gamma, dtype=float)
         p = self.mu.size
         if self.gamma.shape != (p, p):
-            raise ValueError(
-                f"gamma has shape {self.gamma.shape}, expected ({p}, {p})"
-            )
+            raise ValueError(f"gamma has shape {self.gamma.shape}, "
+                             f"expected ({p}, {p})")
         self.gamma = (self.gamma + self.gamma.T) / 2.0
         self.factor = conditional.psd_factor(self.gamma)
 
@@ -88,35 +83,43 @@ class GaussianInput:
             return self.mu + rng.standard_normal((n, self.p)) @ self.factor.T
 
 
-def _indices(p: int, u: Sequence[int]) -> np.ndarray:
-    """The 1-based ``u`` of ``p`` as checked zero-based indices, in order."""
+def _ordering(p: int, u: Sequence[int]) -> np.ndarray:
+    """The checked 1-based ``u``, in order, then the rest, zero-based."""
     u_idx = np.asarray(list(u), dtype=np.int64) - 1
-    if u_idx.size:
-        if u_idx.min() < 0 or u_idx.max() >= p:
-            raise ValueError(f"conditioning set {tuple(u)} outside [1:{p}]")
-        if np.unique(u_idx).size != u_idx.size:
-            raise ValueError(f"conditioning set {tuple(u)} has repeats")
-    return u_idx
+    if u_idx.size and (u_idx.min() < 0 or u_idx.max() >= p):
+        raise ValueError(f"conditioning set {tuple(u)} outside [1:{p}]")
+    if np.unique(u_idx).size != u_idx.size:
+        raise ValueError(f"conditioning set {tuple(u)} has repeats")
+    return np.concatenate([u_idx, np.setdiff1d(np.arange(p), u_idx)])
 
 
-def _nested(model: BlackBoxModel, inp: GaussianInput, rows: np.ndarray,
-            z: np.ndarray, n_inner: int) -> np.ndarray:
-    """Nested Monte Carlo variances ``(...)`` given each ``u`` of the stacked
-    residual rows ``R`` ``(..., p, p)``, from normals ``z`` ``(..., n_outer *
-    (1 + n_inner), p)``: the outer mean of the inner sample variances.
+def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
+            rng: np.random.Generator, steps: Sequence[int], n_outer: int,
+            n_inner: int) -> np.ndarray:
+    """Nested Monte Carlo variances ``(c, len(steps))``, the outer means of
+    the inner sample variances, given the first ``k`` variables of each
+    ordering, for each ``k`` of ``steps``, from its ordered factor ``F``.
 
-    The first ``n_outer`` normals ``z_outer`` give joint draws ``x = mu +
-    A z_outer``; each is repeated with ``n_inner`` conditional draws ``x + R
-    (z_new - z_outer)``, computed as ``mu + (A - R) z_outer + R z_new``. The
-    rows of ``u`` are zero in ``R``, so every inner point keeps ``x_u``.
+    Step ``k`` of each ordering, in turn, reads ``n_inner * n_outer * (p -
+    k)`` normals ``w'`` of ``rng`` for its inner draws' noise ``F[:, k:]
+    w'``, then ``n_outer * k`` for its outer draws ``mu + F[:, :k] w``. All
+    points, laid out ``(c, step, n_inner, n_outer, p)``, go to one model call.
     """
-    n_outer = z.shape[-2] // (1 + n_inner)
-    x = z[..., n_outer:, :] @ rows.swapaxes(-1, -2)
-    x = x.reshape(*x.shape[:-2], n_outer, n_inner, -1)
-    x += (inp.mu + z[..., :n_outer, :]
-          @ (inp.factor - rows).swapaxes(-1, -2))[..., None, :]
-    values = model(x.reshape(-1, inp.p)).reshape(x.shape[:-1])
-    return np.var(values, axis=-1, ddof=1).mean(axis=-1)
+    c, p = factors.shape[:2]
+    widths = [w for k in steps for w in (n_inner * n_outer * (p - k),
+                                         n_outer * k)]
+    ft = factors.swapaxes(-1, -2)
+    with allocation():
+        z = np.split(rng.standard_normal((c, sum(widths))),
+                     np.cumsum(widths)[:-1], axis=1)
+        x = np.empty((c, len(steps), n_inner, n_outer, p))
+    flat = x.reshape(c, len(steps), -1, p)          # a view: x is contiguous
+    for s, k in enumerate(steps):
+        np.matmul(z[2 * s].reshape(c, -1, p - k), ft[:, k:], out=flat[:, s])
+        x[:, s] += (inp.mu + z[2 * s + 1].reshape(c, n_outer, k)
+                    @ ft[:, :k])[:, None]
+    values = model(x.reshape(-1, p)).reshape(x.shape[:-1])
+    return np.var(values, axis=2, ddof=1).mean(axis=-1)
 
 
 def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
@@ -127,21 +130,20 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     Draws ``n_outer`` values of the conditioning variables, then for each
     one the unbiased sample variance of the model over ``n_inner``
     conditional draws of the remaining variables; returns the outer mean.
-    ``u`` is swept in the order given, and the normals are the next ``n_outer
-    * (1 + n_inner)`` rows of ``seed``'s stream. Conditioning on the full
-    set costs nothing and is exactly 0.
+    This is step ``|u|`` of :func:`mc_shapley` on the ordering ``u``, as
+    given, then the rest ascending, on the next normals of ``seed``'s
+    stream. Conditioning on the full set costs nothing and is exactly 0.
     """
     if n_inner < 2:
         raise ValueError("n_inner must be >= 2 for a sample variance")
     if n_outer < 1:
         raise ValueError("n_outer must be >= 1")
-    u_idx = _indices(inp.p, u)
-    if u_idx.size == inp.p:
+    order = _ordering(inp.p, u)
+    if len(u) == inp.p:
         return 0.0
-    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
-    z = np.random.default_rng(seed).standard_normal(
-        (n_outer * (1 + n_inner), inp.p))
-    return float(_nested(model, inp, rows, z, n_inner))
+    factors = conditional.ordered_factors(inp.factor, order[None])
+    return float(_nested(model, inp, factors, np.random.default_rng(seed),
+                         [len(u)], n_outer, n_inner)[0, 0])
 
 
 def _check_variance(var: float, what: str) -> float:
@@ -258,10 +260,9 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     both ends of every telescoping chain, so the components sum to 1
     exactly. The output variance, the orderings and the normals each draw
     from their own child seed; every normal comes from one stream, in
-    (ordering, step) order, so the result equals one
-    :func:`double_mc_cond_var` per ordering and step that continues that
-    stream. The residual rows of a chunk of orderings come from one sweep
-    along each of them, and their points from one stacked product.
+    (ordering, step) order, as :func:`_nested` reads them. A chunk of
+    orderings takes one sweep along each, one draw and one model call.
+    Raises ``NotFinite`` if the estimate is not finite.
     """
     p = model.p
     if inp.p != p:
@@ -278,19 +279,21 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         v = np.zeros((m, p + 1))
     rng = np.random.default_rng(z_seed)
     v[:, 0] = var_y
-    # Whole orderings per chunk, at most BATCH_BYTES of normals (1 + n_inner
-    # per outer point) and points (n_inner); with p = 1 there is no step.
-    size = n_outer * (1 + n_inner)
-    per_order = 8 * (p - 1) * p * (size + n_outer * n_inner)
-    step = max(1, conditional.BATCH_BYTES // max(per_order, 1))
-    for lo in range(0, m if p > 1 else 0, step):
-        hi = min(lo + step, m)
-        rows = conditional.residual_rows(inp.factor, orders[lo:hi, :-1])
-        with allocation():
-            z = rng.standard_normal((hi - lo, p - 1, size, p))
-        v[lo:hi, 1:p] = _nested(model, inp, rows[:, 1:], z, n_inner)
-    return PermutationEstimate(
-        shapley_hat=ordering_gains(orders, v)[0] / (m * var_y))
+    # Whole orderings per chunk, at most BATCH_BYTES of normals, points and
+    # factors; with p = 1 there is no step.
+    per_order = 8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer
+                     + (p - 1) * n_inner * n_outer * p + p * p)
+    chunk = max(1, conditional.BATCH_BYTES // per_order)
+    for lo in range(0, m if p > 1 else 0, chunk):
+        f = conditional.ordered_factors(inp.factor, orders[lo:lo + chunk])
+        v[lo:lo + chunk, 1:p] = _nested(model, inp, f, rng, range(1, p),
+                                        n_outer, n_inner)
+    shapley = ordering_gains(orders, v)[0] / (m * var_y)
+    if not np.isfinite(shapley).all():
+        raise ModelValidationError(
+            ValidationKind.NOT_FINITE,
+            f"the Shapley estimate {shapley.tolist()} is not finite")
+    return PermutationEstimate(shapley_hat=shapley)
 
 
 def block_additive_shapley(blocks: Sequence[tuple[BlackBoxModel, GaussianInput]],

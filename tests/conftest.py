@@ -28,19 +28,22 @@ def sample_conditional(inp, u, x_u, n, seed):
     """n draws of the variables outside ``u`` given ``X_u = x_u`` (1-based
     ``u``, ``x_u`` in ascending order of index): the oracle of the sweep.
 
-    The mean is ``mu + (A - R) z`` for the min-norm ``z`` with ``A[u] z =
-    x_u - mu_u``, its singular values cut at ``sqrt(PINV_RTOL)``, the
-    sweep's cut on squares; the noise is ``R`` times fresh normals.
+    ``F`` is the ordered factor of ``u`` ascending, then the rest. The mean
+    is ``mu + F[:, :k] w`` for the min-norm ``w`` with ``F[u, :k] w = x_u -
+    mu_u``, its singular values cut at ``sqrt(PINV_RTOL)``, the sweep's cut
+    on squares; the noise is ``F[:, k:]`` times fresh normals.
     """
-    u_idx = np.sort(montecarlo._indices(inp.p, u))
+    order = montecarlo._ordering(inp.p, sorted(u))
+    k = len(u)
+    u_idx = order[:k]
     x_u = np.asarray(x_u, dtype=float).reshape(-1)
-    if x_u.size != u_idx.size:
-        raise ValueError(f"x_u has length {x_u.size}, expected {u_idx.size}")
-    rows = conditional.residual_rows(inp.factor, u_idx[None])[0, -1]
-    z = np.linalg.lstsq(inp.factor[u_idx], x_u - inp.mu[u_idx],
+    if x_u.size != k:
+        raise ValueError(f"x_u has length {x_u.size}, expected {k}")
+    f = conditional.ordered_factors(inp.factor, order[None])[0]
+    w = np.linalg.lstsq(f[u_idx, :k], x_u - inp.mu[u_idx],
                         rcond=conditional.PINV_RTOL ** 0.5)[0]
-    draws = (inp.mu + (inp.factor - rows) @ z
-             + np.random.default_rng(seed).standard_normal((n, inp.p)) @ rows.T)
+    draws = (inp.mu + f[:, :k] @ w + np.random.default_rng(seed)
+             .standard_normal((n, inp.p - k)) @ f[:, k:].T)
     return np.delete(draws, u_idx, axis=1)
 
 

@@ -242,6 +242,30 @@ def test_mc_rejects_non_finite_mean(tmp_path, capsys):
     assert "NotFinite" in capsys.readouterr().err
 
 
+_ROOT_OF_2_MINUS_X1 = {
+    "f": "(2 - x1)^0.5 + x2 + x3",
+    "blocks": [{"inputs": ["x1", "x2"], "expr": "(2 - x1)^0.5 + x2"},
+               {"inputs": ["x3"], "expr": "x3"}]}
+
+
+@pytest.mark.parametrize("blocks", [[], ["--blocks"]], ids=["mc", "blocks"])
+@pytest.mark.parametrize("seed", range(4))
+def test_mc_non_finite_estimate_exits_2_with_one_line(tmp_path, capsys,
+                                                      blocks, seed):
+    # The model is NaN for x1 > 2 but finite on the two --n-var draws, so
+    # only the nested draws meet the NaN; it used to end in exit 4, when
+    # the report writer refused the NaN estimate.
+    expr = write_json(tmp_path / "expr.json", _ROOT_OF_2_MINUS_X1)
+    dist = write_json(tmp_path / "dist.json", {"gamma": np.eye(3).tolist()})
+    out = tmp_path / "out.json"
+    assert run(["mc", "--model", expr, "--dist", dist, "--m", 5, "--n-var", 2,
+                "--seed", seed, "--out", out] + blocks) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NotFinite: the Shapley estimate")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_estimate_exact_matches_compute(tmp_path):
     model = tmp_path / "m.json"
     assert run(["generate", "--p", 5, "--seed", 7, "--out", model]) == 0

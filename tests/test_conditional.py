@@ -99,20 +99,23 @@ def test_scale_equivariance(p, seed, c):
 @pytest.mark.parametrize("seed", range(5))
 def test_factor_and_pseudo_paths_agree(seed):
     # The two paths of the sampling factor, Cholesky and the signed eigh
-    # factor, give the sweep the same conditional laws on every subset:
-    # the Schur complement R R' and the cross-covariance (A - R) A' of the
-    # conditional mean with the input.
+    # factor, give the sweep the same conditional laws on every subset u
+    # (then the rest ascending): the Schur complement F[:, k:] F[:, k:]'
+    # and the covariance F[:, :k] F[:, :k]' of the conditional mean.
     model = generate_random_instance(6, seed)
     gamma = model.gamma
     chol = conditional.psd_factor(gamma)
     assert np.array_equal(chol, np.linalg.cholesky(gamma))
     w, q = np.linalg.eigh(gamma)
     sets = [np.flatnonzero(j >> np.arange(6) & 1) for j in range(64)]
+    orders = np.array([np.concatenate([u, np.setdiff1d(np.arange(6), u)])
+                       for u in sets])
     laws = []
     for a in (chol, q * np.sqrt(w)):
-        r = np.array([conditional.residual_rows(a, u[None])[0, -1]
-                      for u in sets])
-        laws.append((r @ r.transpose(0, 2, 1), (a - r) @ a.T))
+        f = conditional.ordered_factors(a, orders)
+        laws.append([(g[:, u.size:] @ g[:, u.size:].T,
+                      g[:, :u.size] @ g[:, :u.size].T)
+                     for g, u in zip(f, sets)])
     scale = np.abs(gamma).max()
     for one, other in zip(*laws):
         np.testing.assert_allclose(one, other, rtol=0, atol=1e-10 * scale)

@@ -120,6 +120,32 @@ def test_double_mc_matches_closed_form_linear():
         assert abs(values.mean() - exact) <= 3 * se
 
 
+def test_double_mc_matches_closed_form_on_a_duplicate_variable():
+    # X4 copies X1, so a conditioning set holding both is singular, and
+    # the sweep skips whichever of the two comes second. For s = beta' x,
+    # with v = Var(s | X_u) and var_y = Var(s), E Var(s | X_u) = v and
+    # E Var(s**2 | X_u) = 2 v**2 + 4 v (var_y - v): the square also checks
+    # the law of the outer draws, which a linear model cannot see.
+    model = _duplicate_variable()
+    bb = linear_black_box(model.beta)
+    square = BlackBoxModel(eval=lambda x: (x @ model.beta) ** 2, p=5)
+    inp = GaussianInput(mu=np.zeros(5), gamma=model.gamma)
+    var_y = total_variance(model)
+    reps = 30
+    for u in ((1, 4), (4, 1, 2), (4,), (3, 5, 1, 4)):
+        mask = subsets.encode(u, 5)
+        v = conditional_variance(model, mask)
+        seeds = np.random.SeedSequence(mask).spawn(2 * reps)
+        for j, (f, exact) in enumerate(((bb, v), (square, 2 * v * v
+                                                  + 4 * v * (var_y - v)))):
+            values = np.array([
+                double_mc_cond_var(f, inp, u, 200, 20, seed=s)
+                for s in seeds[j * reps:(j + 1) * reps]
+            ])
+            se = values.std(ddof=1) / np.sqrt(reps)
+            assert abs(values.mean() - exact) <= 3 * se, (u, f)
+
+
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(m=0)
@@ -347,11 +373,13 @@ def test_block_additive_validates_partition():
 
 
 def literal_mc_shapley(model, inp, cfg, *, var_y):
-    """The per-step walk: one ``double_mc_cond_var`` per ordering and step,
-    each continuing the one normal stream of ``mc_shapley``'s third child
-    seed, and one ``permutation`` per ordering from its second; the oracle
-    of the batched estimator."""
-    p = model.p
+    """The per-step walk: one ``permutation`` per ordering from
+    ``mc_shapley``'s second child seed, that ordering's own factor, and one
+    nested step per prefix, each continuing the one normal stream of the
+    third; the oracle of the batched estimator. The inner draws depend on
+    the order of the variables after the prefix, so each step reads the
+    whole ordering's factor, not ``double_mc_cond_var``'s."""
+    p, n_outer, n_inner = model.p, cfg.n_outer, cfg.n_inner
     _, order_seed, z_seed = np.random.SeedSequence(cfg.seed).spawn(3)
     perm_rng = np.random.default_rng(order_seed)
     normals = np.random.default_rng(z_seed)
@@ -360,10 +388,15 @@ def literal_mc_shapley(model, inp, cfg, *, var_y):
     v[:, 0] = var_y
     for j in range(cfg.m):
         orders[j] = perm_rng.permutation(p)
-        for step in range(1, p):
-            v[j, step] = double_mc_cond_var(
-                model, inp, orders[j, :step] + 1, cfg.n_outer, cfg.n_inner,
-                normals)
+        f = conditional.ordered_factors(inp.factor, orders[j][None])
+        for k in range(1, p):
+            v[j, k] = montecarlo._nested(model, inp, f, normals, [k], n_outer,
+                                         n_inner)[0, 0]
+    # The walk read m * n_outer * sum_k (k + n_inner (p - k)) normals.
+    count = np.random.default_rng(z_seed)
+    count.standard_normal(cfg.m * n_outer * sum(
+        k + n_inner * (p - k) for k in range(1, p)))
+    assert count.bit_generator.state == normals.bit_generator.state
     return ordering_gains(orders, v)[0] / (cfg.m * var_y)
 
 
@@ -416,35 +449,31 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
                          ids=["duplicate", "tiny"])
 def test_sweep_rows_match_the_pinv_oracle(make):
     # On every subset u of the singular and the ill-conditioned fixture,
-    # swept in ascending and in a shuffled order, the residual rows R of the
-    # sampling factor A give the Schur complement R_r R_r' and the mean map
-    # A[r] - R_r = (gamma_uu^+ gamma_ur)' A[u], and the rows of u are zero.
-    # Along each of 50 orderings, every prefix's rows are, bit for bit, a
-    # fresh sweep of that prefix.
+    # first in ascending order with the rest ascending, then with both
+    # shuffled, the ordered factor F of the sampling factor A gives the
+    # Schur complement F[:, k:] F[:, k:]', zero on the rows of u, and the
+    # explained part F[:, :k] F[:, :k]' = gamma[:, u] gamma_uu^+ gamma[u, :].
     model = make()
-    gamma, p = model.gamma, model.p
-    inp = GaussianInput(mu=np.zeros(p), gamma=gamma)
-    a = inp.factor
+    p = model.p
+    inp = GaussianInput(mu=np.zeros(p), gamma=model.gamma)
+    gamma = inp.gamma
     rng = np.random.default_rng(p)
-    orders = rng.permuted(np.tile(np.arange(p), (50, 1)), axis=1)
-    for order, rows in zip(orders, conditional.residual_rows(a, orders)):
-        for k, r in enumerate(rows):
-            assert np.array_equal(
-                r, conditional.residual_rows(a, order[None, :k])[0, -1])
     for mask in range(1 << p):
         u = np.flatnonzero(mask >> np.arange(p) & 1)
         rest = np.setdiff1d(np.arange(p), u)
-        g_ur = gamma[np.ix_(u, rest)]
-        solved = np.linalg.pinv(gamma[np.ix_(u, u)],
-                                rtol=conditional.PINV_RTOL,
-                                hermitian=True) @ g_ur
-        schur = gamma[np.ix_(rest, rest)] - g_ur.T @ solved
-        for order in (u, rng.permutation(u)):
-            r = conditional.residual_rows(a, order[None])[0, -1]
-            assert np.all(r[u] == 0.0), (mask, order)
-            np.testing.assert_allclose(r[rest] @ r[rest].T, schur,
+        explained = gamma[:, u] @ np.linalg.pinv(
+            gamma[np.ix_(u, u)], rtol=conditional.PINV_RTOL,
+            hermitian=True) @ gamma[u, :]
+        schur = np.zeros((p, p))
+        schur[np.ix_(rest, rest)] = (gamma - explained)[np.ix_(rest, rest)]
+        for order in (np.concatenate([u, rest]),
+                      np.concatenate([rng.permutation(u),
+                                      rng.permutation(rest)])):
+            f = conditional.ordered_factors(inp.factor, order[None])[0]
+            k = u.size
+            np.testing.assert_allclose(f[:, k:] @ f[:, k:].T, schur,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a[rest] - r[rest], solved.T @ a[u],
+            np.testing.assert_allclose(f[:, :k] @ f[:, :k].T, explained,
                                        rtol=0, atol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
