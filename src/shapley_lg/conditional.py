@@ -33,10 +33,9 @@ from . import subsets
 #: dependent, like a generalized inverse with this eigenvalue threshold.
 PINV_RTOL = 1e-12
 
-#: Upper bound, in bytes, on the sweep states of one chunk of a table or of
-#: :func:`prefix_variances`, and on the normals, model points and factors
-#: of one chunk of ``montecarlo.mc_shapley``. A chunk this small stays in
-#: cache.
+#: Upper bound, in bytes, on the sweep states of one chunk of a table, and
+#: in ``permutations._sampled_shapley`` on the prefix variances of one chunk
+#: of orderings and on what each fill call holds. It stays in cache.
 BATCH_BYTES = 1 << 20
 
 
@@ -186,16 +185,12 @@ def prefix_variances(model: LinearGaussianModel,
     """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
 
     ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
-    the result is ``(m, p + 1)``: one sweep along each ordering, in chunks
-    whose residual rows take a quarter of ``BATCH_BYTES``, leaving the rest
-    to the temporaries of a step.
+    the result is ``(m, p + 1)``: one sweep along each ordering, unchunked.
     """
     m, p = orders.shape
     out = np.zeros((m, p + 1))
     out[:, 0] = total_variance(model)
-    step = max(1, BATCH_BYTES // (4 * 8 * p * (p + 1)))
-    for lo in range(0, m, step):    # p - 1 steps; given all p it is 0
-        out[lo:lo + step, 1:p] = _along(model, orders[lo:lo + step, :-1])
+    out[:, 1:p] = _along(model, orders[:, :-1])    # given all p it is 0
     return out
 
 

@@ -6,11 +6,13 @@ conditional draws of the rest) and plugged into the random-ordering
 estimator. The draws come from the exact routes' Gram-Schmidt sweep, run
 once along each ordering (``conditional.ordered_factors``), so step ``k``
 draws ``k`` normals per outer point and ``p - k`` per inner point, the
-ranks of the two laws. All normals of a call come from one stream, and the
-model is evaluated once per chunk of whole orderings. When the model is a
-sum of functions of independent groups, each group's own estimate times
-its share of the output variance gives its variables' effects, which is
-dramatically cheaper than estimating on the full input space.
+ranks of the two laws. All normals of a call come from one stream; the
+linear estimator's loop, ``permutations._sampled_shapley``, draws and
+chunks the orderings, and the model is evaluated once per chunk. When the
+model is a sum of functions of independent groups, each group's own
+estimate times its share of the output variance gives its variables'
+effects, which is dramatically cheaper than estimating on the full input
+space.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import conditional
 from .blocks import BlockPartition, detect_blocks
 from .errors import (BudgetExceededError, ModelValidationError, ValidationKind,
                      allocation)
-from .permutations import PermutationEstimate, ordering_gains
+from .permutations import PermutationEstimate, _sampled_shapley
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +195,8 @@ def check_block_terms(model: BlackBoxModel,
     ``inp.gamma`` must lie inside one block of ``partition``, and ``model``
     must equal the sum of ``block_models`` (aligned with
     ``partition.groups``) within ``1e-8 * (1 + |f(x)|)`` on
-    ``ADDITIVITY_POINTS`` joint draws from ``seed``. Raises
-    :class:`ModelValidationError` otherwise.
+    ``ADDITIVITY_POINTS`` joint draws from ``seed``, where both must be
+    finite. Raises :class:`ModelValidationError` otherwise.
     """
     for group in detect_blocks(inp.gamma).groups:
         owners = np.unique(partition.group_of[np.asarray(group) - 1])
@@ -209,12 +211,15 @@ def check_block_terms(model: BlackBoxModel,
     f = model(x)
     terms = sum(bb(x[:, np.asarray(group) - 1])
                 for bb, group in zip(block_models, partition.groups))
-    bad = ~(np.abs(f - terms) <= 1e-8 * (1.0 + np.abs(f)))
+    finite = np.isfinite(f) & np.isfinite(terms)
+    bad = ~finite if not finite.all() else \
+        ~(np.abs(f - terms) <= 1e-8 * (1.0 + np.abs(f)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ModelValidationError(
-            ValidationKind.NOT_ADDITIVE,
-            f"f = {f[i]:.6g} but the block terms sum to {terms[i]:.6g} "
+            ValidationKind.NOT_ADDITIVE if finite.all()
+            else ValidationKind.NOT_FINITE,
+            f"f = {f[i]:.6g} and the block terms sum to {terms[i]:.6g} "
             f"at a sampled point",
         )
 
@@ -260,8 +265,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     both ends of every telescoping chain, so the components sum to 1
     exactly. The output variance, the orderings and the normals each draw
     from their own child seed; every normal comes from one stream, in
-    (ordering, step) order, as :func:`_nested` reads them. A chunk of
-    orderings takes one sweep along each, one draw and one model call.
+    (ordering, step) order, as :func:`_nested` reads them, with one draw
+    and one model call per fill of ``permutations._sampled_shapley``.
     Raises ``NotFinite`` if the estimate is not finite.
     """
     p = model.p
@@ -272,23 +277,15 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         var_y = output_variance(model, inp, cfg.n_var, var_seed)
     else:
         _check_variance(var_y, "the model")
-    m, n_outer, n_inner = cfg.m, cfg.n_outer, cfg.n_inner
-    with allocation():
-        orders = np.random.default_rng(order_seed).permuted(
-            np.tile(np.arange(p), (m, 1)), axis=1)
-        v = np.zeros((m, p + 1))
+    n_outer, n_inner = cfg.n_outer, cfg.n_inner
     rng = np.random.default_rng(z_seed)
-    v[:, 0] = var_y
-    # Whole orderings per chunk, at most BATCH_BYTES of normals, points and
-    # factors; with p = 1 there is no step.
-    per_order = 8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer
-                     + (p - 1) * n_inner * n_outer * p + p * p)
-    chunk = max(1, conditional.BATCH_BYTES // per_order)
-    for lo in range(0, m if p > 1 else 0, chunk):
-        f = conditional.ordered_factors(inp.factor, orders[lo:lo + chunk])
-        v[lo:lo + chunk, 1:p] = _nested(model, inp, f, rng, range(1, p),
-                                        n_outer, n_inner)
-    shapley = ordering_gains(orders, v)[0] / (m * var_y)
+    shapley = _sampled_shapley(
+        p, cfg.m, 1, np.random.default_rng(order_seed), var_y,
+        8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer    # normals, points
+             + (p - 1) * n_inner * n_outer * p + p * p),    # and factors
+        lambda orders: _nested(
+            model, inp, conditional.ordered_factors(inp.factor, orders), rng,
+            range(1, p), n_outer, n_inner))[0]
     if not np.isfinite(shapley).all():
         raise ModelValidationError(
             ValidationKind.NOT_FINITE,

@@ -6,8 +6,9 @@ predecessors. Enumerating every ordering gives an exact (and expensive)
 value used here as an oracle for the Shapley weighting; sampling orderings
 gives the Monte Carlo estimator whose accuracy the replicate harness
 measures. Its conditional variances are exact, one sweep along each
-ordering; the replicates of the harness read consecutive orderings of one
-stream and share those calls.
+ordering; the replicates read consecutive orderings of one stream. One
+loop, :func:`_sampled_shapley`, draws, chunks and sums the orderings of
+this estimator and of ``montecarlo.mc_shapley``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import conditional
-from .conditional import (all_conditional_variances, conditional_variance,
-                          prefix_variances)
+from .conditional import all_conditional_variances, conditional_variance
 from .errors import DimensionCapError, allocation
 from .model import LinearGaussianModel, total_variance
 
@@ -113,26 +113,26 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
     return acc / (math.factorial(p) * var_y)
 
 
-def _estimates(model: LinearGaussianModel, m: int, reps: int,
-               rng: np.random.Generator) -> np.ndarray:
+def _sampled_shapley(p: int, m: int, reps: int, rng: np.random.Generator,
+                     var_y: float, per_order: int, fill) -> np.ndarray:
     """``reps`` estimates; row ``r`` reads orderings ``r m .. (r + 1) m - 1``
-    of ``rng``'s stream. Whole rows share each call of
-    :func:`prefix_variances` and :func:`ordering_gains`, in chunks of at most
-    ``conditional.BATCH_BYTES`` of prefix variances; a chunk boundary moves
-    no draw."""
-    if m < 1 or reps < 1:
-        raise ValueError("m and reps must be >= 1")
-    p = model.p
-    var_y = total_variance(model)
+    of ``rng``. Each chunk of whole runs, at most ``BATCH_BYTES`` of prefix
+    variances ``v``, takes one draw and one :func:`ordering_gains`.
+    ``fill(orders)`` gives ``v[:, 1:p]`` of at most ``BATCH_BYTES //
+    per_order`` orderings a call. A chunk boundary moves no draw."""
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
+    sub = max(1, conditional.BATCH_BYTES // per_order)
     with allocation():
         out = np.empty((reps, p))
         base = np.tile(np.arange(p), (min(step, reps) * m, 1))
+        v = np.zeros((len(base), p + 1))
+    v[:, 0] = var_y
     for lo in range(0, reps, step):
-        n = min(step, reps - lo)
-        orders = rng.permuted(base[:n * m], axis=1)
-        out[lo:lo + n] = ordering_gains(
-            orders, prefix_variances(model, orders), m) / (m * var_y)
+        n = min(step, reps - lo) * m
+        orders, rows = rng.permuted(base[:n], axis=1), v[:n]
+        for at in range(0, n if p > 1 else 0, sub):   # with p = 1, no step
+            rows[at:at + sub, 1:p] = fill(orders[at:at + sub])
+        out[lo:lo + step] = ordering_gains(orders, rows, m) / (m * var_y)
     return out
 
 
@@ -144,8 +144,8 @@ def random_permutation_shapley(model: LinearGaussianModel, m: int,
     the components always sum to 1. Conditional variances are exact closed
     forms, one sweep along each ordering. Deterministic per seed.
     """
-    return PermutationEstimate(shapley_hat=_estimates(
-        model, m, 1, np.random.default_rng(seed))[0])
+    return PermutationEstimate(
+        shapley_hat=replicate_estimates(model, m, 1, seed)[0])
 
 
 def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
@@ -155,7 +155,12 @@ def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
     Row ``r`` reads orderings ``r m .. (r + 1) m - 1`` of one stream, so
     row 0 equals :func:`random_permutation_shapley` with the same seed.
     """
-    return _estimates(model, m, reps, np.random.default_rng(seed))
+    if m < 1 or reps < 1:
+        raise ValueError("m and reps must be >= 1")
+    p = model.p
+    return _sampled_shapley(    # residual rows in a quarter of the cap
+        p, m, reps, np.random.default_rng(seed), total_variance(model),
+        4 * 8 * p * (p + 1), lambda o: conditional._along(model, o[:, :-1]))
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

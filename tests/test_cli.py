@@ -698,7 +698,15 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
                                  {"inputs": ["x9"], "expr": "x9"}]},
      _EYE2, 4, "block input 'x9' is not one of x1 .. x2"),
     (["mc"], {"f": "x1 + x2"}, [[1.0, 0.0]], 2, "DimensionMismatch: "),
-], ids=["declared-twice", "strict-defs", "block-input", "gamma-not-square"])
+    # NaN at one of the additivity check's points: the model is additive,
+    # only not finite there, and it used to fail as NotAdditive.
+    (["mc", "--blocks", "--n-var", 2, "--seed", 3],
+     {"f": "(2 - x1)^0.5 + x2",
+      "blocks": [{"inputs": ["x1"], "expr": "(2 - x1)^0.5"},
+                 {"inputs": ["x2"], "expr": "x2"}]},
+     _EYE2, 2, "error: NotFinite: f = nan "),
+], ids=["declared-twice", "strict-defs", "block-input", "gamma-not-square",
+        "block-terms-not-finite"])
 def test_mc_bad_inputs_exit_with_one_line(tmp_path, capsys, verb, expr,
                                           gamma, code, text):
     model = write_json(tmp_path / "expr.json", expr)

@@ -95,7 +95,8 @@ def _literal_replicates(model, m, reps, seed):
     (_duplicate_variable, 30),
     (_tiny_independent_variable, 30),
     (lambda: generate_random_instance(70, 41), 3),
-], ids=["dense", "duplicate", "tiny", "p70"])
+    (lambda: generate_random_instance(1, 42), 30),
+], ids=["dense", "duplicate", "tiny", "p70", "p1"])
 def test_replicates_are_runs_of_one_ordering_stream(make, m):
     # Stacking the replicates' orderings and summing their gains per run
     # changes no bit of any row, on the generalized-inverse paths and with
@@ -109,22 +110,34 @@ def test_replicates_are_runs_of_one_ordering_stream(make, m):
 
 def test_replicates_split_into_chunks_change_no_bit(monkeypatch):
     # Two replicates' prefix variances exceed BATCH_BYTES, so each one gets
-    # its own stacked call; under four times the cap all three share one.
+    # its own draw; under four times the cap all three share one. Under a
+    # cap below one ordering's sweep, each draw is also swept one ordering
+    # at a time. Each draw's orderings reach one gains sum.
     model = generate_random_instance(5, seed=42)
     m = conditional.BATCH_BYTES // (8 * 6) // 2 + 1
-    calls = []
+    draws, sweeps = [], []
+    gains, along = permutations.ordering_gains, conditional._along
 
-    def counted(model, orders):
-        calls.append(len(orders))
-        return conditional.prefix_variances(model, orders)
+    def counted(orders, v, m):
+        draws.append(len(orders))
+        return gains(orders, v, m)
 
-    monkeypatch.setattr(permutations, "prefix_variances", counted)
+    def counted_along(model, orders):
+        sweeps.append(len(orders))
+        return along(model, orders)
+
+    monkeypatch.setattr(permutations, "ordering_gains", counted)
     split = replicate_estimates(model, m, 3, seed=8)
     monkeypatch.setattr(conditional, "BATCH_BYTES",
                         4 * conditional.BATCH_BYTES)
     whole = replicate_estimates(model, m, 3, seed=8)
-    assert calls == [m, m, m, 3 * m]
+    assert draws == [m, m, m, 3 * m]
     assert np.array_equal(split, whole)
+    monkeypatch.setattr(conditional, "BATCH_BYTES", 4 * 8 * 5 * 6 - 1)
+    monkeypatch.setattr(conditional, "_along", counted_along)
+    single = replicate_estimates(model, m, 3, seed=8)
+    assert draws[4:] == [m, m, m] and sweeps == [1] * (3 * m)
+    assert np.array_equal(single, whole)
 
 
 def test_exact_enumeration_guard():
