@@ -36,10 +36,6 @@ class BlockPartition:
     group_of: np.ndarray
 
     @property
-    def k(self) -> int:
-        return len(self.groups)
-
-    @property
     def p(self) -> int:
         return self.group_of.size
 

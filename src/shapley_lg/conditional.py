@@ -3,20 +3,21 @@
 For a subset ``u`` of inputs the conditional variance of the output given
 ``X_u`` does not depend on the observed value of ``X_u``, so a single number
 per subset is the whole story. Every exact route computes it one way:
-``gamma`` is factored once as ``A A'`` (``eigh``, eigenvalues clipped at 0),
-and ``Var(Y | X_u)`` is the squared norm of the part of ``a = A' beta``
-orthogonal to the rows ``A[u]``. One modified Gram-Schmidt :func:`_step` per
-member of ``u`` projects that member's residual row out of ``a`` and out of
-the rows still to come; a residual at or below ``PINV_RTOL`` times its row's
-own squared norm is dependent and skipped. Every value is a sum of squares,
-so none is negative. Orderings read :func:`_sweep`, one sweep along each,
-with every prefix bit for bit a sweep of that prefix alone; the single
-subset and the ``2**p`` tables take members in ascending order, bit for bit
-alike. The Schur complement is the oracle in the tests.
+``gamma`` is factored once as ``A A'`` by :func:`root` (``eigh``,
+eigenvalues clipped at 0), and ``Var(Y | X_u)`` is the squared norm of the
+part of ``a = A' beta`` orthogonal to the rows ``A[u]``. One modified
+Gram-Schmidt :func:`_step` per member of ``u`` projects that member's
+residual row out of ``a`` and out of the rows still to come; a residual at
+or below ``PINV_RTOL`` times its row's own squared norm is dependent and
+skipped. Every value is a sum of squares, so none is negative. Orderings
+read :func:`_along`, one :func:`_sweep` along each, with every prefix bit
+for bit a sweep of that prefix alone; the single subset is the ordering of
+its members ascending, and the ``2**p`` tables take members in that order
+too, bit for bit alike. The Schur complement is the oracle in the tests.
 
 The Monte Carlo estimators sample from the same sweep, run along a whole
-ordering on the rows of a sampling factor of ``gamma`` by
-:func:`ordered_factors`.
+ordering on the rows of :func:`root` by :func:`ordered_factors`; their
+sampling factor is the ordered factor along ``1..p``, the triangular root.
 """
 
 from __future__ import annotations
@@ -56,32 +57,18 @@ class CondVarTable:
         return self.values.shape[-1].bit_length() - 1
 
 
-def psd_factor(mat: np.ndarray) -> np.ndarray:
-    """A square root ``F`` with ``F F' = mat`` of a symmetric matrix: its
-    Cholesky factor, unless it has none or a variable depends on the ones
-    before it by the sweep's cut (a squared pivot at most ``PINV_RTOL``
-    times its variance). Then it is the eigenvectors, each signed so that
-    its largest-magnitude entry is positive, scaled by the roots of the
-    clipped eigenvalues, so round-off picks neither path nor sign."""
-    try:
-        out = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        out = None
-    if out is None or (out.diagonal() ** 2
-                       <= PINV_RTOL * mat.diagonal()).any():
-        w, q = np.linalg.eigh(mat)
-        q *= np.where(q[np.abs(q).argmax(axis=0), np.arange(len(q))] < 0.0,
-                      -1.0, 1.0)
-        out = q * np.sqrt(np.clip(w, 0.0, None))
-    return out
+def root(gammas: np.ndarray) -> np.ndarray:
+    """A root ``A`` with ``A A' = gamma`` of each of a stack of covariances:
+    the eigenvectors scaled by the roots of the eigenvalues, clipped at 0."""
+    w, q = np.linalg.eigh(gammas)
+    return q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def _roots(gammas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``(..., p + 1, p)`` rows of ``A`` then ``a = A' beta`` of a stack
-    of models, and each variable's cut: ``PINV_RTOL`` times its row's
-    squared norm."""
-    w, q = np.linalg.eigh(gammas)
-    a = q * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    """The ``(..., p + 1, p)`` rows of :func:`root` ``A`` then ``a = A'
+    beta`` of a stack of models, and each variable's cut: ``PINV_RTOL``
+    times its row's squared norm."""
+    a = root(gammas)
     return (np.concatenate([a, betas[..., None, :] @ a], axis=-2),
             PINV_RTOL * np.einsum("...ij,...ij->...i", a, a))
 
@@ -92,10 +79,10 @@ _ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _root(model: LinearGaussianModel) -> tuple[np.ndarray, ...]:
-    root = _ROOTS.get(model)
-    if root is None:
-        root = _ROOTS[model] = _roots(model.gamma[None], model.beta[None])
-    return root
+    roots = _ROOTS.get(model)
+    if roots is None:
+        roots = _ROOTS[model] = _roots(model.gamma[None], model.beta[None])
+    return roots
 
 
 def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -110,41 +97,36 @@ def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
 
 
-def _sweep(rows: np.ndarray, cut: np.ndarray, orders: np.ndarray):
-    """Sweep the rows ``orders`` ``(m, k)`` of the stacked :func:`_roots`, in
-    order, out of their last row ``a``; yield the ``(models, m, w)`` ``a``
-    after each step, bit for bit a sweep of that prefix alone."""
-    m, k = orders.shape
-    at = np.empty((m, k + 1), dtype=np.intp)
-    at[:, :k] = orders
-    at[:, k] = rows.shape[-2] - 1
-    state = rows[:, at]
-    cut = cut[:, orders, None, None]
-    for i in range(k):
+def _sweep(state: np.ndarray, cut: np.ndarray):
+    """Yield the states ``(models, m, t, w)`` after each :func:`_step` with
+    the cuts ``(models, m, k)`` in turn: after step ``i`` row 0 is the
+    residual of the next pivot and every row, ``a`` last if it is there,
+    is bit for bit what a sweep of the first ``i + 1`` pivots alone gives."""
+    cut = cut[..., None, None]
+    for i in range(cut.shape[2]):
         state = _step(state, cut[:, :, i])
-        yield state[:, :, -1]
+        yield state
 
 
 def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Factors ``F`` ``(m, p, p)`` of ``gamma = A A'``, one per zero-based
-    row of ``orders`` ``(m, p)``: :func:`_step` sweeps the rows of ``A``
+    row of ``orders`` ``(m, p)``: :func:`_sweep` runs on the rows of ``A``
     along it, with the exact routes' cut, and column ``j`` is ``A q_j`` for
     the ``j``-th pivot's residual ``q_j``, normalised, or zero when the
     pivot is dependent. Given the ordering's first ``k`` variables ``u``,
     ``F[:, :k] F[:, :k]'`` is ``gamma[:, u] gamma_uu^+ gamma[u, :]`` and
     ``F[:, k:] F[:, k:]'`` the Schur complement, zero (to round-off) on
     ``u``: ``mu + F w`` with normals ``w`` draws ``X``, and its first ``k``
-    entries of ``w`` fix ``X_u``.
+    entries of ``w`` fix ``X_u``. Along ``1..p`` it is lower triangular
+    (to round-off), with a non-negative diagonal and zero columns for the
+    dependent variables, so it depends on ``gamma`` only, not on ``A``.
     """
     cut = PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
     rows = factor[None, orders]
-    pivots = np.empty(rows.shape[1:])
-    for i in range(orders.shape[1]):
-        r = rows[0, :, 0]
-        rr = np.einsum("mi,mi->m", r, r)
-        pivots[:, i] = r / np.sqrt(np.where(rr > cut[orders[:, i]], rr,
-                                            np.inf))[:, None]
-        rows = _step(rows, cut[None, orders[:, i], None, None])
+    states = _sweep(rows, cut[None, orders[:, :-1]])
+    pivots = np.stack([rows[0, :, 0]] + [s[0, :, 0] for s in states], axis=1)
+    rr = np.einsum("mji,mji->mj", pivots, pivots)
+    pivots /= np.sqrt(np.where(rr > cut[orders], rr, np.inf))[..., None]
     return factor @ pivots.swapaxes(-1, -2)
 
 
@@ -152,9 +134,10 @@ def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
     """Squared norm of ``a`` after each step along each zero-based row of
     ``orders`` ``(m, k)``: the conditional variance given each prefix."""
     rows, cut = _root(model)
-    seen = np.empty((*orders.shape, rows.shape[-1]))
-    for i, a in enumerate(_sweep(rows, cut, orders)):
-        seen[:, i] = a[0]
+    at = np.column_stack([orders, np.full(len(orders), model.p)])  # ``a`` last
+    seen = np.empty((*orders.shape, model.p))
+    for i, state in enumerate(_sweep(rows[:, at], cut[:, orders])):
+        seen[:, i] = state[0, :, -1]
     return np.einsum("...i,...i->...", seen, seen)
 
 
@@ -176,22 +159,7 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     if j == (1 << p) - 1:
         return 0.0
     order = np.array([[i for i in range(p) if j >> i & 1]])
-    *_, a = _sweep(*_root(model), order)     # ``a`` after the last step
-    return float(np.einsum("...i,...i->...", a, a)[0, 0])
-
-
-def prefix_variances(model: LinearGaussianModel,
-                     orders: np.ndarray) -> np.ndarray:
-    """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
-
-    ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
-    the result is ``(m, p + 1)``: one sweep along each ordering, unchunked.
-    """
-    m, p = orders.shape
-    out = np.zeros((m, p + 1))
-    out[:, 0] = total_variance(model)
-    out[:, 1:p] = _along(model, orders[:, :-1])    # given all p it is 0
-    return out
+    return float(_along(model, order)[0, -1])
 
 
 def _expand(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ class ModelValidationError(ValueError):
     def __init__(self, kind: ValidationKind, detail: str):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
-        self.detail = detail
 
 
 class DimensionCapError(RuntimeError):

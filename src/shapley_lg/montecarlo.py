@@ -55,10 +55,12 @@ class BlackBoxModel:
 class GaussianInput:
     """Gaussian input distribution with a cached sampling factor.
 
-    ``gamma`` is symmetrised on construction and ``factor`` is computed from
-    it by :func:`conditional.psd_factor`: a square root ``F`` with ``F F' =
-    gamma`` (Cholesky, or eigenvector scaling when ``gamma`` is singular or
-    ill-conditioned).
+    ``gamma`` is symmetrised on construction and ``factor`` is the exact
+    routes' root of it, ordered along ``1..p`` by
+    :func:`conditional.ordered_factors`: the lower-triangular ``F`` with
+    ``F F' = gamma``, a non-negative diagonal and a zero column for each
+    variable that depends on the ones before it. For a positive-definite
+    ``gamma`` it is the Cholesky factor up to round-off.
     """
 
     mu: np.ndarray
@@ -73,7 +75,8 @@ class GaussianInput:
             raise ValueError(f"gamma has shape {self.gamma.shape}, "
                              f"expected ({p}, {p})")
         self.gamma = (self.gamma + self.gamma.T) / 2.0
-        self.factor = conditional.psd_factor(self.gamma)
+        self.factor = conditional.ordered_factors(
+            conditional.root(self.gamma), np.arange(p)[None])[0]
 
     @property
     def p(self) -> int:

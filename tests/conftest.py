@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapley_lg import (conditional, generate_random_instance, montecarlo,
-                        validate_model)
+                        total_variance, validate_model)
 
 
 @pytest.fixture
@@ -22,6 +22,19 @@ def assert_close(actual, expected, tol=1e-12):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tol, (actual, expected)
+
+
+def prefix_variances(model, orders):
+    """Entry ``[r, k]`` is the conditional variance given ``orders[r, :k]``.
+
+    ``orders`` is an ``(m, p)`` array of zero-based variable orderings and
+    the result is ``(m, p + 1)``: one sweep along each ordering, unchunked.
+    """
+    m, p = orders.shape
+    out = np.zeros((m, p + 1))
+    out[:, 0] = total_variance(model)
+    out[:, 1:p] = conditional._along(model, orders[:, :-1])  # given all p: 0
+    return out
 
 
 def sample_conditional(inp, u, x_u, n, seed):

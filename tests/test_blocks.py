@@ -249,7 +249,7 @@ def test_cross_block_scan_vacuous_for_dense_partition():
     model = generate_random_instance(4, seed=1)
     partition = detect_blocks(model.gamma)
     report = lg_indices(model)
-    assert partition.k == 1
+    assert len(partition.groups) == 1
     assert verify_cross_block_zeros(report, partition) == []
 
 

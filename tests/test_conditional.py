@@ -11,7 +11,7 @@ from shapley_lg import (GaussianInput, LinearGaussianModel,
                         validate_model)
 from shapley_lg import conditional, subsets
 from conftest import (_duplicate_variable, _tiny_independent_variable,
-                      assert_close, sample_conditional)
+                      assert_close, prefix_variances, sample_conditional)
 
 
 def pinv(mat):
@@ -98,27 +98,42 @@ def test_scale_equivariance(p, seed, c):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_factor_and_pseudo_paths_agree(seed):
-    # The two paths of the sampling factor, Cholesky and the signed eigh
-    # factor, give the sweep the same conditional laws on every subset u
-    # (then the rest ascending): the Schur complement F[:, k:] F[:, k:]'
-    # and the covariance F[:, :k] F[:, :k]' of the conditional mean.
-    model = generate_random_instance(6, seed)
-    gamma = model.gamma
-    chol = conditional.psd_factor(gamma)
-    assert np.array_equal(chol, np.linalg.cholesky(gamma))
-    w, q = np.linalg.eigh(gamma)
-    sets = [np.flatnonzero(j >> np.arange(6) & 1) for j in range(64)]
-    orders = np.array([np.concatenate([u, np.setdiff1d(np.arange(6), u)])
-                       for u in sets])
-    laws = []
-    for a in (chol, q * np.sqrt(w)):
-        f = conditional.ordered_factors(a, orders)
-        laws.append([(g[:, u.size:] @ g[:, u.size:].T,
-                      g[:, :u.size] @ g[:, :u.size].T)
-                     for g, u in zip(f, sets)])
-    scale = np.abs(gamma).max()
-    for one, other in zip(*laws):
-        np.testing.assert_allclose(one, other, rtol=0, atol=1e-10 * scale)
+    # One factor for positive-definite and singular gamma alike: the
+    # sampling factor is the exact routes' root ordered along 1..p, the
+    # lower-triangular root with a non-negative diagonal, which is the
+    # Cholesky factor when gamma is positive definite and has a zero
+    # column for a duplicated variable. It hangs on gamma alone, so a
+    # rotated root A R gives it too, and the ordered factors of both roots
+    # give the sweep the same conditional laws on every subset u (then the
+    # rest ascending): the Schur complement F[:, k:] F[:, k:]' and the
+    # covariance F[:, :k] F[:, :k]' of the conditional mean.
+    rng = np.random.default_rng(seed)
+    dense = generate_random_instance(6, seed).gamma
+    for gamma in (dense, _duplicate_variable().gamma):
+        p, scale = len(gamma), np.abs(gamma).max()
+        tol = 1e-12 * scale
+        f = GaussianInput(mu=np.zeros(p), gamma=gamma).factor
+        assert np.abs(f @ f.T - gamma).max() <= tol
+        assert np.abs(np.triu(f, 1)).max() <= tol
+        assert np.all(f.diagonal() >= 0.0)
+        rotated = (conditional.root(gamma)
+                   @ np.linalg.qr(rng.standard_normal((p, p)))[0])
+        assert_close(conditional.ordered_factors(rotated, np.arange(p)[None])
+                     [0], f, tol=tol)
+        sets = [np.flatnonzero(j >> np.arange(p) & 1) for j in range(1 << p)]
+        orders = np.array([np.concatenate([u, np.setdiff1d(np.arange(p), u)])
+                           for u in sets])
+        laws = []
+        for a in (f, rotated):
+            laws.append([(g[:, u.size:] @ g[:, u.size:].T,
+                          g[:, :u.size] @ g[:, :u.size].T)
+                         for g, u in zip(conditional.ordered_factors(a, orders),
+                                         sets)])
+        for one, other in zip(*laws):
+            np.testing.assert_allclose(one, other, rtol=0, atol=1e-10 * scale)
+    assert np.all(f[:, 3] == 0.0)       # X4 copies X1
+    assert_close(GaussianInput(mu=np.zeros(6), gamma=dense).factor,
+                 np.linalg.cholesky(dense), tol=1e-12 * np.abs(dense).max())
 
 
 def test_singular_conditioning_block_uses_generalized_inverse():
@@ -198,7 +213,7 @@ def test_prefix_variances_match_schur_oracle(name):
     p, var_y = model.p, total_variance(model)
     rng = np.random.default_rng(7)
     orders = np.array([rng.permutation(p) for _ in range(40)])
-    v = conditional.prefix_variances(model, orders)
+    v = prefix_variances(model, orders)
     oracle = [[schur_variance(model, sum(1 << int(i) for i in order[:k]))
                for k in range(p + 1)] for order in orders]
     assert v.shape == (40, p + 1)

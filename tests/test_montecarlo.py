@@ -483,8 +483,9 @@ def test_sweep_rows_match_the_pinv_oracle(make):
 
 
 def test_singular_input_draws_survive_a_last_bit_change():
-    # X4 copies X1, so blocks holding both are singular and their factor
-    # path and eigenvector signs hang on round-off. Rescaling the
+    # X4 copies X1, so blocks holding both are singular and X4's residual
+    # after X1 is pure round-off, which the cut of the sampling factor and
+    # of each ordered factor must drop, not normalise. Rescaling the
     # covariance by a few ulps must move the estimate by round-off only,
     # not by its sampling noise.
     model = _duplicate_variable()

@@ -15,7 +15,7 @@ from shapley_lg import (DimensionCapError, all_conditional_variances,
                         verify_weight_collapse, weight_collapse_sides)
 from shapley_lg import conditional, permutations
 from conftest import (_duplicate_variable, _tiny_independent_variable,
-                      assert_close)
+                      assert_close, prefix_variances)
 
 
 def test_exact_p1():
@@ -65,7 +65,7 @@ def test_random_estimate_matches_the_literal_walk(make):
     swept, scalar = np.zeros(model.p), np.zeros(model.p)
     for _ in range(30):
         order = rng.permutation(model.p)
-        v = conditional.prefix_variances(model, order[None])[0]
+        v = prefix_variances(model, order[None])[0]
         permutations._chain_update(swept, order,
                                    lambda mask: v[mask.bit_count()])
         permutations._chain_update(
@@ -83,7 +83,7 @@ def _literal_replicates(model, m, reps, seed):
     for r in range(reps):
         for _ in range(m):
             order = rng.permutation(model.p)
-            v = conditional.prefix_variances(model, order[None])[0]
+            v = prefix_variances(model, order[None])[0]
             # Python ints, so that masks past 63 bits do not wrap.
             permutations._chain_update(out[r], order.tolist(),
                                        lambda mask: v[mask.bit_count()])
