@@ -272,8 +272,9 @@ def cmd_mc(args) -> int:
     p = inp.p
     full_model = files.build_function(expr, p)
 
-    seed_root = np.random.SeedSequence(args.seed)
-    var_child, mc_child = seed_root.spawn(2)
+    # The third child checks the blocks: the estimate does not depend on it.
+    var_child, mc_child, check_child = np.random.SeedSequence(
+        args.seed).spawn(3)
     cfg = McConfig(
         m=args.m, n_var=args.n_var, n_outer=args.n_outer,
         n_inner=args.n_inner, budget=args.budget,
@@ -289,19 +290,17 @@ def cmd_mc(args) -> int:
     }
     if args.blocks:
         models, partition = files.build_block_functions(expr, p)
-        # A third child of the seed: the estimate's draws do not depend on it.
-        check_block_terms(full_model, models, partition, inp,
-                          seed_root.spawn(1)[0])
+        check_block_terms(full_model, models, partition, inp, check_child)
         idx = [np.asarray(group) - 1 for group in partition.groups]
         pairs = [(bm, GaussianInput(inp.mu[i], inp.gamma[np.ix_(i, i)]))
                  for bm, i in zip(models, idx)]
         shapley = block_additive_shapley(pairs, cfg, partition)
-        doc = files.report_from_estimate(shapley, var_y, "block-additive-mc",
-                                         seed=args.seed, config=config)
+        algorithm = "block-additive-mc"
     else:
-        est = mc_shapley(full_model, inp, cfg, var_y=var_y)
-        doc = files.report_from_estimate(est.shapley_hat, var_y, "mc-shapley",
-                                         seed=args.seed, config=config)
+        shapley = mc_shapley(full_model, inp, cfg, var_y=var_y).shapley_hat
+        algorithm = "mc-shapley"
+    doc = files.report_from_estimate(shapley, var_y, algorithm,
+                                     seed=args.seed, config=config)
     files.write_report(doc, args.out)
     return EXIT_OK
 

@@ -151,15 +151,12 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
     j : int
         Subset bitmask in ``[0, 2**p)``.
     """
-    p = model.p
-    if not 0 <= j < (1 << p):
-        raise ValueError(f"mask {j} outside [0:2**{p}-1]")
-    if j == 0:
+    members = subsets.decode(j, model.p)
+    if not members:
         return total_variance(model)
-    if j == (1 << p) - 1:
+    if len(members) == model.p:
         return 0.0
-    order = np.array([[i for i in range(p) if j >> i & 1]])
-    return float(_along(model, order)[0, -1])
+    return float(_along(model, np.array([[i - 1 for i in members]]))[0, -1])
 
 
 def _expand(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    for line_no, line in enumerate(text.splitlines() or [""], start=1):
+    lines = text.split("\n")           # any other line break is whitespace
+    for line_no, line in enumerate(lines, start=1):
         pos = 0
         while pos < len(line):
             match = _TOKEN_RE.match(line, pos)
@@ -52,9 +53,7 @@ def _tokenize(text: str) -> list[_Token]:
             if kind != "ws":
                 tokens.append(_Token(kind, match.group(), line_no, pos + 1))
             pos = match.end()
-    last_line = max(1, text.count("\n") + 1)
-    tokens.append(_Token("end", "", last_line, len(text.splitlines()[-1]) + 1
-                         if text.splitlines() else 1))
+    tokens.append(_Token("end", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -139,7 +138,8 @@ class _Parser:
     def atom(self) -> Callable:
         tok = self.advance()
         if tok.kind == "num":
-            value = float(tok.text)
+            # numpy's rules: 10^400 is inf and (-8)^(1/3) NaN, not an error
+            value = np.float64(tok.text)
             return lambda env, v=value: v
         if tok.kind == "name":
             nxt = self.peek()

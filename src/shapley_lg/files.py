@@ -3,9 +3,10 @@
 Everything on disk is JSON. Floats are written in Python's shortest
 round-trip form, so a file read back gives the exact values written.
 Writers emit the layout of ``json.dumps(doc, indent=2)``, so repeated runs
-are byte-identical. Report subset rows are arrays (:class:`SubsetRows`):
-both exact routes write the ascending masks of one
-:class:`~shapley_lg.indices.SensitivityReport`, dense or grouped. Rows are
+are byte-identical. Exact reports' subset rows are arrays
+(:class:`SubsetRows`), never empty: both exact routes write the ascending
+masks of one :class:`~shapley_lg.indices.SensitivityReport`, dense or
+grouped. Estimate reports write plain empty lists. Rows are
 streamed in chunks that each spell out their own subset texts. The keys
 and value types of each input file (model, distribution, expression) are
 checked by plain code here; it accepts what the JSON Schemas in the tests
@@ -31,8 +32,10 @@ from .blocks import BlockPartition
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
+# validate_covariance is not called here; perfbench/tracing.py wraps it by
+# this name.
 from .model import (LinearGaussianModel, _as_array, validate_covariance,
-                    validate_mean, validate_model)
+                    validate_model)
 from .montecarlo import BlackBoxModel, GaussianInput
 from .permutations import CvSummary
 
@@ -50,9 +53,6 @@ class SubsetRows:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-_NO_ROWS = SubsetRows(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def _load_json(path) -> dict:
@@ -208,13 +208,12 @@ def write_model(model: LinearGaussianModel, path=None) -> None:
 
 
 def read_distribution(path) -> GaussianInput:
-    """Load a Gaussian input distribution (covariance plus optional mean)."""
+    """Load a Gaussian input distribution (covariance plus optional mean,
+    zero by default), checked by :class:`GaussianInput` itself."""
     obj = _load_json(path)
     _check(obj, _DISTRIBUTION, path, "distribution")
-    gamma = validate_covariance(obj["gamma"])
-    p = gamma.shape[0]
-    return GaussianInput(mu=validate_mean(obj.get("mu", np.zeros(p)), p),
-                         gamma=gamma)
+    return GaussianInput(mu=obj.get("mu", np.zeros(len(obj["gamma"]))),
+                         gamma=obj["gamma"])
 
 
 _INPUT_NAME_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -252,8 +251,8 @@ def _compile_with_defs(expr_obj: dict, text: str, names,
     warnings: a non-finite output is reported by the caller's checks.
     """
     consts = expr_obj.get("consts", {})
-    values = _as_array("consts", list(consts.values())).tolist()
-    consts = dict(zip(consts, values))
+    # float64, so constant arithmetic gives inf or NaN like the inputs'
+    consts = dict(zip(consts, _as_array("consts", list(consts.values()))))
     names = tuple(names)
     available = set(names) | set(consts)
     resolved = []
@@ -360,12 +359,12 @@ report_from_grouped = report_from_sensitivity
 
 def report_from_estimate(shapley, var_y: float, algorithm: str, *, seed=None,
                          config=None, cv: CvSummary | None = None) -> dict:
-    """Report document for an estimator; index rows are left empty."""
+    """Report document for an estimator; index rows are plain empty lists."""
     doc = {
         "var_y": float(var_y),
         "shapley": [float(v) for v in shapley],
-        "sobol": _NO_ROWS,
-        "closed_sobol": _NO_ROWS,
+        "sobol": [],
+        "closed_sobol": [],
         "metadata": _metadata(algorithm, len(shapley), seed=seed, config=config),
     }
     if cv is not None:
@@ -414,6 +413,6 @@ def write_report(doc: dict, path=None) -> None:
                     masks, _subsets(masks, lattice),
                     rows.values[start:start + CHUNK_ROWS].tolist())))
                 sep = "\n    },\n"
-            out.write("\n    }\n  ]" if len(rows) else "[]")
+            out.write("\n    }\n  ]")
         out.write(text)
 

@@ -23,8 +23,8 @@ PSD_TOL = 1e-8
 class LinearGaussianModel:
     """Validated coefficients and input covariance of a linear Gaussian model.
 
-    Instances are produced by :func:`validate_model` and must be treated as
-    immutable; every function in the package reads them without copying.
+    Instances are produced by :func:`validate_model`, whose arrays are
+    read-only; every function in the package reads them without copying.
 
     Attributes
     ----------
@@ -62,19 +62,22 @@ def _as_array(name: str, values) -> np.ndarray:
 
 
 def validate_mean(mu, p: int) -> np.ndarray:
-    """Check that ``mu`` holds ``p`` finite numbers; return it as an array."""
+    """Check that ``mu`` holds ``p`` finite numbers; return it as a
+    read-only array."""
     mu = _as_array("mu", mu).reshape(-1)
     if mu.size != p:
         raise ModelValidationError(ValidationKind.DIMENSION_MISMATCH,
                                    f"mu has length {mu.size}, expected {p}")
     _require_finite("mu", mu)
+    mu.flags.writeable = False
     return mu
 
 
 def validate_covariance(gamma) -> np.ndarray:
-    """Check symmetry and positive semi-definiteness; return the symmetrised matrix.
+    """Check symmetry and positive semi-definiteness; return the symmetrised
+    matrix, read-only.
 
-    Shared by model validation and distribution-file loading. Finite entries
+    Shared by model validation and Gaussian inputs. Finite entries
     whose symmetrisation or eigenvalues pass the float range are
     ``NotFinite``.
     """
@@ -106,6 +109,7 @@ def validate_covariance(gamma) -> np.ndarray:
             f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL} * largest "
             f"({largest:.3e})",
         )
+    gamma.flags.writeable = False
     return gamma
 
 
@@ -148,6 +152,7 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
             f"beta' gamma beta = {var_y:.3e} is not positive",
         )
 
+    beta.flags.writeable = False
     return LinearGaussianModel(beta=beta, gamma=gamma)
 
 

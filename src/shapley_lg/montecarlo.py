@@ -22,10 +22,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import conditional
+from . import conditional, subsets
 from .blocks import BlockPartition, detect_blocks
 from .errors import (BudgetExceededError, ModelValidationError, ValidationKind,
                      allocation)
+from .model import validate_covariance, validate_mean
 from .permutations import PermutationEstimate, _sampled_shapley
 
 
@@ -55,7 +56,9 @@ class BlackBoxModel:
 class GaussianInput:
     """Gaussian input distribution with a cached sampling factor.
 
-    ``gamma`` is symmetrised on construction and ``factor`` is the exact
+    Construction checks ``gamma`` with :func:`validate_covariance` and
+    ``mu`` with :func:`validate_mean`, as a distribution file is checked,
+    and keeps the read-only symmetrised ``gamma``. ``factor`` is the exact
     routes' root of it, ordered along ``1..p`` by
     :func:`conditional.ordered_factors`: the lower-triangular ``F`` with
     ``F F' = gamma``, a non-negative diagonal and a zero column for each
@@ -68,15 +71,10 @@ class GaussianInput:
     factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        p = self.mu.size
-        if self.gamma.shape != (p, p):
-            raise ValueError(f"gamma has shape {self.gamma.shape}, "
-                             f"expected ({p}, {p})")
-        self.gamma = (self.gamma + self.gamma.T) / 2.0
+        self.gamma = validate_covariance(self.gamma)
+        self.mu = validate_mean(self.mu, len(self.gamma))
         self.factor = conditional.ordered_factors(
-            conditional.root(self.gamma), np.arange(p)[None])[0]
+            conditional.root(self.gamma), np.arange(self.p)[None])[0]
 
     @property
     def p(self) -> int:
@@ -90,12 +88,9 @@ class GaussianInput:
 
 def _ordering(p: int, u: Sequence[int]) -> np.ndarray:
     """The checked 1-based ``u``, in order, then the rest, zero-based."""
-    u_idx = np.asarray(list(u), dtype=np.int64) - 1
-    if u_idx.size and (u_idx.min() < 0 or u_idx.max() >= p):
-        raise ValueError(f"conditioning set {tuple(u)} outside [1:{p}]")
-    if np.unique(u_idx).size != u_idx.size:
-        raise ValueError(f"conditioning set {tuple(u)} has repeats")
-    return np.concatenate([u_idx, np.setdiff1d(np.arange(p), u_idx)])
+    mask = subsets.encode(u, p)
+    return np.array([i - 1 for i in u]
+                    + [i for i in range(p) if not mask >> i & 1])
 
 
 def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
@@ -139,10 +134,7 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     given, then the rest ascending, on the next normals of ``seed``'s
     stream. Conditioning on the full set costs nothing and is exactly 0.
     """
-    if n_inner < 2:
-        raise ValueError("n_inner must be >= 2 for a sample variance")
-    if n_outer < 1:
-        raise ValueError("n_outer must be >= 1")
+    _check_minimums(n_outer=n_outer, n_inner=n_inner)
     order = _ordering(inp.p, u)
     if len(u) == inp.p:
         return 0.0
@@ -232,6 +224,12 @@ def check_block_terms(model: BlackBoxModel,
 MC_MINIMUMS = {"m": 1, "n_var": 2, "n_outer": 1, "n_inner": 2}
 
 
+def _check_minimums(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < MC_MINIMUMS[name]:
+            raise ValueError(f"{name} must be >= {MC_MINIMUMS[name]}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sampling sizes of the black-box estimator.
@@ -249,9 +247,7 @@ class McConfig:
     budget: int = 100_000_000
 
     def __post_init__(self):
-        for name, minimum in MC_MINIMUMS.items():
-            if getattr(self, name) < minimum:
-                raise ValueError(f"{name} must be >= {minimum}")
+        _check_minimums(**{name: getattr(self, name) for name in MC_MINIMUMS})
         cost = self.m * self.n_outer * self.n_inner
         if cost > self.budget:
             raise BudgetExceededError(

@@ -45,6 +45,8 @@ def test_detect_blocks_threshold():
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError):
             detect_blocks(gamma, eps_block=bad)
+    with pytest.raises(ValueError, match="square"):
+        detect_blocks(np.zeros((2, 3)))
 
 
 def test_detect_blocks_permutation_invariance():

@@ -705,8 +705,12 @@ _EYE2 = [[1.0, 0.0], [0.0, 1.0]]
       "blocks": [{"inputs": ["x1"], "expr": "(2 - x1)^0.5"},
                  {"inputs": ["x2"], "expr": "x2"}]},
      _EYE2, 2, "error: NotFinite: f = nan "),
+    # A constant's square root of -4 is NaN, not a complex number cast to
+    # its real part.
+    (["mc"], {"f": "x1 * c^0.5 + x2", "consts": {"c": -4}},
+     _EYE2, 2, "error: NotFinite: "),
 ], ids=["declared-twice", "strict-defs", "block-input", "gamma-not-square",
-        "block-terms-not-finite"])
+        "block-terms-not-finite", "const-nan"])
 def test_mc_bad_inputs_exit_with_one_line(tmp_path, capsys, verb, expr,
                                           gamma, code, text):
     model = write_json(tmp_path / "expr.json", expr)
@@ -737,7 +741,14 @@ def test_mc_constant_expression_rejected(tmp_path):
 # own; as errors they fail the test.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("f", ["exp(1000*x1) + x2",
-                               "x1 * (x2 - x2) / (x2 - x2)"])
+                               "x1 * (x2 - x2) / (x2 - x2)",
+                               # Constant arithmetic follows numpy's rules:
+                               # these were an OverflowError and a
+                               # ZeroDivisionError traceback, and a complex
+                               # constant cast to its real part.
+                               "10^400 * x1 + x2",
+                               "(1/0) * 0 + x1 + x2",
+                               "x1 * (-8)^(1/3) + x2"])
 def test_mc_rejects_non_finite_output_variance(tmp_path, capsys, f):
     expr = write_json(tmp_path / "expr.json", {"f": f})
     dist = write_json(tmp_path / "dist.json", {"gamma": [[1.0, 0.0],

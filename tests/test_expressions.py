@@ -75,6 +75,10 @@ def test_multiline_positions():
         compile_expression("1 +\n  oops", {"a"})
     assert exc.value.line == 2
     assert exc.value.column == 3
+    # End of input after a trailing newline is the start of the next line.
+    with pytest.raises(ExpressionParseError) as exc:
+        compile_expression("1 +\n", {"a"})
+    assert (exc.value.line, exc.value.column) == (2, 1)
 
 
 def test_multiline_expression_evaluates():

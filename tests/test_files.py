@@ -177,10 +177,13 @@ def test_read_model_validation_errors(tmp_path):
 
 
 def _row_dicts(doc):
-    """``doc`` with each row family spelled out as row dicts."""
+    """``doc`` with each array row family spelled out as row dicts; an
+    estimate's plain lists pass through unchanged."""
     out, p = dict(doc), doc["metadata"]["p"]
     for family in ("sobol", "closed_sobol"):
         rows = doc[family]
+        if isinstance(rows, list):
+            continue
         out[family] = [{"subset": list(subsets.decode(m, p)), "mask": m,
                         "value": v}
                        for m, v in zip(rows.masks.tolist(),

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapley_lg import (ModelValidationError, ValidationKind, detect_blocks,
-                        generate_block_instance, generate_random_instance,
-                        total_variance, validate_covariance,
-                        validate_model)
+from shapley_lg import (GaussianInput, ModelValidationError, ValidationKind,
+                        detect_blocks, generate_block_instance,
+                        generate_random_instance, lg_indices, total_variance,
+                        validate_covariance, validate_model)
+from shapley_lg.model import validate_mean
 from conftest import assert_close
 
 
@@ -35,6 +36,9 @@ def test_dimension_mismatch_rejected():
     assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
     with pytest.raises(ModelValidationError) as exc:
         validate_model([1.0, 1.0], np.eye(2), mu=[0.0])
+    assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model([], np.zeros((0, 0)))
     assert exc.value.kind is ValidationKind.DIMENSION_MISMATCH
 
 
@@ -119,6 +123,22 @@ def test_validation_is_idempotent(correlated_p2):
     assert np.array_equal(again.gamma, correlated_p2.gamma)
 
 
+def test_validated_arrays_are_read_only(correlated_p2):
+    # Roots are cached per model, so a gamma edited after a first call
+    # would mix the old root with the new var(y): lg_indices then read
+    # Sobol (0, 0.625, 0.625, -0.25) where (0, 0.5, 0.5, 0) is right.
+    lg_indices(correlated_p2)
+    with pytest.raises(ValueError, match="read-only"):
+        correlated_p2.gamma[0, 1] = correlated_p2.gamma[1, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        correlated_p2.beta[0] = 2.0
+    inp = GaussianInput(mu=[0.0, 1.0], gamma=correlated_p2.gamma)
+    for array in (validate_mean([0.0, 1.0], 2), inp.mu, inp.gamma):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert_close(correlated_p2.gamma, [[1.0, 0.5], [0.5, 1.0]])
+
+
 @given(st.integers(1, 8), st.integers(0, 10_000),
        st.floats(0.01, 100.0, allow_nan=False))
 @settings(max_examples=50, deadline=None)
@@ -141,6 +161,13 @@ def test_generate_random_instance_construction_guarantees():
     assert np.array_equal(model.gamma, model.gamma.T)
     assert np.linalg.eigvalsh(model.gamma)[0] > 0
     assert total_variance(model) > 0
+
+
+def test_generators_reject_empty_sizes():
+    with pytest.raises(ValueError):
+        generate_random_instance(0, seed=7)
+    with pytest.raises(ValueError):
+        generate_block_instance(0, 1, seed=7)
 
 
 def test_generate_random_instance_seed_sensitivity():

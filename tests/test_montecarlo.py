@@ -45,6 +45,23 @@ def test_gaussian_input_factor_reproduces_covariance():
     assert np.abs(inp2.factor @ inp2.factor.T - low).max() <= 1e-10 * 4
 
 
+@pytest.mark.parametrize("mu, gamma, kind", [
+    ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], ValidationKind.NOT_PSD),
+    ([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], ValidationKind.NOT_SYMMETRIC),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], ValidationKind.NOT_FINITE),
+    ([0.0, np.inf], np.eye(2), ValidationKind.NOT_FINITE),
+    ([0.0, 0.0, 0.0], np.eye(2), ValidationKind.DIMENSION_MISMATCH),
+    ([0.0, 0.0], np.eye(3)[:2], ValidationKind.DIMENSION_MISMATCH),
+], ids=["indefinite", "asymmetric", "nan-gamma", "inf-mu", "mu-length",
+        "gamma-not-square"])
+def test_gaussian_input_is_checked_like_a_distribution_file(mu, gamma, kind):
+    # The indefinite gamma used to get a factor with F F' = [[1.5, 1.5],
+    # [1.5, 1.5]], and mc_shapley on x1 + x2 returned (0.55, 0.45).
+    with pytest.raises(ModelValidationError) as err:
+        GaussianInput(mu=mu, gamma=gamma)
+    assert err.value.kind is kind
+
+
 def test_sample_conditional_on_everything_is_empty():
     inp = GaussianInput(mu=np.zeros(3), gamma=np.eye(3))
     out = sample_conditional(inp, (1, 2, 3), [0.0, 1.0, -1.0], 7, seed=0)
@@ -88,8 +105,10 @@ def test_double_mc_full_subset_is_exactly_zero():
 def test_double_mc_requires_two_inner_samples():
     model = linear_black_box([1.0, 2.0])
     inp = GaussianInput(mu=np.zeros(2), gamma=np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_inner must be >= 2"):
         double_mc_cond_var(model, inp, (1,), 10, 1, seed=0)
+    with pytest.raises(ValueError, match="n_outer must be >= 1"):
+        double_mc_cond_var(model, inp, (1,), n_outer=0, n_inner=5, seed=0)
 
 
 def test_double_mc_empty_subset_estimates_total_variance():
@@ -173,6 +192,13 @@ def test_mc_shapley_rejects_constant_model():
     inp = GaussianInput(mu=np.zeros(2), gamma=np.eye(2))
     with pytest.raises(ModelValidationError):
         mc_shapley(bb, inp, McConfig(m=5, n_var=100, seed=0))
+
+
+def test_mc_shapley_rejects_input_of_another_dimension():
+    inp = GaussianInput(mu=np.zeros(3), gamma=np.eye(3))
+    with pytest.raises(ValueError, match="does not match"):
+        mc_shapley(linear_black_box([1.0, 2.0]), inp,
+                   McConfig(m=5, n_var=100, seed=0))
 
 
 def test_output_variance_keeps_the_draws_and_rejects_nan():
@@ -368,8 +394,14 @@ def test_block_additive_validates_partition():
     partition = detect_blocks(model.gamma)
     pairs = _block_pairs_from_model(model, partition)
     bad = BlockPartition.from_groups([[1], [2, 3, 4]], 4)
+    cfg = McConfig(m=5, n_var=100, seed=0)
     with pytest.raises(ValueError):
-        block_additive_shapley(pairs, McConfig(m=5, n_var=100, seed=0), bad)
+        block_additive_shapley(pairs, cfg, bad)
+    with pytest.raises(ValueError, match="at least one block"):
+        block_additive_shapley([], cfg)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        block_additive_shapley([(pairs[0][0], pairs[1][1]),
+                                (linear_black_box([1.0]), pairs[0][1])], cfg)
 
 
 def literal_mc_shapley(model, inp, cfg, *, var_y):
