@@ -59,7 +59,7 @@ class BlockPartition:
                     raise ValueError(f"variable {i} assigned to two groups")
                 group_of[i - 1] = j
         if (group_of == -1).any():
-            missing = [i + 1 for i in np.flatnonzero(group_of == -1)]
+            missing = (np.flatnonzero(group_of == -1) + 1).tolist()
             raise ValueError(f"variables {missing} not covered by any group")
         return cls(groups=ordered, group_of=group_of)
 

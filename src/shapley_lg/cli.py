@@ -7,6 +7,8 @@ an expression file). Exit codes: 0 success, 2 validation error, 3 cap or
 budget error, 4 file parse error or a bad command line (an unknown verb or
 flag, a flag value argparse cannot read, a missing required flag, or
 ``--eps-block`` without ``--groups``), each with one ``error:`` line.
+:func:`main` reuses one parser per process: argparse fills a fresh
+namespace on each call, so no call sees another's flags.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import math
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -58,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise FileFormatError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shapley-lg",

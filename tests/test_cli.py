@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -807,12 +808,17 @@ def test_mc_blocks_constant_terms(tmp_path, capsys):
     assert not (tmp_path / "all.json").exists()
 
 
-def test_console_entry_point(tmp_path):
-    # The child imports the package these tests import, also when only
-    # pytest's ``pythonpath`` setting puts it on sys.path.
+def _child_env():
+    """The environment of a child process that imports the package these
+    tests import, also when only pytest's ``pythonpath`` setting puts it on
+    sys.path."""
     src = str(Path(shapley_lg.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(tmp_path):
+    env = _child_env()
     model = tmp_path / "m.json"
     proc = subprocess.run(
         [sys.executable, "-m", "shapley_lg", "generate", "--p", "3",
@@ -831,12 +837,71 @@ def test_console_entry_point(tmp_path):
 
 def test_cli_import_leaves_scipy_and_jsonschema_out():
     # numpy is the one dependency of the runtime.
-    src = str(Path(shapley_lg.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, shapley_lg.cli; print(sorted(name for name in "
             "sys.modules if name.split('.')[0] in ('scipy', 'jsonschema')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser; each call must still see only its own flags.
+    assert cli.build_parser() is cli.build_parser()
+    model = write_json(tmp_path / "m.json", {
+        "beta": [1.0, 1.0, 1.0],
+        "gamma": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    })
+    fresh = tmp_path / "fresh.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapley_lg", "compute", "--model",
+         str(model), "--out", str(fresh)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+
+    r1, r2, r3 = (tmp_path / f"r{i}.json" for i in (1, 2, 3))
+    assert run(["compute", "--model", model, "--groups", "--eps-block", 0.5,
+                "--out", r1]) == 0
+    assert "warning: --eps-block 0.5" in capsys.readouterr().err
+    assert run(["compute", "--model", model, "--out", r2]) == 0
+    assert capsys.readouterr().err == ""
+    assert r2.read_bytes() == fresh.read_bytes()
+
+    assert run(["compute", "--model", model, "--bogus"]) == 4
+    assert run(["compute", "--model", model, "--out", r3]) == 0
+    assert r3.read_bytes() == fresh.read_bytes()
+
+
+def test_warm_calls_build_no_parser(tmp_path, monkeypatch):
+    # Building the parser took about 30% of a compute --groups call on
+    # 4x6 blocks; after the first call, no call may build it again.
+    model = tmp_path / "m.json"
+    assert run(["generate", "--k", 2, "--n", 3, "--out", model]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(20):
+        assert run(["compute", "--model", model, "--groups",
+                    "--out", tmp_path / "r.json"]) == 0
+    assert built == []
+
+
+def test_uncovered_block_variables_are_named_as_integers(tmp_path, capsys):
+    expr = write_json(tmp_path / "expr.json", {
+        "f": "x1 + x2",
+        "blocks": [{"inputs": ["x1"], "expr": "x1"},
+                   {"inputs": ["x2"], "expr": "x2"}],
+    })
+    dist = write_json(tmp_path / "dist.json", {"gamma": [
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
+    assert run(["mc", "--model", expr, "--dist", dist, "--blocks",
+                "--m", 5, "--n-outer", 5]) == 4
+    # The missing variable was printed as np.int64(3).
+    assert capsys.readouterr().err == (
+        "error: block inputs do not partition x1 .. x3: variables [3] not "
+        "covered by any group\n")

@@ -312,6 +312,18 @@ _CORPUS = [
     ("model-gamma-string", "model",
      {**_MODEL, "gamma": [[1.0, 0.0], [0.0, "1"]]}, "gamma[1][1]"),
     ("model-mu-null", "model", {**_MODEL, "mu": None}, "mu"),
+    # Offenders past the first item: the one-pass type test fails and the
+    # walk names them.
+    ("model-gamma-late-true", "model",
+     {"beta": [1.0, 2.0, 3.0], "gamma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                         [0.0, True, 1.0]]}, "gamma[2][1]"),
+    ("model-gamma-late-row-not-array", "model",
+     {**_MODEL, "gamma": [[1.0, 0.0], 0.0]}, "gamma[1] is not an array"),
+    ("model-mu-late-true", "model", {**_MODEL, "mu": [0.0, True]},
+     "mu[1] is not a number"),
+    ("model-mixed-int-float-rows", "model",
+     {"beta": [1, 2.5], "gamma": [[1, 0.5], [0.5, 2]], "mu": [0, 1.5]},
+     None),
     ("model-list", "model", [1.0, 2.0], "not an object"),
     ("model-string-document", "model", "beta", "not an object"),
     ("model-null-document", "model", None, "not an object"),
@@ -322,6 +334,8 @@ _CORPUS = [
     ("dist-mu-true", "distribution", {"gamma": _GAMMA, "mu": [True, 0.0]},
      "mu[0]"),
     ("dist-empty-gamma", "distribution", {"gamma": []}, "gamma"),
+    ("dist-gamma-late-null", "distribution",
+     {"gamma": [[1.0, 0.0], [None, 1.0]]}, "gamma[1][0] is not a number"),
     ("dist-list", "distribution", [_GAMMA], "not an object"),
     ("expr", "expression", {"f": "x1"}, None),
     ("expr-all", "expression", {"f": "c*z", "consts": {"c": 2, "d": _BIG},
