@@ -71,8 +71,8 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
     the groups are the connected components of that graph, sorted by their
     smallest member. Each variable takes the smallest label among itself and
     its links until no label changes, which leaves every component labelled
-    by its smallest member. A negative or NaN ``eps_block`` is a
-    ``ValueError``.
+    by its smallest member; each pass reads the links only, not the whole
+    matrix. A negative or NaN ``eps_block`` is a ``ValueError``.
     """
     gamma = np.asarray(gamma, dtype=float)
     p = gamma.shape[0]
@@ -82,9 +82,11 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
         raise ValueError(f"eps_block must be >= 0, got {eps_block}")
     link = np.abs(gamma) > eps_block
     link.flat[::p + 1] = True
-    label = link.argmax(axis=1)             # the first link of each row
+    a, b = np.divmod(np.flatnonzero(link), p)   # row-major; no row is empty
+    first = a.searchsorted(np.arange(p))        # each row's first link
+    label = b[first]
     while True:
-        lower = np.where(link, label, p).min(axis=1)
+        lower = np.minimum.reduceat(label[b], first)
         if (lower == label).all():
             break
         label = lower
@@ -120,16 +122,15 @@ def lg_groups_indices(model: LinearGaussianModel,
         rows = np.array([g for g in partition.groups if len(g) == n]) - 1
         table = conditional_variance_tables(
             model.gamma[rows[:, :, None], rows[:, None, :]], model.beta[rows])
-        var_g, values = table.var_y, table.values
-        if (var_g <= 0.0).any():
-            var_g = np.maximum(var_g, 0.0)
-            values = np.where(var_g[:, None] > 0.0, values, 0.0)
+        values = table.values
+        if (table.var_y <= 0.0).any():
+            values = np.where(table.var_y[:, None] > 0.0, values, 0.0)
         glob = CondVarTable(values, var_y)
         shapley[rows] = indices.shapley_from_table(glob)
         local_bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
         masks.append(((one << rows) @ local_bits.T).ravel())
         sobols.append(indices.sobol_from_table(glob)[:, 1:].ravel())
-        closeds.append(((var_g[:, None] - values[:, 1:]) / var_y).ravel())
+        closeds.append(indices.closed_sobol_from_table(glob)[:, 1:].ravel())
     masks = np.concatenate(masks)
     order = np.argsort(masks)
     return SensitivityReport(

@@ -35,7 +35,7 @@ from . import subsets
 PINV_RTOL = 1e-12
 
 #: Upper bound, in bytes, on the sweep states of one chunk of a table, and
-#: in ``permutations._sampled_shapley`` on the prefix variances of one chunk
+#: in ``permutations._ordering_shapley`` on the prefix variances of one chunk
 #: of orderings and on what each fill call holds. It stays in cache.
 BATCH_BYTES = 1 << 20
 
@@ -44,9 +44,10 @@ BATCH_BYTES = 1 << 20
 class CondVarTable:
     """Conditional variances of all subsets, indexed by their bitmask.
 
-    ``values[..., j]`` is the conditional variance given the subset encoded
-    by mask ``j``; ``values[..., 0] == var_y`` and the entry of the full set
-    is 0. Tables of several models stack along a leading axis.
+    ``values[..., j]`` is the conditional variance given mask ``j``: the
+    model's own variance at 0, and 0 at the full set. The indices read it
+    against ``var_y``, that variance or, for a group's table, the whole
+    model's. Tables of several models stack along a leading axis.
     """
 
     values: np.ndarray

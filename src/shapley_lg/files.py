@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import subsets
 from .blocks import BlockPartition
 from .errors import FileFormatError
 from .expressions import FUNCTIONS, compile_expression
@@ -66,10 +67,6 @@ def _load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path} is not valid JSON: {err}") from err
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # Each check below takes a JSON value and its path in the document
@@ -119,7 +116,7 @@ def _all_numbers(values) -> bool:
     return {int, float}.issuperset(map(type, values))
 
 
-_number = _kind("a number", _is_number)
+_number = _kind("a number", lambda v: _all_numbers((v,)))
 _string = _kind("a string", lambda v: isinstance(v, str))
 _numbers = _array(_number, passes=_all_numbers)
 _gamma = _array(_numbers, 1, lambda rows: {list}.issuperset(map(type, rows))
@@ -144,19 +141,12 @@ def _check(obj, check, path, what: str) -> None:
                               f"{err}") from None
 
 
-def _bits(m: int):
-    """1-based positions of the set bits of ``m``, ascending."""
-    while m:
-        yield (m & -m).bit_length()
-        m &= m - 1
-
-
 #: Text of one subset member in a report row: a comma, then its own line.
 _member = ",\n        {}".format
 
 
 def _text(m: int) -> str:
-    return "".join(map(_member, _bits(m)))
+    return "".join(map(_member, subsets.decode(m, m.bit_length())))
 
 
 def _lattice(b: int) -> list[str]:

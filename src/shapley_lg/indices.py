@@ -107,9 +107,9 @@ def sobol_from_table(table: CondVarTable) -> np.ndarray:
 
 
 def closed_sobol_from_table(table: CondVarTable) -> np.ndarray:
-    """Explained-variance share of every subset: (var_y - table) / var_y."""
-    var_y = np.asarray(table.var_y)[..., None]
-    return (var_y - table.values) / var_y
+    """Explained-variance share of every subset: (table[0] - table) / var_y."""
+    values = table.values
+    return (values[..., :1] - values) / np.asarray(table.var_y)[..., None]
 
 
 @_linear

@@ -162,21 +162,10 @@ def total_variance(model: LinearGaussianModel) -> float:
 
 
 def generate_random_instance(p: int, seed: int) -> LinearGaussianModel:
-    """Random dense benchmark instance of dimension ``p``.
-
-    ``beta`` has independent standard normal entries and ``gamma = A A'``
-    for a square standard normal ``A``, which is positive definite with
-    probability one. Deterministic for a fixed seed. A ``p x p`` array that
-    cannot be allocated raises ``MemoryError`` before any draw.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    with allocation():
-        a = np.zeros((p, p))
-    rng = np.random.default_rng(seed)
-    beta = rng.standard_normal(p)
-    rng.standard_normal(out=a)
-    return validate_model(beta, a @ a.T)
+    """Random dense benchmark instance of dimension ``p``: one group of
+    :func:`generate_block_instance`, so ``gamma = A A'`` for a square
+    standard normal ``A`` is positive definite with probability one."""
+    return generate_block_instance(1, p, seed)
 
 
 def generate_block_instance(k: int, n: int, seed: int) -> LinearGaussianModel:

@@ -7,10 +7,10 @@ estimator. The draws come from the exact routes' Gram-Schmidt sweep, run
 once along each ordering (``conditional.ordered_factors``), so step ``k``
 draws ``k`` normals per outer point and ``p - k`` per inner point, the
 ranks of the two laws. All normals of a call come from one stream; the
-linear estimator's loop, ``permutations._sampled_shapley``, draws and
-chunks the orderings, and the model is evaluated once per chunk. When the
-model is a sum of functions of independent groups, each group's own
-estimate times its share of the output variance gives its variables'
+linear estimator's loop, ``permutations._ordering_shapley``, chunks the
+orderings of its uniform draw, and the model is evaluated once per chunk.
+When the model is a sum of functions of independent groups, each group's
+own estimate times its share of the output variance gives its variables'
 effects, which is dramatically cheaper than estimating on the full input
 space.
 """
@@ -27,7 +27,7 @@ from .blocks import BlockPartition, detect_blocks
 from .errors import (BudgetExceededError, ModelValidationError, ValidationKind,
                      allocation)
 from .model import validate_covariance, validate_mean
-from .permutations import PermutationEstimate, _sampled_shapley
+from .permutations import PermutationEstimate, _ordering_shapley, _uniform
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,7 @@ class BlackBoxModel:
         return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GaussianInput:
     """Gaussian input distribution with a cached sampling factor.
 
@@ -63,7 +63,8 @@ class GaussianInput:
     :func:`conditional.ordered_factors`: the lower-triangular ``F`` with
     ``F F' = gamma``, a non-negative diagonal and a zero column for each
     variable that depends on the ones before it. For a positive-definite
-    ``gamma`` it is the Cholesky factor up to round-off.
+    ``gamma`` it is the Cholesky factor up to round-off. Frozen, so the
+    factor cannot go stale.
     """
 
     mu: np.ndarray
@@ -71,10 +72,11 @@ class GaussianInput:
     factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.gamma = validate_covariance(self.gamma)
-        self.mu = validate_mean(self.mu, len(self.gamma))
-        self.factor = conditional.ordered_factors(
-            conditional.root(self.gamma), np.arange(self.p)[None])[0]
+        gamma = validate_covariance(self.gamma)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "mu", validate_mean(self.mu, len(gamma)))
+        object.__setattr__(self, "factor", conditional.ordered_factors(
+            conditional.root(gamma), np.arange(len(gamma))[None])[0])
 
     @property
     def p(self) -> int:
@@ -265,7 +267,7 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     exactly. The output variance, the orderings and the normals each draw
     from their own child seed; every normal comes from one stream, in
     (ordering, step) order, as :func:`_nested` reads them, with one draw
-    and one model call per fill of ``permutations._sampled_shapley``.
+    and one model call per fill of ``permutations._ordering_shapley``.
     Raises ``NotFinite`` if the estimate is not finite.
     """
     p = model.p
@@ -278,8 +280,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         _check_variance(var_y, "the model")
     n_outer, n_inner = cfg.n_outer, cfg.n_inner
     rng = np.random.default_rng(z_seed)
-    shapley = _sampled_shapley(
-        p, cfg.m, 1, np.random.default_rng(order_seed), var_y,
+    shapley = _ordering_shapley(
+        p, cfg.m, 1, _uniform(p, np.random.default_rng(order_seed)), var_y,
         8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer    # normals, points
              + (p - 1) * n_inner * n_outer * p + p * p),    # and factors
         lambda orders: _nested(

@@ -7,8 +7,8 @@ value used here as an oracle for the Shapley weighting; sampling orderings
 gives the Monte Carlo estimator whose accuracy the replicate harness
 measures. Its conditional variances are exact, one sweep along each
 ordering; the replicates read consecutive orderings of one stream. One
-loop, :func:`_sampled_shapley`, draws, chunks and sums the orderings of
-this estimator and of ``montecarlo.mc_shapley``.
+loop, :func:`_ordering_shapley`, chunks and sums the orderings of this
+estimator, of the memoised enumeration and of ``montecarlo.mc_shapley``.
 """
 
 from __future__ import annotations
@@ -55,20 +55,6 @@ class CvSummary:
     excluded: tuple[int, ...] = ()
 
 
-def ordering_gains(orders: np.ndarray, v: np.ndarray,
-                   m: int | None = None) -> np.ndarray:
-    """Sum of each variable's gains ``v[r, k] - v[r, k + 1]`` when it joins
-    ordering ``r`` at step ``k``, over each run of ``m`` consecutive
-    orderings (by default all of them), one row per run, added in the order
-    of :func:`_chain_update`.
-    """
-    n, p = orders.shape
-    m = m or n
-    keys = orders + np.arange(n)[:, None] // m * p
-    return np.bincount(keys.ravel(), (v[:, :-1] - v[:, 1:]).ravel(),
-                       minlength=n // m * p).reshape(-1, p)
-
-
 def _chain_update(acc: np.ndarray, order, value) -> None:
     """Walk one ordering, adding each variable's explained-variance increment."""
     mask = 0
@@ -84,9 +70,10 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
                               memoize: bool = True) -> np.ndarray:
     """Shapley effects by full enumeration of the p! variable orderings.
 
-    With ``memoize`` each conditional variance is computed once per subset;
-    without it every ordering recomputes its chain from scratch, which is
-    the factorial-cost behaviour the benchmark command measures. Both modes
+    With ``memoize`` each conditional variance is computed once per subset,
+    in the ``2**p`` table, and the p! orderings are one run of the sampled
+    estimator's loop; without it every ordering recomputes its chain, the
+    factorial-cost behaviour the benchmark command measures. Both modes
     return bit-identical vectors.
 
     Raises
@@ -102,37 +89,45 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
         )
     var_y = total_variance(model)
     if memoize:
-        orders = np.array(list(itertools.permutations(range(p))))
-        masks = np.pad(np.cumsum(1 << orders, axis=1), ((0, 0), (1, 0)))
-        acc = ordering_gains(orders,
-                             all_conditional_variances(model).values[masks])[0]
-    else:
-        acc = np.zeros(p)
-        for order in itertools.permutations(range(p)):
-            _chain_update(acc, order, lambda j: conditional_variance(model, j))
+        table = all_conditional_variances(model).values
+        return _ordering_shapley(
+            p, math.factorial(p), 1,
+            lambda n: np.array(list(itertools.permutations(range(p)))), var_y,
+            8 * p, lambda o: table[np.cumsum(1 << o[:, :-1], axis=1)])[0]
+    acc = np.zeros(p)
+    for order in itertools.permutations(range(p)):
+        _chain_update(acc, order, lambda j: conditional_variance(model, j))
     return acc / (math.factorial(p) * var_y)
 
 
-def _sampled_shapley(p: int, m: int, reps: int, rng: np.random.Generator,
-                     var_y: float, per_order: int, fill) -> np.ndarray:
-    """``reps`` estimates; row ``r`` reads orderings ``r m .. (r + 1) m - 1``
-    of ``rng``. Each chunk of whole runs, at most ``BATCH_BYTES`` of prefix
-    variances ``v``, takes one draw and one :func:`ordering_gains`.
-    ``fill(orders)`` gives ``v[:, 1:p]`` of at most ``BATCH_BYTES //
-    per_order`` orderings a call. A chunk boundary moves no draw."""
+def _uniform(p: int, rng: np.random.Generator):
+    """``draw(n)``: the next ``n`` uniform orderings of ``p`` from ``rng``."""
+    return lambda n: rng.permuted(np.broadcast_to(range(p), (n, p)), axis=1)
+
+
+def _ordering_shapley(p: int, m: int, reps: int, draw, var_y: float,
+                      per_order: int, fill) -> np.ndarray:
+    """``reps`` estimates: row ``r`` sums the gains of orderings ``r m .. (r
+    + 1) m - 1`` of ``draw(n)`` like :func:`_chain_update`, over ``m var_y``.
+    Chunks of whole runs, at most ``BATCH_BYTES`` of prefix variances ``v``,
+    draw in turn, so their bounds move no draw, and take one ``bincount``
+    each; ``fill(orders)`` gives ``v[:, 1:p]`` of at most ``BATCH_BYTES //
+    per_order`` orderings a call."""
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
     sub = max(1, conditional.BATCH_BYTES // per_order)
     with allocation():
         out = np.empty((reps, p))
-        base = np.tile(np.arange(p), (min(step, reps) * m, 1))
-        v = np.zeros((len(base), p + 1))
+        v = np.zeros((min(step, reps) * m, p + 1))
     v[:, 0] = var_y
     for lo in range(0, reps, step):
         n = min(step, reps - lo) * m
-        orders, rows = rng.permuted(base[:n], axis=1), v[:n]
+        orders, rows = draw(n), v[:n]
         for at in range(0, n if p > 1 else 0, sub):   # with p = 1, no step
             rows[at:at + sub, 1:p] = fill(orders[at:at + sub])
-        out[lo:lo + step] = ordering_gains(orders, rows, m) / (m * var_y)
+        keys = orders + np.arange(n)[:, None] // m * p
+        out[lo:lo + step] = np.bincount(
+            keys.ravel(), (rows[:, :-1] - rows[:, 1:]).ravel(),
+            minlength=n // m * p).reshape(-1, p) / (m * var_y)
     return out
 
 
@@ -158,9 +153,10 @@ def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
     if m < 1 or reps < 1:
         raise ValueError("m and reps must be >= 1")
     p = model.p
-    return _sampled_shapley(    # residual rows in a quarter of the cap
-        p, m, reps, np.random.default_rng(seed), total_variance(model),
-        4 * 8 * p * (p + 1), lambda o: conditional._along(model, o[:, :-1]))
+    return _ordering_shapley(   # residual rows in a quarter of the cap
+        p, m, reps, _uniform(p, np.random.default_rng(seed)),
+        total_variance(model), 4 * 8 * p * (p + 1),
+        lambda o: conditional._along(model, o[:, :-1]))
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

@@ -41,10 +41,15 @@ def encode(u: Iterable[int], p: int) -> int:
 
 
 def decode(j: int, p: int) -> tuple[int, ...]:
-    """Sorted tuple of the variable indices contained in mask ``j``."""
+    """Sorted tuple of the variable indices in mask ``j``, in O(members)."""
+    j = int(j)
     if not 0 <= j < (1 << p):
         raise ValueError(f"mask {j} outside [0:2**{p}-1]")
-    return tuple(i for i in range(1, p + 1) if j >> (i - 1) & 1)
+    members = []
+    while j:
+        members.append((j & -j).bit_length())
+        j &= j - 1
+    return tuple(members)
 
 
 def cardinality(j: int) -> int:

@@ -62,6 +62,53 @@ def test_detect_blocks_permutation_invariance():
     assert back == {frozenset(g) for g in base.groups}
 
 
+def _components(gamma, eps_block=0.0):
+    """Connected components of the links ``|gamma[a, b]| > eps_block`` by
+    breadth-first search, sorted by their smallest member, 1-based."""
+    p = len(gamma)
+    seen, groups = set(), []
+    for start in range(p):
+        if start in seen:
+            continue
+        group, queue = {start}, [start]
+        for a in queue:
+            for b in np.flatnonzero(np.abs(gamma[a]) > eps_block).tolist():
+                if b not in group:
+                    group.add(b)
+                    queue.append(b)
+        seen |= group
+        groups.append(tuple(sorted(i + 1 for i in group)))
+    return tuple(groups)
+
+
+def test_detect_blocks_matches_breadth_first_search():
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 5, 17, 40):
+        for density in (0.0, 0.03, 0.1, 0.5):
+            links = rng.random((p, p)) < density
+            gamma = np.where(links | links.T, rng.standard_normal((p, p)), 0.0)
+            gamma = gamma + gamma.T + np.eye(p)
+            for eps in (0.0, 1.0):
+                partition = detect_blocks(gamma, eps)
+                assert partition.groups == _components(gamma, eps)
+                assert np.array_equal(
+                    partition.group_of,
+                    BlockPartition.from_groups(partition.groups, p).group_of)
+
+
+def test_detect_blocks_permuted_chain_is_one_group_in_linear_passes():
+    # A tridiagonal covariance, shuffled: labels cross one link per pass,
+    # so there are about p passes, each over the 3p links, not p**2 cells.
+    p = 2000
+    chain = np.eye(p) * 2 + np.eye(p, k=1) + np.eye(p, k=-1)
+    order = np.random.default_rng(3).permutation(p)
+    gamma = chain[np.ix_(order, order)]
+    assert detect_blocks(gamma).groups == (tuple(range(1, p + 1)),)
+    cut = order.tolist().index(1000), order.tolist().index(1001)
+    gamma[cut[0], cut[1]] = gamma[cut[1], cut[0]] = 0.0
+    assert detect_blocks(gamma).groups == _components(gamma)
+
+
 def test_group_weight_examples():
     model = generate_random_instance(4, seed=0)
     assert group_weight(model, range(1, 5)) == pytest.approx(1.0, rel=1e-12)

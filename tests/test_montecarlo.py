@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from shapley_lg import (BlackBoxModel, BlockPartition, BudgetExceededError,
 from shapley_lg import (PermutationEstimate, ValidationKind, conditional,
                         montecarlo, subsets)
 from shapley_lg.montecarlo import output_variance
-from shapley_lg.permutations import ordering_gains
 from conftest import (_duplicate_variable, _tiny_independent_variable,
                       assert_close, sample_conditional)
 
@@ -60,6 +59,16 @@ def test_gaussian_input_is_checked_like_a_distribution_file(mu, gamma, kind):
     with pytest.raises(ModelValidationError) as err:
         GaussianInput(mu=mu, gamma=gamma)
     assert err.value.kind is kind
+
+
+def test_gaussian_input_fields_cannot_be_reassigned():
+    # A new gamma or mu would leave the factor of the old one in place.
+    inp = GaussianInput(mu=np.zeros(2), gamma=np.eye(2))
+    for name, value in [("gamma", 4 * np.eye(2)), ("mu", np.zeros(3)),
+                        ("factor", 2 * np.eye(2))]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(inp, name, value)
+    assert np.array_equal(inp.factor, np.eye(2))
 
 
 def test_sample_conditional_on_everything_is_empty():
@@ -429,7 +438,9 @@ def literal_mc_shapley(model, inp, cfg, *, var_y):
     count.standard_normal(cfg.m * n_outer * sum(
         k + n_inner * (p - k) for k in range(1, p)))
     assert count.bit_generator.state == normals.bit_generator.state
-    return ordering_gains(orders, v)[0] / (cfg.m * var_y)
+    gains = np.bincount(orders.ravel(), (v[:, :-1] - v[:, 1:]).ravel(),
+                        minlength=p)
+    return gains / (cfg.m * var_y)
 
 
 def _nonlinear(p):

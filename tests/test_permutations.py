@@ -116,17 +116,21 @@ def test_replicates_split_into_chunks_change_no_bit(monkeypatch):
     model = generate_random_instance(5, seed=42)
     m = conditional.BATCH_BYTES // (8 * 6) // 2 + 1
     draws, sweeps = [], []
-    gains, along = permutations.ordering_gains, conditional._along
+    uniform, along = permutations._uniform, conditional._along
 
-    def counted(orders, v, m):
-        draws.append(len(orders))
-        return gains(orders, v, m)
+    def counted(p, rng):
+        draw = uniform(p, rng)
+
+        def counted_draw(n):
+            draws.append(n)
+            return draw(n)
+        return counted_draw
 
     def counted_along(model, orders):
         sweeps.append(len(orders))
         return along(model, orders)
 
-    monkeypatch.setattr(permutations, "ordering_gains", counted)
+    monkeypatch.setattr(permutations, "_uniform", counted)
     split = replicate_estimates(model, m, 3, seed=8)
     monkeypatch.setattr(conditional, "BATCH_BYTES",
                         4 * conditional.BATCH_BYTES)

@@ -30,6 +30,11 @@ def test_decode_examples():
         subsets.decode(8, 3)
     with pytest.raises(ValueError):
         subsets.decode(-1, 3)
+    # numpy integers, as mask arrays hold them, and masks past 64 bits
+    assert subsets.decode(np.int64(5), 3) == (1, 3)
+    assert subsets.decode(1 << 69 | 1 << 63 | 2, 70) == (2, 64, 70)
+    with pytest.raises(ValueError):
+        subsets.decode(1 << 70, 70)
 
 
 def test_cardinality_examples():
