@@ -5,8 +5,9 @@ Verbs: ``compute`` (exact indices of a model file), ``estimate``
 ``benchmark`` (timing table as CSV) and ``mc`` (black-box estimation from
 an expression file). Exit codes: 0 success, 2 validation error, 3 cap or
 budget error, 4 file parse error or a bad command line (an unknown verb or
-flag, a flag value argparse cannot read, a missing required flag, or
-``--eps-block`` without ``--groups``), each with one ``error:`` line.
+flag, a flag value argparse cannot read, a missing required flag, an
+empty file name, or ``--eps-block`` without ``--groups``), each with one
+``error:`` line.
 :func:`main` reuses one parser per process: argparse fills a fresh
 namespace on each call, so no call sees another's flags.
 """
@@ -51,6 +52,9 @@ FLAG_MINIMUMS = {**MC_MINIMUMS, "reps": 1, "p": 1, "k": 1, "n": 1,
 #: ``compute --groups`` warns when its groups' shares of var(y) miss 1 by
 #: more than this, as when ``--eps-block`` drops covariance between groups.
 DROPPED_SHARE_TOL = 1e-8
+
+#: Flags that name a file; none may be an empty string.
+PATH_FLAGS = ("model", "dist", "out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,6 +328,8 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if dest in FLAG_MINIMUMS and value is not None:
                 _check_flag(dest, value, FLAG_MINIMUMS[dest])
+            elif dest in PATH_FLAGS and value == "":
+                raise FileFormatError(f"--{dest} is empty")
         return _COMMANDS[args.command](args)
     except ModelValidationError as err:
         print(f"error: {err}", file=sys.stderr)

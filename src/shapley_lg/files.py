@@ -7,7 +7,9 @@ are byte-identical. Exact reports' subset rows are arrays
 (:class:`SubsetRows`), never empty: both exact routes write the ascending
 masks of one :class:`~shapley_lg.indices.SensitivityReport`, dense or
 grouped. Estimate reports write plain empty lists. Rows are
-streamed in chunks that each spell out their own subset texts. The keys
+streamed in chunks; both families of an exact report read one masks array,
+so a chunk's subset texts are built once and serve both families when the
+report fits in one chunk. The keys
 and value types of each input file (model, distribution, expression) are
 checked by plain code here; it accepts what the JSON Schemas in the tests
 accept (``true`` is not a number). Numeric arrays are type-checked in one
@@ -159,22 +161,24 @@ def _lattice(b: int) -> list[str]:
 
 
 def _subsets(masks: list, lattice) -> list[str]:
-    """:func:`_text` of each of the ascending ``masks``.
+    """:func:`_text` of each of the ascending ``masks`` (at least one).
 
     A run ``m0 .. m0 + n - 1`` with ``m0`` a multiple of ``2**b >= n`` takes
     the texts ``lattice(b)`` of its low bits, each followed by ``m0``'s text.
     Any other mask ``m`` extends the text of ``m & (m - 1)`` if that came
-    earlier; the rest are spelled out from their bits.
+    earlier by its lowest member's text, read from a table of the members;
+    the rest are spelled out from their bits.
     """
     b = (len(masks) - 1).bit_length()
-    run = masks and masks[-1] - masks[0] == len(masks) - 1
+    run = masks[-1] - masks[0] == len(masks) - 1
     if run and masks[0] % (1 << b) == 0:
         high = _text(masks[0])
         return [t + high for t in lattice(b)[:len(masks)]]
+    member = list(map(_member, range(masks[-1].bit_length() + 1)))
     texts = {0: ""}
     for m in filter(None, masks):
         rest = m & (m - 1)
-        texts[m] = (_member((m ^ rest).bit_length()) + texts[rest]
+        texts[m] = (member[(m ^ rest).bit_length()] + texts[rest]
                     if rest in texts else _text(m))
     return [texts[m] for m in masks]
 
@@ -389,7 +393,9 @@ def write_report(doc: dict, path=None) -> None:
     :class:`SubsetRows` family spelled out as row dicts. The builders above
     fix the document's layout, so the only check is that every number is
     finite; it runs before the file is opened, and the rows are then
-    streamed in chunks.
+    streamed in chunks of :data:`CHUNK_ROWS`. The subset texts of the last
+    chunk are kept, and a family that reads the same masks array at the
+    same offset reuses them, so no more than one chunk's texts stay alive.
     """
     where = path or "<stdout>"
     arrays = {k: v for k, v in doc.items() if isinstance(v, SubsetRows)}
@@ -403,6 +409,8 @@ def write_report(doc: dict, path=None) -> None:
         raise FileFormatError(f"{where} is not a valid report file: "
                               f"{err}") from err
     lattice = cache(_lattice)       # each size at most once per report
+    # The last chunk's masks array and offset, then its mask list and texts.
+    chunk = None, None, None, None
     with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
         for family, rows in arrays.items():
             # At depth one, the key starts a line after two spaces.
@@ -410,9 +418,11 @@ def write_report(doc: dict, path=None) -> None:
             out.write(f'{head}\n  "{family}": ')
             sep = "[\n"
             for start in range(0, len(rows), CHUNK_ROWS):
-                masks = rows.masks[start:start + CHUNK_ROWS].tolist()
+                if chunk[0] is not rows.masks or chunk[1] != start:
+                    masks = rows.masks[start:start + CHUNK_ROWS].tolist()
+                    chunk = rows.masks, start, masks, _subsets(masks, lattice)
                 out.write(sep + "\n    },\n".join(_row_texts(
-                    masks, _subsets(masks, lattice),
+                    *chunk[2:],
                     rows.values[start:start + CHUNK_ROWS].tolist())))
                 sep = "\n    },\n"
             out.write("\n    }\n  ]")

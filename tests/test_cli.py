@@ -486,6 +486,25 @@ def test_help_exits_0_with_its_usage_on_stdout(capsys, args):
     assert captured.out.startswith("usage: shapley-lg") and captured.err == ""
 
 
+@pytest.mark.parametrize("verb, flag", [
+    ("compute", "--model"), ("compute", "--out"),
+    ("estimate", "--model"), ("estimate", "--out"),
+    ("generate", "--out"), ("benchmark", "--out"),
+    ("mc", "--model"), ("mc", "--dist"), ("mc", "--out"),
+], ids=lambda arg: arg)
+def test_empty_path_flag_exits_4_naming_the_flag(tmp_path, capsys, verb,
+                                                 flag):
+    # An empty --out was reported as "cannot write <stdout>", an empty
+    # input as "cannot read : [Errno 21] Is a directory: '.'".
+    extra = {"generate": ["--p", 3], "benchmark": ["--sizes", 3]}
+    argv = [verb, *_verb_inputs(tmp_path).get(verb, []), *extra.get(verb, []),
+            "--out", tmp_path / "out", flag, ""]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is empty\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["compute"],
     ["compute", "--groups"],

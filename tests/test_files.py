@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tracemalloc
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from shapley_lg import (FileFormatError, ModelValidationError, ValidationKind,
                         generate_block_instance, generate_random_instance,
@@ -465,6 +471,15 @@ def _render_cases():
     cases["awkward-floats"] = awkward
     prefix = dict(awkward, sobol=files.SubsetRows(np.arange(5), values[:5]))
     cases["lattice-prefix"] = dict(prefix, closed_sobol=prefix["sobol"])
+    # Same length and chunk offsets but other masks: shared texts would be
+    # stale here.
+    cases["other-masks"] = dict(
+        awkward, sobol=files.SubsetRows(np.arange(4), values[:4]),
+        closed_sobol=files.SubsetRows(np.array([0, 1, 2, 4]), values[4:]))
+    masks = np.array([0, 3, 5, 6, 7])
+    cases["equal-masks"] = dict(
+        awkward, sobol=files.SubsetRows(masks, values[:5]),
+        closed_sobol=files.SubsetRows(masks.copy(), values[3:]))
     return cases
 
 
@@ -480,18 +495,105 @@ def test_render_matches_json_dumps(name, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("chunk_rows", [3, 4])
-def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch,
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4, 64])
+def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch, capsys,
                                               chunk_rows):
-    # With 4, aligned runs of a dense report take the cached text lattice.
+    # With 4, aligned runs of a dense report take the cached text lattice;
+    # 64 splits the 100 rows of 33x2, whose masks go past 2**64.
     monkeypatch.setattr(files, "CHUNK_ROWS", chunk_rows)
     cases = _render_cases()
     for name in ["dense-p1", "dense-p2", "dense-p4", "dense-p5",
-                 "grouped-3x2", "grouped-interleaved", "awkward-floats"]:
+                 "grouped-3x2", "grouped-33x2", "grouped-interleaved",
+                 "awkward-floats", "other-masks", "equal-masks"]:
+        expected = json.dumps(_row_dicts(cases[name]), indent=2) + "\n"
         path = tmp_path / f"{name}.json"
         files.write_report(cases[name], path)
-        assert path.read_text() == json.dumps(
-            _row_dicts(cases[name]), indent=2) + "\n"
+        assert path.read_text() == expected
+        files.write_report(cases[name])
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name, chunk_rows, calls", [
+    ("grouped-3x2", files.CHUNK_ROWS, 1),   # one chunk serves both families
+    ("grouped-3x2", 5, 4),                  # 10 rows: once per family and chunk
+    ("equal-masks", files.CHUNK_ROWS, 2),   # distinct arrays: once each
+    ("other-masks", files.CHUNK_ROWS, 2),
+])
+def test_subset_texts_are_built_once_per_chunk(tmp_path, monkeypatch, name,
+                                               chunk_rows, calls):
+    built = []
+    subsets_ = files._subsets
+
+    def counted(*args):
+        built.append(args)
+        return subsets_(*args)
+
+    monkeypatch.setattr(files, "_subsets", counted)
+    monkeypatch.setattr(files, "CHUNK_ROWS", chunk_rows)
+    files.write_report(_render_cases()[name], tmp_path / "report.json")
+    assert len(built) == calls
+
+
+def test_writer_holds_one_chunk_of_text(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "CHUNK_ROWS", 256)
+    doc = files.report_from_sensitivity(
+        lg_indices(generate_random_instance(12, seed=12)), "lg-indices")
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        files.write_report(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 chunks of 256 rows per family
+    assert peak < path.stat().st_size / 4
+
+
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.0, -3.0]
+
+
+@st.composite
+def _row_families(draw):
+    """Ascending masks (scattered, or a run that may be aligned), some past
+    2**64, with awkward values, for both families of one report."""
+    def masks():
+        scattered = st.lists(st.integers(0, 1 << 70), min_size=1,
+                             max_size=12, unique=True).map(sorted)
+        run = st.builds(lambda lo, shift, n: list(range(lo << shift,
+                                                        (lo << shift) + n)),
+                        st.integers(0, 64), st.sampled_from([0, 3, 64]),
+                        st.integers(1, 12))
+        m = draw(st.one_of(scattered, run))
+        return np.array(m, dtype=object if m[-1] >> 62 else np.int64)
+
+    def rows(masks):
+        value = st.one_of(st.sampled_from(_AWKWARD),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        values = draw(st.lists(value, min_size=len(masks),
+                               max_size=len(masks)))
+        return files.SubsetRows(masks, np.array(values, dtype=float))
+
+    sobol = rows(masks())
+    share = draw(st.sampled_from(["same", "copy", "other"]))
+    closed = (sobol.masks if share == "same" else
+              sobol.masks.copy() if share == "copy" else masks())
+    return sobol, rows(closed)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_row_families(), st.integers(1, 5))
+def test_write_report_matches_json_dumps(families, chunk_rows):
+    sobol, closed = families
+    doc = files.report_from_estimate([0.5, 0.5], 1.0, "rows")
+    doc.update(sobol=sobol, closed_sobol=closed)
+    doc["metadata"]["p"] = max(1, int(sobol.masks[-1]).bit_length(),
+                               int(closed.masks[-1]).bit_length())
+    out = io.StringIO()
+    with mock.patch.object(files, "CHUNK_ROWS", chunk_rows), \
+            contextlib.redirect_stdout(out):
+        files.write_report(doc)
+    assert out.getvalue() == json.dumps(_row_dicts(doc), indent=2) + "\n"
 
 
 def test_distribution_loading(tmp_path):
