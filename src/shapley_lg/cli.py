@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 import time
@@ -29,8 +28,7 @@ from .blocks import lg_groups_indices
 from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
-from .model import (generate_block_instance, generate_random_instance,
-                    total_variance)
+from .model import generate_block_instance, total_variance
 from .montecarlo import (MC_MINIMUMS, GaussianInput, McConfig,
                          block_additive_shapley, check_block_terms,
                          mc_shapley, output_variance)
@@ -147,8 +145,7 @@ def cmd_compute(args) -> int:
         print(f"warning: --eps-block {eps_block} drops the covariance "
               f"between groups, a share of {dropped:.6g} of var(y)",
               file=sys.stderr)
-    algorithm = "lg-groups-indices" if args.groups else "lg-indices"
-    files.write_report(files.report_from_sensitivity(rep, algorithm), args.out)
+    files.write_report(files.report_from_sensitivity(rep), args.out)
     return EXIT_OK
 
 
@@ -189,15 +186,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    dense = args.p is not None
-    grouped = args.k is not None or args.n is not None
-    if dense == grouped or (grouped and (args.k is None or args.n is None)):
+    if (args.p is None) == (args.k is None) or (args.k is None) != (
+            args.n is None):
         raise FileFormatError("give either --p, or both --k and --n")
-    if dense:
-        model = generate_random_instance(args.p, args.seed)
-    else:
-        model = generate_block_instance(args.k, args.n, args.seed)
-    files.write_model(model, args.out)
+    k, n = (1, args.p) if args.k is None else (args.k, args.n)
+    files.write_model(generate_block_instance(k, n, args.seed), args.out)
     return EXIT_OK
 
 
@@ -211,18 +204,17 @@ def _timed(fn, repetitions: int):
     return float(np.median(times)), result
 
 
-def _parse_sizes(text: str, grouped: bool):
+def _parse_sizes(text: str, grouped: bool) -> list[tuple[int, int]]:
+    """The ``(k, n)`` of each comma-separated size: ``KxN`` pairs with
+    ``grouped``, else each ``p`` as one group, ``(1, p)``."""
     sizes = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            if grouped:
-                k_text, n_text = item.lower().split("x")
-                sizes.append((int(k_text), int(n_text)))
-            else:
-                sizes.append(int(item))
+            k, n = item.lower().split("x") if grouped else ("1", item)
+            sizes.append((int(k), int(n)))
         except ValueError as err:
             raise FileFormatError(
                 f"bad size {item!r}: expected "
@@ -237,17 +229,13 @@ def _parse_sizes(text: str, grouped: bool):
 
 def cmd_benchmark(args) -> int:
     rows = []
-    for size in _parse_sizes(args.sizes, args.groups):
+    for k, n in _parse_sizes(args.sizes, args.groups):
         # A lattice past the cap exits 3 before its instance is built.
-        check_lattice_cap(size[1] if args.groups else size)
-        if args.groups:
-            model = generate_block_instance(*size, args.seed)
-            label = "{}x{}".format(*size)
-        else:
-            model = generate_random_instance(size, args.seed)
-            label = str(size)
+        check_lattice_cap(n)
+        model = generate_block_instance(k, n, args.seed)
+        label = f"{k}x{n}" if args.groups else str(n)
         # Past the lattice cap --groups times only its own route.
-        calls = [] if args.groups and model.p > FULL_LATTICE_CAP else [
+        calls = [] if model.p > FULL_LATTICE_CAP else [
             ("lg-indices", lambda: lg_indices(model))]
         if args.groups:
             calls.append(("lg-groups-indices",
@@ -261,16 +249,10 @@ def cmd_benchmark(args) -> int:
             # walks p steps of each of its p! orderings.
             rows.append((algorithm, label, f"{seconds:.6f}", getattr(
                 result, "eval_count", math.factorial(model.p) * model.p)))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["algorithm", "size", "median_seconds", "eval_count"])
-    writer.writerows(rows)
-    text = buffer.getvalue()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    with files.open_output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["algorithm", "size", "median_seconds", "eval_count"])
+        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -196,6 +196,11 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def open_output(path):
+    """``path`` opened for writing, or stdout, left open, when it is None."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def read_model(path) -> LinearGaussianModel:
     """Load and validate a model file."""
     obj = _load_json(path)
@@ -209,7 +214,7 @@ def write_model(model: LinearGaussianModel, path=None) -> None:
         "beta": [float(v) for v in model.beta],
         "gamma": [[float(v) for v in row] for row in model.gamma],
     }
-    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+    with open_output(path) as out:
         out.write(render_json(obj))
 
 
@@ -343,12 +348,14 @@ def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,
     }
 
 
-def report_from_sensitivity(rep: SensitivityReport, algorithm: str) -> dict:
+def report_from_sensitivity(rep: SensitivityReport) -> dict:
     """Report document for an exact computation, dense or grouped.
 
     Both row families name the report's ascending ``masks``, sharing one
-    array; a grouped report also records its partition.
+    array; a grouped report also records its partition, and its algorithm
+    is ``lg-groups-indices`` where a dense one's is ``lg-indices``.
     """
+    algorithm = "lg-indices" if rep.partition is None else "lg-groups-indices"
     return {
         "var_y": float(rep.var_y),
         "shapley": [float(v) for v in rep.shapley],
@@ -411,7 +418,7 @@ def write_report(doc: dict, path=None) -> None:
     lattice = cache(_lattice)       # each size at most once per report
     # The last chunk's masks array and offset, then its mask list and texts.
     chunk = None, None, None, None
-    with nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+    with open_output(path) as out:
         for family, rows in arrays.items():
             # At depth one, the key starts a line after two spaces.
             head, text = text.split(f'\n  "{family}": []', 1)

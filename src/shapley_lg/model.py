@@ -82,10 +82,10 @@ def validate_covariance(gamma) -> np.ndarray:
     ``NotFinite``.
     """
     gamma = _as_array("gamma", gamma)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
+    if gamma.ndim != 2 or not gamma.shape[0] == gamma.shape[1] > 0:
         raise ModelValidationError(
             ValidationKind.DIMENSION_MISMATCH,
-            f"covariance must be square, got shape {gamma.shape}",
+            f"covariance must be square and not empty, got {gamma.shape}",
         )
     _require_finite("gamma", gamma)
     with np.errstate(over="ignore"):            # an overflow is checked below

@@ -95,18 +95,20 @@ def _ordering(p: int, u: Sequence[int]) -> np.ndarray:
                     + [i for i in range(p) if not mask >> i & 1])
 
 
-def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
+def _nested(model: BlackBoxModel, inp: GaussianInput, orders: np.ndarray,
             rng: np.random.Generator, steps: Sequence[int], n_outer: int,
             n_inner: int) -> np.ndarray:
     """Nested Monte Carlo variances ``(c, len(steps))``, the outer means of
     the inner sample variances, given the first ``k`` variables of each
-    ordering, for each ``k`` of ``steps``, from its ordered factor ``F``.
+    zero-based row of ``orders`` ``(c, p)``, for each ``k`` of ``steps``,
+    from its ordered factor ``F`` (:func:`conditional.ordered_factors`).
 
     Step ``k`` of each ordering, in turn, reads ``n_inner * n_outer * (p -
     k)`` normals ``w'`` of ``rng`` for its inner draws' noise ``F[:, k:]
     w'``, then ``n_outer * k`` for its outer draws ``mu + F[:, :k] w``. All
     points, laid out ``(c, step, n_inner, n_outer, p)``, go to one model call.
     """
+    factors = conditional.ordered_factors(inp.factor, orders)
     c, p = factors.shape[:2]
     widths = [w for k in steps for w in (n_inner * n_outer * (p - k),
                                          n_outer * k)]
@@ -140,8 +142,7 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     order = _ordering(inp.p, u)
     if len(u) == inp.p:
         return 0.0
-    factors = conditional.ordered_factors(inp.factor, order[None])
-    return float(_nested(model, inp, factors, np.random.default_rng(seed),
+    return float(_nested(model, inp, order[None], np.random.default_rng(seed),
                          [len(u)], n_outer, n_inner)[0, 0])
 
 
@@ -284,9 +285,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         p, cfg.m, 1, _uniform(p, np.random.default_rng(order_seed)), var_y,
         8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer    # normals, points
              + (p - 1) * n_inner * n_outer * p + p * p),    # and factors
-        lambda orders: _nested(
-            model, inp, conditional.ordered_factors(inp.factor, orders), rng,
-            range(1, p), n_outer, n_inner))[0]
+        lambda orders: _nested(model, inp, orders, rng, range(1, p), n_outer,
+                               n_inner))[0]
     if not np.isfinite(shapley).all():
         raise ModelValidationError(
             ValidationKind.NOT_FINITE,

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from shapley_lg import (conditional, generate_random_instance, montecarlo,
-                        total_variance, validate_model)
+from shapley_lg import (BlackBoxModel, conditional, generate_random_instance,
+                        montecarlo, total_variance, validate_model)
+from shapley_lg.conditional import CondVarTable
+
+
+def pytest_collection_modifyitems(items):
+    """Mark the timing criterion ``slow``, so ``pytest -m "not slow"``
+    leaves out the one test that takes most of the suite's time."""
+    for item in items:
+        if item.name == "test_criterion_5_speed_orderings":
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture
@@ -35,6 +44,36 @@ def prefix_variances(model, orders):
     out[:, 0] = total_variance(model)
     out[:, 1:p] = conditional._along(model, orders[:, :-1])  # given all p: 0
     return out
+
+
+def quadratic_black_box(b, q):
+    """The black box ``y = b'x + x'Qx`` for a symmetric ``q``."""
+    b, q = np.asarray(b, dtype=float), np.asarray(q, dtype=float)
+    return BlackBoxModel(
+        eval=lambda x: x @ b + np.einsum("ni,ij,nj->n", x, q, x), p=b.size)
+
+
+def quadratic_table(b, q, gamma):
+    """Closed-form table of :func:`quadratic_black_box` on ``X ~ N(0,
+    gamma)``: the oracle of the nested Monte Carlo estimators.
+
+    Given ``X_u``, ``X`` is Gaussian with the Schur complement ``S_u``
+    (zero on ``u``) as covariance and a mean of covariance ``gamma - S_u``,
+    so ``E[Var(Y | X_u)] = b'S_u b + 4 tr(Q S_u Q (gamma - S_u)) + 2 tr((Q
+    S_u)^2)``; at the empty set that is ``var(y)``.
+    """
+    b, q, gamma = (np.asarray(a, dtype=float) for a in (b, q, gamma))
+    p = b.size
+    values = np.empty(1 << p)
+    for mask in range(1 << p):
+        u = [i for i in range(p) if mask >> i & 1]
+        s = gamma - gamma[:, u] @ np.linalg.pinv(gamma[np.ix_(u, u)]) \
+            @ gamma[u, :]
+        s[u, :] = s[:, u] = 0.0
+        qs = q @ s
+        values[mask] = (b @ s @ b + 4 * np.trace(qs @ q @ (gamma - s))
+                        + 2 * np.trace(qs @ qs))
+    return CondVarTable(values=values, var_y=values[0])
 
 
 def sample_conditional(inp, u, x_u, n, seed):

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from shapley_lg import (GaussianInput, LinearGaussianModel,
                         all_conditional_variances, conditional_variance,
-                        generate_random_instance, total_variance,
+                        generate_random_instance, lg_indices, total_variance,
                         validate_model)
 from shapley_lg import conditional, subsets
 from conftest import (_duplicate_variable, _tiny_independent_variable,
@@ -36,6 +38,58 @@ def schur_variance(model, j):
     q = float(beta_r @ gamma[np.ix_(r, r)] @ beta_r)
     q -= float(t @ pinv(gamma[np.ix_(u, u)]) @ t)
     return max(q, 0.0)
+
+
+def _solve(a, b):
+    """``a^-1 b`` by Gauss-Jordan elimination, exact on fractions."""
+    n = len(b)
+    rows = [row + [v] for row, v in zip(a, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def rational_shapley(model):
+    """Shapley effects of ``model`` in exact rational arithmetic on its
+    float ``beta`` and ``gamma``: the conditional variance given ``u`` is
+    the Schur-complement form ``var(y) - t_u' gamma_uu^-1 t_u`` with ``t =
+    gamma beta``, and each effect the weighted sum of its ``2**(p - 1)``
+    increments."""
+    p = model.p
+    beta = [Fraction(v) for v in model.beta.tolist()]
+    gamma = [[Fraction(v) for v in row] for row in model.gamma.tolist()]
+    t = [sum(g * b for g, b in zip(row, beta)) for row in gamma]
+    var_y = sum(b * v for b, v in zip(beta, t))
+    table = [var_y]
+    for mask in range(1, (1 << p) - 1):
+        u = subsets.decode(mask, p)
+        x = _solve([[gamma[i - 1][j - 1] for j in u] for i in u],
+                   [t[i - 1] for i in u])
+        table.append(var_y - sum(t[i - 1] * v for i, v in zip(u, x)))
+    table.append(Fraction(0))
+    size = [m.bit_count() for m in range(1 << p)]
+    return [sum((table[m] - table[m | 1 << i]) / math.comb(p - 1, size[m])
+                for m in range(1 << p) if not m >> i & 1) / (p * var_y)
+            for i in range(p)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_route_matches_rational_oracle_near_singular(seed):
+    # A rank-4 integer part plus eps I: positive definite, so every solve
+    # is exact in fractions, yet singular to working precision at 1e-14.
+    rng = np.random.default_rng(seed)
+    low = rng.integers(-3, 4, size=(5, 4))
+    assert np.linalg.matrix_rank(low) == 4
+    beta = rng.integers(-3, 4, size=5)
+    for eps in (1e-2, 1e-5, 1e-8, 1e-11, 1e-14):
+        model = validate_model(beta, low @ low.T + eps * np.eye(5))
+        exact = [float(v) for v in rational_shapley(model)]
+        assert_close(lg_indices(model).shapley, exact, tol=1e-12)
 
 
 def test_empty_and_full_subsets(correlated_p2):

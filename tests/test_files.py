@@ -208,7 +208,7 @@ def _read_back(path, doc):
 
 def test_report_rows_are_consistent(tmp_path):
     model = generate_random_instance(3, seed=4)
-    doc = files.report_from_sensitivity(lg_indices(model), "lg-indices")
+    doc = files.report_from_sensitivity(lg_indices(model))
     path = tmp_path / "report.json"
     files.write_report(doc, path)
     back = _read_back(path, doc)
@@ -221,7 +221,7 @@ def test_report_rows_are_consistent(tmp_path):
 def test_grouped_report_skips_straddling_subsets(tmp_path):
     model = generate_block_instance(2, 2, seed=6)
     grouped = lg_groups_indices(model)
-    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped)
     files.write_report(doc, tmp_path / "grouped.json")
     masks = set(doc["sobol"].masks.tolist())
     group_masks = grouped.partition.masks()
@@ -238,7 +238,7 @@ def test_grouped_report_closed_sobol_matches_full_route():
     model = generate_block_instance(2, 3, seed=13)
     grouped = lg_groups_indices(model)
     full = lg_indices(model)
-    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped)
     for family in ("sobol", "closed_sobol"):
         rows = doc[family]
         np.testing.assert_allclose(rows.values,
@@ -270,9 +270,8 @@ def test_schemas_are_valid():
 def _docs():
     model = generate_block_instance(2, 2, seed=6)
     return [
-        files.report_from_sensitivity(lg_indices(model), "lg-indices"),
-        files.report_from_sensitivity(lg_groups_indices(model),
-                                      "lg-groups-indices"),
+        files.report_from_sensitivity(lg_indices(model)),
+        files.report_from_sensitivity(lg_groups_indices(model)),
         files.report_from_estimate([0.5, 0.25, 0.25, 0.0], 2.0,
                                    "random-permutations", seed=1),
     ]
@@ -409,7 +408,7 @@ def test_checks_accept_what_the_schema_accepts(kind, doc, names, tmp_path):
 def test_rows_beyond_int64_masks_round_trip(tmp_path):
     # 33 groups of 2: masks reach 2**65, past what an int64 holds.
     grouped = lg_groups_indices(generate_block_instance(33, 2, seed=2))
-    doc = files.report_from_sensitivity(grouped, "lg-groups-indices")
+    doc = files.report_from_sensitivity(grouped)
     assert doc["sobol"].masks[-1] >= 1 << 64
     files.write_report(doc, tmp_path / "wide.json")
     _read_back(tmp_path / "wide.json", doc)
@@ -444,17 +443,16 @@ def test_write_rejects_non_finite_values_outside_rows(tmp_path):
 
 def _render_cases():
     cases = {f"dense-p{p}": files.report_from_sensitivity(
-        lg_indices(generate_random_instance(p, seed=p)), "lg-indices")
+        lg_indices(generate_random_instance(p, seed=p)))
         for p in range(1, 13)}
     for k, n in [(3, 2), (33, 2)]:
         cases[f"grouped-{k}x{n}"] = files.report_from_sensitivity(
-            lg_groups_indices(generate_block_instance(k, n, seed=2)),
-            "lg-groups-indices")
+            lg_groups_indices(generate_block_instance(k, n, seed=2)))
     interleaved = validate_model([1.0, 2.0, 3.0, 4.0], [
         [1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, -0.3],
         [0.5, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.0]])
     cases["grouped-interleaved"] = files.report_from_sensitivity(
-        lg_groups_indices(interleaved), "lg-groups-indices")
+        lg_groups_indices(interleaved))
     summary = CvSummary(per_i_cv=np.array([12.5, np.nan, 0.25]),
                         mean_cv=np.nan, m=10, reps=20, seed=3, excluded=(2,))
     cases["estimate"] = files.report_from_estimate(
@@ -537,7 +535,7 @@ def test_subset_texts_are_built_once_per_chunk(tmp_path, monkeypatch, name,
 def test_writer_holds_one_chunk_of_text(tmp_path, monkeypatch):
     monkeypatch.setattr(files, "CHUNK_ROWS", 256)
     doc = files.report_from_sensitivity(
-        lg_indices(generate_random_instance(12, seed=12)), "lg-indices")
+        lg_indices(generate_random_instance(12, seed=12)))
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
