@@ -1,11 +1,11 @@
-"""Independent groups of inputs and the grouped index computation.
+"""Independent groups of inputs: their detection and the grouped route.
 
-When the covariance is block diagonal the output decomposes into a sum of
-independent per-group terms: given a subset inside a group, the output
-keeps all of ``var_y`` but what that subset explains of its group's term,
-and every subset straddling two groups has Sobol index 0. One 2**p lattice
-becomes k small ones, and the result is the dense route's report on fewer
-masks.
+When the covariance is block diagonal the output is a sum of independent
+per-group terms, so every subset straddling two groups has Sobol index 0
+and one 2**p lattice becomes k small ones. :func:`lg_groups_indices`
+hands the groups :func:`detect_blocks` finds to the one exact route,
+:func:`shapley_lg.indices.exact_report`, which reads a dense model as one
+group.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from typing import Iterable
 
 import numpy as np
 
-from . import indices, subsets
-from .conditional import CondVarTable, conditional_variance_tables
+from . import subsets
 # lg_indices and validate_model are not called here; perfbench/tracing.py
 # wraps both by these names.
-from .indices import NUM_TOL, SensitivityReport, lg_indices
-from .model import LinearGaussianModel, total_variance, validate_model
+from .indices import NUM_TOL, SensitivityReport, exact_report, lg_indices
+from .model import LinearGaussianModel, validate_model
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,48 +99,9 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
 
 def lg_groups_indices(model: LinearGaussianModel,
                       eps_block: float = 0.0) -> SensitivityReport:
-    """Exact indices through the per-group decomposition.
-
-    Detects the independent groups and runs the full lattice computation
-    inside each group only, a principal slice of the validated model that
-    is not checked again. A subset ``u`` inside group ``g`` has ``E[Var(Y |
-    X_u)] = var_y - var_g + W_g(u)``, so the group's own table ``W_g``, read
-    against the model's ``var_y``, gives its Sobol rows and Shapley effects,
-    and ``(var_g - W_g(u)) / var_y`` its closed Sobol rows. The rows are mask
-    0 and each non-empty subset inside one group; ``eval_count`` is the sum
-    of the group lattice sizes, not 2**p. Groups of one size share one
-    stacked table and pass. A group of no output variance has zero rows and
-    effects; every group's effects sum to its share of ``var_y``.
-    """
-    partition = detect_blocks(model.gamma, eps_block)
-    var_y = total_variance(model)
-    shapley = np.empty(model.p)
-    one = 1 if model.p < 63 else np.array(1, dtype=object)
-    masks, sobols, closeds = [[0]], [[0.0]], [[0.0]]
-    for n in sorted({len(g) for g in partition.groups}):
-        rows = np.array([g for g in partition.groups if len(g) == n]) - 1
-        table = conditional_variance_tables(
-            model.gamma[rows[:, :, None], rows[:, None, :]], model.beta[rows])
-        values = table.values
-        if (table.var_y <= 0.0).any():
-            values = np.where(table.var_y[:, None] > 0.0, values, 0.0)
-        glob = CondVarTable(values, var_y)
-        shapley[rows] = indices.shapley_from_table(glob)
-        local_bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
-        masks.append(((one << rows) @ local_bits.T).ravel())
-        sobols.append(indices.sobol_from_table(glob)[:, 1:].ravel())
-        closeds.append(indices.closed_sobol_from_table(glob)[:, 1:].ravel())
-    masks = np.concatenate(masks)
-    order = np.argsort(masks)
-    return SensitivityReport(
-        var_y=var_y,
-        masks=masks[order],
-        sobol=np.concatenate(sobols)[order],
-        closed_sobol=np.concatenate(closeds)[order],
-        shapley=shapley,
-        eval_count=sum(1 << len(g) for g in partition.groups),
-        partition=partition,
-    )
+    """Exact indices of the groups :func:`detect_blocks` reads off
+    ``model.gamma`` with ``eps_block``; ``eval_count`` is ``sum 2**n_g``."""
+    return exact_report(model, detect_blocks(model.gamma, eps_block))
 
 
 def verify_cross_block_zeros(report: SensitivityReport, partition: BlockPartition,

@@ -4,7 +4,8 @@ All three families are linear functionals of the conditional-variance table,
 so once the table is available each extraction is a pass over the subset
 lattice. The interaction (Sobol) indices use the Moebius transform over the
 lattice, which costs p * 2**p instead of the 3**p of the literal superset
-accumulation.
+accumulation. :func:`exact_report` is the one exact route: a table per
+independent group, and a dense model is one group of all its variables.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import subsets
-from .conditional import CondVarTable, all_conditional_variances
-from .model import LinearGaussianModel
+# all_conditional_variances is not called here; perfbench/tracing.py wraps
+# this name.
+from .conditional import (CondVarTable, all_conditional_variances,
+                          conditional_variance_tables)
+from .model import LinearGaussianModel, total_variance
 
 if TYPE_CHECKING:
     from .blocks import BlockPartition
@@ -32,9 +36,9 @@ class SensitivityReport:
     """Exact variance-based sensitivity indices of one model.
 
     Rows are ascending subset masks, mask 0 first; ``sobol[i]`` and
-    ``closed_sobol[i]`` belong to ``masks[i]``. The dense route has every
-    mask, so there entry ``j`` is mask ``j``; the grouped route has the
-    subsets inside one group, and every other subset has Sobol index 0.
+    ``closed_sobol[i]`` belong to ``masks[i]``. The rows are the subsets
+    inside one independent group, and every other subset has Sobol index 0;
+    with one group of all ``p`` variables entry ``j`` is mask ``j``.
 
     Attributes
     ----------
@@ -50,7 +54,7 @@ class SensitivityReport:
     eval_count : int
         Number of conditional-variance evaluations spent.
     partition : BlockPartition or None
-        The grouped route's independent groups; None for the dense route.
+        The independent groups; None for one group of all ``p`` variables.
     """
 
     var_y: float
@@ -138,19 +142,52 @@ def shapley_from_table(table: CondVarTable) -> np.ndarray:
         p * np.asarray(table.var_y)[..., None])
 
 
-def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
-    """All exact sensitivity indices of a linear Gaussian model.
+def exact_report(model: LinearGaussianModel,
+                 partition: BlockPartition | None) -> SensitivityReport:
+    """Exact indices of a model whose variables form the independent groups
+    of ``partition``, or one group of all ``p`` when it is None.
 
-    Builds the 2**p conditional-variance table once and extracts the Sobol,
-    closed Sobol and Shapley families from it.
+    A subset ``u`` inside group ``g`` has ``E[Var(Y | X_u)] = var_y - var_g
+    + W_g(u)``, with ``W_g`` the table of the group's principal slice of the
+    validated model, not checked again: its Sobol rows and Shapley effects
+    read ``W_g`` against the model's ``var_y``, and its closed Sobol rows are
+    ``(var_g - W_g(u)) / var_y``. Groups of one size share one stacked table.
     """
-    table = all_conditional_variances(model)
+    groups = (partition.groups if partition is not None
+              else (tuple(range(1, model.p + 1)),))
+    var_y = total_variance(model)
+    shapley = np.empty(model.p)
+    one = 1 if model.p < 63 else np.array(1, dtype=object)
+    stacks = []
+    for n in sorted({len(g) for g in groups}):
+        rows = np.array([g for g in groups if len(g) == n]) - 1
+        table = conditional_variance_tables(
+            model.gamma[rows[:, :, None], rows[:, None, :]], model.beta[rows])
+        if table.var_y.min() <= 0.0:    # a group of no variance: all zero
+            table.values[table.var_y <= 0.0] = 0.0
+        glob = CondVarTable(table.values, var_y)
+        shapley[rows] = shapley_from_table(glob)    # first: it sets the peak
+        # Each group's masks, ascending as its members are: the sums of the
+        # masks of its low h members and of its high n - h members.
+        h, weights = (n + 1) // 2, one << rows
+        bits = np.arange(1 << h) >> np.arange(h)[:, None] & 1
+        low = weights[:, :h] @ bits
+        high = weights[:, h:] @ bits[:n - h, :1 << n - h]
+        masks = (high[:, :, None] + low[:, None, :]).reshape(len(rows), -1)
+        stacks.append((masks, sobol_from_table(glob),
+                       closed_sobol_from_table(glob)))
+    masks, sobol, closed = (np.concatenate(column, axis=None) if column[1:]
+                            else column[0].ravel() for column in zip(*stacks))
+    if len(groups) > 1:     # each group's row 0 is mask 0; sorted, keep one
+        order = np.argsort(masks)[len(groups) - 1:]
+        masks, sobol, closed = masks[order], sobol[order], closed[order]
     return SensitivityReport(
-        var_y=table.var_y,
-        sobol=sobol_from_table(table),
-        closed_sobol=closed_sobol_from_table(table),
-        shapley=shapley_from_table(table),
-        masks=np.arange(table.values.size),  # after the extractions' peak
-        eval_count=table.values.size,
-        partition=None,
-    )
+        var_y=var_y, masks=masks, sobol=sobol, closed_sobol=closed,
+        shapley=shapley, eval_count=sum(1 << len(g) for g in groups),
+        partition=partition)
+
+
+def lg_indices(model: LinearGaussianModel) -> SensitivityReport:
+    """All exact sensitivity indices of a linear Gaussian model: the 2**p
+    conditional-variance table of one group of all its variables."""
+    return exact_report(model, None)

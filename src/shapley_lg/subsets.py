@@ -22,9 +22,8 @@ FULL_LATTICE_CAP = 25
 def check_lattice_cap(p: int) -> None:
     """Raise :class:`DimensionCapError` if a 2**p enumeration is not supported."""
     if p > FULL_LATTICE_CAP:
-        raise DimensionCapError(
-            f"p={p} would enumerate 2**{p} subsets; the cap is p <= {FULL_LATTICE_CAP}"
-        )
+        raise DimensionCapError(f"2**{p} subsets of {p} variables pass the "
+                                f"lattice cap of {FULL_LATTICE_CAP}")
 
 
 def encode(u: Iterable[int], p: int) -> int:

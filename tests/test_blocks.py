@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,16 +159,40 @@ def test_grouped_report_corollary_structure():
             1.0, abs=1e-10)
 
 
-def test_single_dense_group_reduces_to_full_report():
-    model = generate_random_instance(4, seed=6)
+@pytest.mark.parametrize("p", [*range(1, 13), "singular"])
+def test_single_dense_group_reduces_to_full_report(p):
+    if p == "singular":
+        # Rank 2 of 5: every pair is linked, three variables are dependent.
+        a = np.random.default_rng(6).standard_normal((5, 2))
+        model = validate_model(np.arange(1.0, 6.0), a @ a.T)
+    else:
+        model = generate_random_instance(p, seed=6)
     grouped = lg_groups_indices(model)
     full = lg_indices(model)
-    assert grouped.partition.groups == ((1, 2, 3, 4),)
+    assert grouped.partition.groups == (tuple(range(1, model.p + 1)),)
     assert grouped.shapley.sum() == pytest.approx(1.0, rel=1e-12)
-    assert_close(grouped.shapley, full.shapley, tol=1e-12)
-    assert np.array_equal(grouped.masks, np.arange(16))
-    assert_close(grouped.sobol, full.sobol, tol=1e-12)
-    assert grouped.eval_count == full.eval_count
+    # The dense route is the one-group case, bit for bit.
+    assert grouped.var_y == full.var_y
+    assert grouped.masks.dtype == full.masks.dtype == np.int64
+    assert np.array_equal(full.masks, np.arange(1 << model.p))
+    for family in ("masks", "sobol", "closed_sobol", "shapley"):
+        assert np.array_equal(getattr(grouped, family), getattr(full, family))
+    assert grouped.eval_count == full.eval_count == 1 << model.p
+
+
+def test_grouped_route_on_one_group_peaks_like_the_dense_route():
+    # The grouped route builds no (2**n, n) bit matrix of a group: on one
+    # group of 16 its traced peak stays within 1.25x of the dense route's.
+    model = generate_random_instance(16, seed=3)
+    peaks = []
+    for route in (lg_indices, lg_groups_indices):
+        tracemalloc.start()
+        try:
+            route(model)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_both_exact_routes_list_rows_by_ascending_mask():

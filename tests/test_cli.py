@@ -119,10 +119,17 @@ def test_compute_groups_says_when_eps_block_drops_covariance(
         assert "--eps-block 0.1" in err and f"{0.1 / 6.9:.6g}" in err
 
 
-def test_compute_cap_error(tmp_path):
+def test_compute_cap_error(tmp_path, capsys):
+    # The message names the lattice's own size: all of p, or one group's.
     model = tmp_path / "big.json"
-    assert run(["generate", "--p", 26, "--seed", 0, "--out", model]) == 0
-    assert run(["compute", "--model", model]) == 3
+    for generate, groups in ((["--p", 26], []), (["--k", 2, "--n", 26],
+                                                 ["--groups"])):
+        assert run(["generate", *generate, "--seed", 0, "--out", model]) == 0
+        capsys.readouterr()
+        assert run(["compute", "--model", model, *groups]) == 3
+        assert capsys.readouterr().err == ("error: 2**26 subsets of 26 "
+                                           "variables pass the lattice cap "
+                                           "of 25\n")
 
 
 def test_compute_validation_error(tmp_path, capsys):
