@@ -81,15 +81,16 @@ def detect_blocks(gamma, eps_block: float = 0.0) -> BlockPartition:
         raise ValueError(f"eps_block must be >= 0, got {eps_block}")
     link = np.abs(gamma) > eps_block
     link.flat[::p + 1] = True
-    a, b = np.divmod(np.flatnonzero(link), p)   # row-major; no row is empty
-    first = a.searchsorted(np.arange(p))        # each row's first link
+    a, b = link.nonzero()                       # row-major; no row is empty
+    ids = np.arange(p)
+    first = a.searchsorted(ids)                 # each row's first link
     label = b[first]
     while True:
         lower = np.minimum.reduceat(label[b], first)
         if (lower == label).all():
             break
         label = lower
-    roots = (label == np.arange(p)).nonzero()[0]      # smallest members
+    roots = (label == ids).nonzero()[0]               # smallest members
     group_of = roots.searchsorted(label)
     groups = [[] for _ in roots]
     for i, g in enumerate(group_of.tolist(), 1):

@@ -36,7 +36,9 @@ PINV_RTOL = 1e-12
 
 #: Upper bound, in bytes, on the sweep states of one chunk of a table, and
 #: in ``permutations._ordering_shapley`` on the prefix variances of one chunk
-#: of orderings and on what each fill call holds. It stays in cache.
+#: of orderings and on what each fill call holds; ``montecarlo.mc_shapley``
+#: fills with one sweep of ordered factors, then slices of them each holding
+#: at most this of normals and points. It stays in cache.
 BATCH_BYTES = 1 << 20
 
 
@@ -90,12 +92,18 @@ def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """One modified Gram-Schmidt step of every state ``(models, n)``: the
     first of its ``t`` residual rows is projected out of the others (the
     rows to come, ``a`` last), unless its squared norm is at most ``cut``.
-    The reduction is ``einsum``, so no bit depends on the stack's shape."""
+    The dot products are an ``einsum`` reduction, so no bit depends on the
+    stack's shape. The rank-one update is one ``einsum`` product, with no
+    reduction, subtracted in place: the values of the broadcast ``rows[:,
+    :, 1:] - dots[:, :, 1:] / rr * r`` without its short inner loops and its
+    two temporaries. Only a zero may differ, in sign, since ``einsum`` adds
+    each product to 0; no later sum or square sees that."""
     r = rows[:, :, :1]
     dots = np.einsum("mnki,mnji->mnkj", rows, r)
     rr = dots[:, :, :1]
     rr[rr <= cut] = np.inf
-    return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
+    out = np.einsum("mnk,mni->mnki", (dots[:, :, 1:] / rr)[..., 0], r[:, :, 0])
+    return np.subtract(rows[:, :, 1:], out, out=out)
 
 
 def _sweep(state: np.ndarray, cut: np.ndarray):
@@ -124,8 +132,10 @@ def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """
     cut = PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
     rows = factor[None, orders]
-    states = _sweep(rows, cut[None, orders[:, :-1]])
-    pivots = np.stack([rows[0, :, 0]] + [s[0, :, 0] for s in states], axis=1)
+    pivots = np.empty(rows.shape[1:])       # a copy: no state outlives its step
+    pivots[:, 0] = rows[0, :, 0]
+    for i, state in enumerate(_sweep(rows, cut[None, orders[:, :-1]]), 1):
+        pivots[:, i] = state[0, :, 0]
     rr = np.einsum("mji,mji->mj", pivots, pivots)
     pivots /= np.sqrt(np.where(rr > cut[orders], rr, np.inf))[..., None]
     return factor @ pivots.swapaxes(-1, -2)

@@ -8,7 +8,8 @@ once along each ordering (``conditional.ordered_factors``), so step ``k``
 draws ``k`` normals per outer point and ``p - k`` per inner point, the
 ranks of the two laws. All normals of a call come from one stream; the
 linear estimator's loop, ``permutations._ordering_shapley``, chunks the
-orderings of its uniform draw, and the model is evaluated once per chunk.
+orderings of its uniform draw, the factors are swept once per chunk, and
+the model is evaluated once per slice of it.
 When the model is a sum of functions of independent groups, each group's
 own estimate times its share of the output variance gives its variables'
 effects, which is dramatically cheaper than estimating on the full input
@@ -95,32 +96,34 @@ def _ordering(p: int, u: Sequence[int]) -> np.ndarray:
                     + [i for i in range(p) if not mask >> i & 1])
 
 
-def _nested(model: BlackBoxModel, inp: GaussianInput, orders: np.ndarray,
+def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
             rng: np.random.Generator, steps: Sequence[int], n_outer: int,
             n_inner: int) -> np.ndarray:
     """Nested Monte Carlo variances ``(c, len(steps))``, the outer means of
-    the inner sample variances, given the first ``k`` variables of each
-    zero-based row of ``orders`` ``(c, p)``, for each ``k`` of ``steps``,
-    from its ordered factor ``F`` (:func:`conditional.ordered_factors`).
+    the inner sample variances, given the first ``k`` variables of each of
+    ``c`` orderings, for each ``k`` of ``steps``, from its ordered factor
+    ``F`` of ``factors`` ``(c, p, p)`` (:func:`conditional.ordered_factors`).
 
     Step ``k`` of each ordering, in turn, reads ``n_inner * n_outer * (p -
     k)`` normals ``w'`` of ``rng`` for its inner draws' noise ``F[:, k:]
-    w'``, then ``n_outer * k`` for its outer draws ``mu + F[:, :k] w``. All
-    points, laid out ``(c, step, n_inner, n_outer, p)``, go to one model call.
+    w'``, then ``n_outer * k`` for its outer draws ``mu + F[:, :k] w``, each
+    a slice of one draw at a running offset. All points, laid out ``(c,
+    step, n_inner, n_outer, p)``, go to one model call.
     """
-    factors = conditional.ordered_factors(inp.factor, orders)
     c, p = factors.shape[:2]
-    widths = [w for k in steps for w in (n_inner * n_outer * (p - k),
-                                         n_outer * k)]
     ft = factors.swapaxes(-1, -2)
     with allocation():
-        z = np.split(rng.standard_normal((c, sum(widths))),
-                     np.cumsum(widths)[:-1], axis=1)
+        z = rng.standard_normal(
+            (c, n_outer * sum(n_inner * (p - k) + k for k in steps)))
         x = np.empty((c, len(steps), n_inner, n_outer, p))
     flat = x.reshape(c, len(steps), -1, p)          # a view: x is contiguous
+    at = 0
     for s, k in enumerate(steps):
-        np.matmul(z[2 * s].reshape(c, -1, p - k), ft[:, k:], out=flat[:, s])
-        x[:, s] += (inp.mu + z[2 * s + 1].reshape(c, n_outer, k)
+        mid = at + n_inner * n_outer * (p - k)
+        np.matmul(z[:, at:mid].reshape(c, -1, p - k), ft[:, k:],
+                  out=flat[:, s])
+        at = mid + n_outer * k
+        x[:, s] += (inp.mu + z[:, mid:at].reshape(c, n_outer, k)
                     @ ft[:, :k])[:, None]
     values = model(x.reshape(-1, p)).reshape(x.shape[:-1])
     return np.var(values, axis=2, ddof=1).mean(axis=-1)
@@ -142,8 +145,10 @@ def double_mc_cond_var(model: BlackBoxModel, inp: GaussianInput,
     order = _ordering(inp.p, u)
     if len(u) == inp.p:
         return 0.0
-    return float(_nested(model, inp, order[None], np.random.default_rng(seed),
-                         [len(u)], n_outer, n_inner)[0, 0])
+    return float(_nested(model, inp,
+                         conditional.ordered_factors(inp.factor, order[None]),
+                         np.random.default_rng(seed), [len(u)], n_outer,
+                         n_inner)[0, 0])
 
 
 def _check_variance(var: float, what: str) -> float:
@@ -267,8 +272,10 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     both ends of every telescoping chain, so the components sum to 1
     exactly. The output variance, the orderings and the normals each draw
     from their own child seed; every normal comes from one stream, in
-    (ordering, step) order, as :func:`_nested` reads them, with one draw
-    and one model call per fill of ``permutations._ordering_shapley``.
+    (ordering, step) order, as :func:`_nested` reads them. Each fill of
+    ``permutations._ordering_shapley`` sweeps its orderings' factors once,
+    in at most ``BATCH_BYTES``; each slice of it, at most ``BATCH_BYTES`` of
+    normals and points, takes one draw and one model call.
     Raises ``NotFinite`` if the estimate is not finite.
     """
     p = model.p
@@ -281,12 +288,19 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         _check_variance(var_y, "the model")
     n_outer, n_inner = cfg.n_outer, cfg.n_inner
     rng = np.random.default_rng(z_seed)
-    shapley = _ordering_shapley(
+    sub = max(1, conditional.BATCH_BYTES // (
+        8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer     # normals, points
+             + (p - 1) * n_inner * n_outer * p + p * p)))   # and factors
+
+    def fill(orders: np.ndarray) -> np.ndarray:
+        factors = conditional.ordered_factors(inp.factor, orders)
+        return np.concatenate([
+            _nested(model, inp, factors[at:at + sub], rng, range(1, p),
+                    n_outer, n_inner) for at in range(0, len(orders), sub)])
+
+    shapley = _ordering_shapley(    # the sweep peaks at four times F's bytes
         p, cfg.m, 1, _uniform(p, np.random.default_rng(order_seed)), var_y,
-        8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer    # normals, points
-             + (p - 1) * n_inner * n_outer * p + p * p),    # and factors
-        lambda orders: _nested(model, inp, orders, rng, range(1, p), n_outer,
-                               n_inner))[0]
+        4 * 8 * p * p, fill)[0]
     if not np.isfinite(shapley).all():
         raise ModelValidationError(
             ValidationKind.NOT_FINITE,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -332,6 +333,86 @@ def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
     for one, values, var_y in zip(alone, stacked.values, stacked.var_y):
         assert var_y == one.var_y
         assert np.array_equal(values, one.values)
+
+
+def broadcast_step(rows, cut):
+    """The Gram-Schmidt step as one broadcast, ``rows[:, :, 1:] - dots[:, :,
+    1:] / rr * r``: the oracle of :func:`conditional._step`. Its ``einsum``
+    product may give a zero of the other sign, which ``np.array_equal``
+    allows and no later sum or square sees."""
+    r = rows[:, :, :1]
+    dots = np.einsum("mnki,mnji->mnkj", rows, r)
+    rr = dots[:, :, :1]
+    rr[rr <= cut] = np.inf
+    return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
+
+
+def _checked_step(state, cut):
+    """``_step(state, cut)``, checked against the broadcast; also whether a
+    pivot was at or below its cut."""
+    new = conditional._step(state, cut)
+    assert np.array_equal(new, broadcast_step(state, cut))
+    return new, bool((np.einsum("mni,mni->mn", state[:, :, 0],
+                                state[:, :, 0])[..., None, None] <= cut).any())
+
+
+def test_step_matches_the_broadcast_on_a_table_frontier():
+    # Three stacked p = 5 roots, as the tables stack models: a dense one,
+    # one whose X4 copies X1 (its residual falls below the cut) and one
+    # whose X3 row is all zero (its squared norm is at its cut, 0).
+    dense, dup = generate_random_instance(5, seed=50), _duplicate_variable()
+    rows, _ = conditional._roots(np.array([dense.gamma, dup.gamma, dense.gamma]),
+                                 np.array([dense.beta, dup.beta, dense.beta]))
+    rows[2, 2] = 0.0
+    cut = conditional.PINV_RTOL * np.einsum("...ij,...ij->...i",
+                                            rows[:, :-1], rows[:, :-1])
+    state, hits = rows[:, None], []
+    for i in range(5):                  # as _expand walks the frontier
+        new, hit = _checked_step(state, cut[:, i, None, None, None])
+        hits.append(hit)
+        state = np.concatenate([state[:, :, 1:], new], axis=1)
+    assert hits == [False, False, True, True, False]
+
+
+@pytest.mark.parametrize("make", [_duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["duplicate", "tiny"])
+def test_step_matches_the_broadcast_along_orderings(make):
+    # Every ordering of the singular and the ill-conditioned fixture, in
+    # the stacks of _along, (1, 120, t, p) with ``a`` last, and of
+    # ordered_factors on the sampling factor, (1, 120, t, p) without it.
+    # Only the copy of X1 falls to its cut; X3's tiny row stays above its.
+    model = make()
+    p = model.p
+    orders = np.array(list(itertools.permutations(range(p))))
+    rows, cut = conditional._roots(model.gamma[None], model.beta[None])
+    factor = GaussianInput(mu=np.zeros(p), gamma=model.gamma).factor
+    f_cut = conditional.PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
+    for state, cuts in [
+            (rows[:, np.column_stack([orders, np.full(len(orders), p)])],
+             cut[:, orders]),
+            (factor[None, orders], f_cut[None, orders[:, :-1]])]:
+        hits = False
+        for i in range(cuts.shape[2]):
+            state, hit = _checked_step(state, cuts[:, :, i, None, None])
+            hits |= hit
+        assert hits == (make is _duplicate_variable)
+
+
+@pytest.mark.parametrize("make", [lambda: generate_random_instance(7, 70),
+                                  _duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["dense", "duplicate", "tiny"])
+def test_ordered_factors_of_a_stack_match_row_by_row(make):
+    gamma = make().gamma
+    p = len(gamma)
+    factor = GaussianInput(mu=np.zeros(p), gamma=gamma).factor
+    orders = np.random.default_rng(p).permuted(
+        np.broadcast_to(np.arange(p), (60, p)), axis=1)
+    stack = conditional.ordered_factors(factor, orders)
+    for one, order in zip(stack, orders):
+        alone = conditional.ordered_factors(factor, order[None])[0]
+        assert one.tobytes() == alone.tobytes()
 
 
 def test_table_is_deterministic():

@@ -480,9 +480,10 @@ def literal_mc_shapley(model, inp, cfg, *, var_y):
     v[:, 0] = var_y
     for j in range(cfg.m):
         orders[j] = perm_rng.permutation(p)
+        factor = conditional.ordered_factors(inp.factor, orders[j][None])
         for k in range(1, p):
-            v[j, k] = montecarlo._nested(model, inp, orders[j][None], normals,
-                                         [k], n_outer, n_inner)[0, 0]
+            v[j, k] = montecarlo._nested(model, inp, factor, normals, [k],
+                                         n_outer, n_inner)[0, 0]
     # The walk read m * n_outer * sum_k (k + n_inner (p - k)) normals.
     count = np.random.default_rng(z_seed)
     count.standard_normal(cfg.m * n_outer * sum(
@@ -531,10 +532,43 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
     inp = GaussianInput(mu=np.zeros(5), gamma=lin.gamma)
     cfg = McConfig(m=20, n_var=500, n_outer=10, n_inner=2, seed=3)
     whole = mc_shapley(bb, inp, cfg).shapley_hat
-    # Below one ordering's points: every chunk holds a single ordering, and
-    # the chunk boundaries leave the one stream of normals alone.
-    monkeypatch.setattr(conditional, "BATCH_BYTES", 300)
-    assert np.array_equal(mc_shapley(bb, inp, cfg).shapley_hat, whole)
+    # Below one ordering's points, every sweep of factors and every fill
+    # holds a single ordering; at 64 times the cap one sweep and one fill
+    # hold them all. The boundaries leave the one stream of normals alone.
+    for cap in (300, 64 * conditional.BATCH_BYTES):
+        monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
+        assert np.array_equal(mc_shapley(bb, inp, cfg).shapley_hat, whole)
+
+
+def test_mc_sweeps_each_stack_of_orderings_once(monkeypatch):
+    # At p = 9 with one outer and two inner draws, a sweep of 404
+    # orderings, which peaks at four times their factors, fits BATCH_BYTES:
+    # 2000 orderings take five sweeps, and each sweep's fills hold at most
+    # BATCH_BYTES of normals and points.
+    p, cfg = 9, McConfig(m=2000, n_var=500, n_outer=1, n_inner=2, seed=4)
+    inp = GaussianInput(mu=np.zeros(p),
+                        gamma=generate_random_instance(p, seed=9).gamma)
+    sweeps, fills = [], []
+    ordered, nested = conditional.ordered_factors, montecarlo._nested
+
+    def counted_sweep(factor, orders):
+        sweeps.append(len(orders))
+        return ordered(factor, orders)
+
+    def counted_fill(model, inp, factors, *args):
+        fills.append(len(factors))
+        return nested(model, inp, factors, *args)
+
+    monkeypatch.setattr(conditional, "ordered_factors", counted_sweep)
+    monkeypatch.setattr(montecarlo, "_nested", counted_fill)
+    mc_shapley(_nonlinear(p), inp, cfg)
+    stack = conditional.BATCH_BYTES // (4 * 8 * p * p)
+    assert sweeps == [stack] * 4 + [cfg.m - 4 * stack]
+    per_order = 8 * ((p - 1) * cfg.n_inner * cfg.n_outer * p       # points
+                     + cfg.n_outer * sum(k + cfg.n_inner * (p - k)
+                                         for k in range(1, p)))  # normals
+    assert sum(fills) == cfg.m and len(fills) > 2
+    assert max(fills) * per_order <= conditional.BATCH_BYTES
 
 
 @pytest.mark.parametrize("make", [_duplicate_variable,
