@@ -8,8 +8,10 @@ are byte-identical. Exact reports' subset rows are arrays
 masks of one :class:`~shapley_lg.indices.SensitivityReport`, dense or
 grouped. Estimate reports write plain empty lists. Rows are
 streamed in chunks; both families of an exact report read one masks array,
-so a chunk's subset texts are built once and serve both families when the
-report fits in one chunk. The keys
+so a chunk's row heads (each row's text up to its value) are built once and
+serve both families when the report fits in one chunk. Each family adds
+only the ``repr`` of its values, and its rows are joined in short slices.
+The keys
 and value types of each input file (model, distribution, expression) are
 checked by plain code here; it accepts what the JSON Schemas in the tests
 accept (``true`` is not a number). Numeric arrays are type-checked in one
@@ -24,7 +26,7 @@ import json
 import math
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -46,6 +48,10 @@ from .permutations import CvSummary
 
 #: Rows rendered and written at a time by :func:`write_report`.
 CHUNK_ROWS = 1 << 14
+#: Rows joined into one string at a time within a chunk: about 170 kB of
+#: text at p = 14. From 512 to 4,096 rows the writer runs equally fast;
+#: at 1,024 and below the chunk's heads, not a slice, set its peak memory.
+SLICE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +189,12 @@ def _subsets(masks: list, lattice) -> list[str]:
     return [texts[m] for m in masks]
 
 
-def _row_texts(masks: list, texts: list, values: list) -> list[str]:
-    """Text of each row up to its closing brace, from its subset's text."""
+def _heads(masks: list, lattice) -> list[str]:
+    """Text of each of the ascending ``masks``' rows up to its value."""
     return [f'    {{\n      "subset": [{t[1:]}\n      ],\n      "mask": {m},'
-            f'\n      "value": {v!r}' if m else
-            f'    {{\n      "subset": [],\n      "mask": 0,\n      "value": {v!r}'
-            for t, m, v in zip(texts, masks, values)]
+            '\n      "value": ' if m else
+            '    {\n      "subset": [],\n      "mask": 0,\n      "value": '
+            for t, m in zip(_subsets(masks, lattice), masks)]
 
 
 def render_json(obj) -> str:
@@ -196,9 +202,23 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+@contextmanager
 def open_output(path):
-    """``path`` opened for writing, or stdout, left open, when it is None."""
-    return nullcontext(sys.stdout) if path is None else open(path, "w")
+    """``path`` opened for writing, or stdout, left open, when it is None.
+
+    An error in writing or closing the file names ``path``, as one in
+    opening it does: a failed ``write`` or ``close`` names no file.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as out:
+            yield out
+    except OSError as err:
+        if err.filename is None:
+            err.filename = path
+        raise
 
 
 def read_model(path) -> LinearGaussianModel:
@@ -400,9 +420,11 @@ def write_report(doc: dict, path=None) -> None:
     :class:`SubsetRows` family spelled out as row dicts. The builders above
     fix the document's layout, so the only check is that every number is
     finite; it runs before the file is opened, and the rows are then
-    streamed in chunks of :data:`CHUNK_ROWS`. The subset texts of the last
+    streamed in chunks of :data:`CHUNK_ROWS`. The row heads of the last
     chunk are kept, and a family that reads the same masks array at the
-    same offset reuses them, so no more than one chunk's texts stay alive.
+    same offset reuses them, so no more than one chunk's heads stay alive.
+    Each row is its head, the ``repr`` of its value and the text that ends
+    it, and :data:`SLICE_ROWS` rows at a time are joined and written.
     """
     where = path or "<stdout>"
     arrays = {k: v for k, v in doc.items() if isinstance(v, SubsetRows)}
@@ -416,22 +438,26 @@ def write_report(doc: dict, path=None) -> None:
         raise FileFormatError(f"{where} is not a valid report file: "
                               f"{err}") from err
     lattice = cache(_lattice)       # each size at most once per report
-    # The last chunk's masks array and offset, then its mask list and texts.
-    chunk = None, None, None, None
+    chunk = None, None, None        # the last chunk's masks, offset, heads
     with open_output(path) as out:
         for family, rows in arrays.items():
             # At depth one, the key starts a line after two spaces.
             head, text = text.split(f'\n  "{family}": []', 1)
-            out.write(f'{head}\n  "{family}": ')
-            sep = "[\n"
+            out.write(f'{head}\n  "{family}": [\n')
             for start in range(0, len(rows), CHUNK_ROWS):
                 if chunk[0] is not rows.masks or chunk[1] != start:
-                    masks = rows.masks[start:start + CHUNK_ROWS].tolist()
-                    chunk = rows.masks, start, masks, _subsets(masks, lattice)
-                out.write(sep + "\n    },\n".join(_row_texts(
-                    *chunk[2:],
-                    rows.values[start:start + CHUNK_ROWS].tolist())))
-                sep = "\n    },\n"
-            out.write("\n    }\n  ]")
+                    chunk = None        # free the last heads first
+                    chunk = rows.masks, start, _heads(
+                        rows.masks[start:start + CHUNK_ROWS].tolist(), lattice)
+                for i in range(0, len(chunk[2]), SLICE_ROWS):
+                    heads = chunk[2][i:i + SLICE_ROWS]
+                    end = start + i + len(heads)
+                    # head, value, end of row; the family's last row closes it
+                    parts = ["\n    },\n"] * (3 * len(heads))
+                    parts[0::3] = heads
+                    parts[1::3] = map(repr,
+                                      rows.values[start + i:end].tolist())
+                    if end == len(rows):
+                        parts[-1] = "\n    }\n  ]"
+                    out.write("".join(parts))
         out.write(text)
-

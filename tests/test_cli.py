@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -532,6 +533,28 @@ def test_unwritable_out_exits_4_with_one_line(tmp_path, capsys, args):
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
     # estimate --reps prints its summary only after the report is written
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["compute"],
+    ["compute", "--groups"],
+    ["generate", "--p", 3],
+    ["benchmark", "--sizes", 3, "--repetitions", 1],
+    ["estimate"],
+    ["mc", "--m", 5, "--n-outer", 5],
+], ids=lambda args: " ".join(map(str, args)))
+def test_failed_write_names_the_file(tmp_path, capsys, args):
+    # The file opens, then writing or closing it fails; that error named
+    # <stdout>, not the file.
+    argv = [args[0], *_verb_inputs(tmp_path).get(args[0], []), *args[1:],
+            "--out", "/dev/full"]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot write /dev/full: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
     assert captured.out == ""
 
 

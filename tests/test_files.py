@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -497,18 +498,21 @@ def test_render_matches_json_dumps(name, tmp_path, capsys):
 def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch, capsys,
                                               chunk_rows):
     # With 4, aligned runs of a dense report take the cached text lattice;
-    # 64 splits the 100 rows of 33x2, whose masks go past 2**64.
+    # 64 splits the 100 rows of 33x2, whose masks go past 2**64. Slices of
+    # 2 rows end inside a chunk or with it.
     monkeypatch.setattr(files, "CHUNK_ROWS", chunk_rows)
     cases = _render_cases()
-    for name in ["dense-p1", "dense-p2", "dense-p4", "dense-p5",
-                 "grouped-3x2", "grouped-33x2", "grouped-interleaved",
-                 "awkward-floats", "other-masks", "equal-masks"]:
-        expected = json.dumps(_row_dicts(cases[name]), indent=2) + "\n"
-        path = tmp_path / f"{name}.json"
-        files.write_report(cases[name], path)
-        assert path.read_text() == expected
-        files.write_report(cases[name])
-        assert capsys.readouterr().out == expected
+    for slice_rows in (2, files.SLICE_ROWS):
+        monkeypatch.setattr(files, "SLICE_ROWS", slice_rows)
+        for name in ["dense-p1", "dense-p2", "dense-p4", "dense-p5",
+                     "grouped-3x2", "grouped-33x2", "grouped-interleaved",
+                     "awkward-floats", "other-masks", "equal-masks"]:
+            expected = json.dumps(_row_dicts(cases[name]), indent=2) + "\n"
+            path = tmp_path / f"{name}.json"
+            files.write_report(cases[name], path)
+            assert path.read_text() == expected
+            files.write_report(cases[name])
+            assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("name, chunk_rows, calls", [
@@ -519,17 +523,42 @@ def test_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch, capsys,
 ])
 def test_subset_texts_are_built_once_per_chunk(tmp_path, monkeypatch, name,
                                                chunk_rows, calls):
-    built = []
-    subsets_ = files._subsets
-
-    def counted(*args):
-        built.append(args)
-        return subsets_(*args)
-
-    monkeypatch.setattr(files, "_subsets", counted)
+    # The row heads are built from the subset texts, once with them.
+    texts = mock.Mock(wraps=files._subsets)
+    heads = mock.Mock(wraps=files._heads)
+    monkeypatch.setattr(files, "_subsets", texts)
+    monkeypatch.setattr(files, "_heads", heads)
     monkeypatch.setattr(files, "CHUNK_ROWS", chunk_rows)
     files.write_report(_render_cases()[name], tmp_path / "report.json")
-    assert len(built) == calls
+    assert texts.call_count == heads.call_count == calls
+
+
+def test_dense_report_of_two_chunks_matches_json_dumps(tmp_path, capsys):
+    # p = 15 at the default sizes: two chunks of 16 slices per family.
+    doc = files.report_from_sensitivity(
+        lg_indices(generate_random_instance(15, seed=15)))
+    assert len(doc["sobol"]) == 2 * files.CHUNK_ROWS
+    expected = json.dumps(_row_dicts(doc), indent=2) + "\n"
+    path = tmp_path / "report.json"
+    files.write_report(doc, path)
+    assert path.read_text() == expected
+    files.write_report(doc)
+    assert capsys.readouterr().out == expected
+
+
+def test_dense_report_memory_peak():
+    # One chunk per family at p = 14, a 5.7-MB report. The chunk's row heads
+    # and subset texts set the peak, 6.1 MiB; joining a family's whole chunk
+    # of rows into one text would raise it past 9 MiB.
+    doc = files.report_from_sensitivity(
+        lg_indices(generate_random_instance(14, seed=14)))
+    tracemalloc.start()
+    try:
+        files.write_report(doc, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 def test_writer_holds_one_chunk_of_text(tmp_path, monkeypatch):
@@ -580,8 +609,8 @@ def _row_families(draw):
 
 @seed(20261020)
 @settings(max_examples=60, deadline=None, database=None)
-@given(_row_families(), st.integers(1, 5))
-def test_write_report_matches_json_dumps(families, chunk_rows):
+@given(_row_families(), st.integers(1, 5), st.integers(1, 5))
+def test_write_report_matches_json_dumps(families, chunk_rows, slice_rows):
     sobol, closed = families
     doc = files.report_from_estimate([0.5, 0.5], 1.0, "rows")
     doc.update(sobol=sobol, closed_sobol=closed)
@@ -589,6 +618,7 @@ def test_write_report_matches_json_dumps(families, chunk_rows):
                                int(closed.masks[-1]).bit_length())
     out = io.StringIO()
     with mock.patch.object(files, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(files, "SLICE_ROWS", slice_rows), \
             contextlib.redirect_stdout(out):
         files.write_report(doc)
     assert out.getvalue() == json.dumps(_row_dicts(doc), indent=2) + "\n"
