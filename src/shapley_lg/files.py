@@ -68,13 +68,18 @@ class SubsetRows:
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise FileFormatError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise FileFormatError(f"{path} is not UTF-8 text: {err}") from err
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise FileFormatError(f"{path} is not valid JSON: it nests too "
+                              "deeply") from err
 
 
 # Each check below takes a JSON value and its path in the document

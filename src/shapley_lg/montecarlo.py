@@ -96,9 +96,15 @@ def _ordering(p: int, u: Sequence[int]) -> np.ndarray:
                     + [i for i in range(p) if not mask >> i & 1])
 
 
+def _floats(p: int, steps: Sequence[int], n_inner: int) -> int:
+    """Floats of the normals, points and outer means of one ordering and
+    outer draw in :func:`_nested`."""
+    return sum(n_inner * (p - k) + k + (n_inner + 1) * p for k in steps)
+
+
 def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
             rng: np.random.Generator, steps: Sequence[int], n_outer: int,
-            n_inner: int) -> np.ndarray:
+            n_inner: int, work: np.ndarray | None = None) -> np.ndarray:
     """Nested Monte Carlo variances ``(c, len(steps))``, the outer means of
     the inner sample variances, given the first ``k`` variables of each of
     ``c`` orderings, for each ``k`` of ``steps``, from its ordered factor
@@ -106,16 +112,32 @@ def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
 
     Step ``k`` of each ordering, in turn, reads ``n_inner * n_outer * (p -
     k)`` normals ``w'`` of ``rng`` for its inner draws' noise ``F[:, k:]
-    w'``, then ``n_outer * k`` for its outer draws ``mu + F[:, :k] w``, each
-    a slice of one draw at a running offset. All points, laid out ``(c,
-    step, n_inner, n_outer, p)``, go to one model call.
+    w'``, then ``n_outer * k`` for its outer draws' offsets ``F[:, :k] w``,
+    each a slice of one draw at a running offset. The offsets of all steps
+    fill one buffer ``(c, step, 1, n_outer, p)``; ``mu`` is added to that,
+    and that to the noise, once per slice, with the bits of adding ``mu +
+    F[:, :k] w`` step by step. All points, laid out ``(c, step, n_inner,
+    n_outer, p)``, go to one model call.
+
+    Normals, points and offsets are views of ``work``, a contiguous float
+    buffer of at least ``c * n_outer * _floats(p, steps, n_inner)``, or of
+    a new one. :func:`mc_shapley` passes one buffer to every slice of a
+    stack: arrays of a slice's size, allocated anew, would be mapped,
+    faulted in and unmapped again for each slice.
     """
     c, p = factors.shape[:2]
     ft = factors.swapaxes(-1, -2)
-    with allocation():
-        z = rng.standard_normal(
-            (c, n_outer * sum(n_inner * (p - k) + k for k in steps)))
-        x = np.empty((c, len(steps), n_inner, n_outer, p))
+    if work is None:
+        with allocation():
+            work = np.empty((c, n_outer, _floats(p, steps, n_inner)))
+    work = work.reshape(-1)
+    n_z = c * n_outer * sum(n_inner * (p - k) + k for k in steps)
+    n_o = c * len(steps) * n_outer * p
+    z = rng.standard_normal(out=work[:n_z].reshape(c, -1))
+    x = work[n_z:n_z + n_inner * n_o].reshape(
+        c, len(steps), n_inner, n_outer, p)
+    o = work[n_z + n_inner * n_o:n_z + (n_inner + 1) * n_o].reshape(
+        c, len(steps), 1, n_outer, p)
     flat = x.reshape(c, len(steps), -1, p)          # a view: x is contiguous
     at = 0
     for s, k in enumerate(steps):
@@ -123,8 +145,10 @@ def _nested(model: BlackBoxModel, inp: GaussianInput, factors: np.ndarray,
         np.matmul(z[:, at:mid].reshape(c, -1, p - k), ft[:, k:],
                   out=flat[:, s])
         at = mid + n_outer * k
-        x[:, s] += (inp.mu + z[:, mid:at].reshape(c, n_outer, k)
-                    @ ft[:, :k])[:, None]
+        np.matmul(z[:, mid:at].reshape(c, n_outer, k), ft[:, :k],
+                  out=o[:, s, 0])
+    o += inp.mu
+    x += o
     values = model(x.reshape(-1, p)).reshape(x.shape[:-1])
     return np.var(values, axis=2, ddof=1).mean(axis=-1)
 
@@ -275,7 +299,8 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
     (ordering, step) order, as :func:`_nested` reads them. Each fill of
     ``permutations._ordering_shapley`` sweeps its orderings' factors once,
     in at most ``BATCH_BYTES``; each slice of it, at most ``BATCH_BYTES`` of
-    normals and points, takes one draw and one model call.
+    normals, points and outer means in one buffer per fill, takes one draw
+    and one model call.
     Raises ``NotFinite`` if the estimate is not finite.
     """
     p = model.p
@@ -288,15 +313,18 @@ def mc_shapley(model: BlackBoxModel, inp: GaussianInput, cfg: McConfig, *,
         _check_variance(var_y, "the model")
     n_outer, n_inner = cfg.n_outer, cfg.n_inner
     rng = np.random.default_rng(z_seed)
+    floats = _floats(p, range(1, p), n_inner)
     sub = max(1, conditional.BATCH_BYTES // (
-        8 * (p * (p - 1) // 2 * (1 + n_inner) * n_outer     # normals, points
-             + (p - 1) * n_inner * n_outer * p + p * p)))   # and factors
+        8 * (n_outer * floats + p * p)))        # and the ordering's factor
 
     def fill(orders: np.ndarray) -> np.ndarray:
         factors = conditional.ordered_factors(inp.factor, orders)
+        with allocation():
+            work = np.empty((min(sub, len(orders)), n_outer, floats))
         return np.concatenate([
             _nested(model, inp, factors[at:at + sub], rng, range(1, p),
-                    n_outer, n_inner) for at in range(0, len(orders), sub)])
+                    n_outer, n_inner, work)
+            for at in range(0, len(orders), sub)])
 
     shapley = _ordering_shapley(    # the sweep peaks at four times F's bytes
         p, cfg.m, 1, _uniform(p, np.random.default_rng(order_seed)), var_y,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import shapley_lg
-from shapley_lg import cli, lg_indices, validate_model
+from shapley_lg import cli, conditional, lg_indices, validate_model
 from shapley_lg.cli import main
 
 
@@ -146,6 +146,61 @@ def test_compute_parse_error(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert run(["compute", "--model", broken]) == 4
+
+
+def _json_argv(tmp_path, verb, path):
+    """``compute --model path``, or ``mc --dist path`` on ``x1 + x2``."""
+    if verb == "compute":
+        return ["compute", "--model", path]
+    expr = write_json(tmp_path / "expr.json", {"f": "x1 + x2"})
+    return ["mc", "--model", expr, "--dist", path]
+
+
+@pytest.mark.parametrize("verb", ["compute", "mc"])
+@pytest.mark.parametrize("content, says", [
+    (b"[" * 100_000, "is not valid JSON: it nests too deeply"),
+    (b"\xff\xfe{\x00}\x00", "is not UTF-8 text"),
+], ids=["deep", "utf-16"])
+def test_unreadable_json_exits_4_naming_the_file(tmp_path, capsys, verb,
+                                                  content, says):
+    # The decoder's RecursionError and the reader's UnicodeDecodeError are
+    # file errors, not tracebacks.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(_json_argv(tmp_path, verb, bad)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} {says}") and err.count("\n") == 1
+
+
+def _deepest_json(text):
+    """The largest ``d`` for which ``json.loads(text(d))`` succeeds here."""
+    lo, hi = 1, 100_000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            json.loads(text(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("verb, says", [
+    ("compute", "beta[0] is not a number"),
+    ("mc", "gamma[0][0] is not a number"),
+])
+def test_json_nested_just_under_the_decoder_limit_exits_4(tmp_path, capsys,
+                                                           verb, says):
+    # The decoder reads the file, a few frames deeper than here; the checks
+    # then name the offender without recursing into it.
+    key, rest = ("beta", ', "gamma": [[1.0]]') if verb == "compute" \
+        else ("gamma", "")
+    text = lambda d: f'{{"{key}": {"[" * d}1.0{"]" * d}{rest}}}'
+    deep = tmp_path / "deep.json"
+    deep.write_text(text(_deepest_json(text) - 50))
+    assert run(_json_argv(tmp_path, verb, deep)) == 4
+    err = capsys.readouterr().err
+    assert says in err and str(deep) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field,values", [
@@ -335,6 +390,39 @@ def test_estimate_replicates_emit_cv_summary(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["cv_summary"]["reps"] == 500
     assert 5.0 <= doc["cv_summary"]["mean_cv"] <= 120.0
+
+
+def test_batch_cap_moves_no_report_byte(tmp_path, capsys, monkeypatch):
+    # mc slices its orderings and estimate chunks its replicates by
+    # BATCH_BYTES: at p = 9, 4 or 8 orderings a slice, at p = 3 48 or 96,
+    # and 3 or 7 replicates a chunk. Reports and stdout keep every byte.
+    rng = np.random.default_rng(31)
+    gamma = np.zeros((9, 9))
+    terms = []
+    for g in range(0, 9, 3):
+        a = rng.standard_normal((4, 3))
+        gamma[g:g + 3, g:g + 3] = a.T @ a
+        terms.append(f"x{g + 1} * x{g + 2} + x{g + 3}^2")
+    dist = write_json(tmp_path / "dist.json", {
+        "gamma": gamma.tolist(), "mu": rng.uniform(-1.0, 1.0, 9).tolist()})
+    expr = write_json(tmp_path / "expr.json", {
+        "f": " + ".join(terms),
+        "blocks": [{"inputs": [f"x{g + j}" for j in (1, 2, 3)], "expr": t}
+                   for g, t in zip(range(0, 9, 3), terms)]})
+    model = tmp_path / "m.json"
+    assert run(["generate", "--p", 16, "--seed", 3, "--out", model]) == 0
+    mc = ["mc", "--model", expr, "--dist", dist, "--seed", 7]
+    argvs = [mc, mc + ["--blocks"]] + [
+        ["estimate", "--model", model, "--method", "random-perm", "--m", 2000,
+         "--reps", reps, "--seed", 5] for reps in (1, 10)]
+    seen = []
+    for cap in (1 << 20, 1 << 21):
+        monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"{i}.{cap}.json"
+            assert run(argv + ["--out", out]) == 0
+            seen.append((out.read_bytes(), capsys.readouterr()))
+    assert seen[:len(argvs)] == seen[len(argvs):]
 
 
 def test_benchmark_csv_structure(tmp_path):

@@ -304,11 +304,12 @@ def _count_expand(monkeypatch):
 def test_small_batch_cap_gives_the_same_table(monkeypatch):
     # Each sweep state's result depends on that state alone, so the
     # chunking cannot change a single bit, dependent rows included. Each
-    # cap leaves room for 128 states at p = 9 (4 steps before the split,
-    # then 4 chunks) or 24 at p = 5 (3 steps, then 2 chunks).
-    cases = [(generate_random_instance(9, seed=21), 8 * 9 * 128),
-             (_duplicate_variable(), 8 * 5 * 24),
-             (_tiny_independent_variable(), 8 * 5 * 24)]
+    # cap, half of which is states, leaves room for 128 states at p = 9 (4
+    # steps before the split, then 4 chunks) or 24 at p = 5 (3 steps, then
+    # 2 chunks).
+    cases = [(generate_random_instance(9, seed=21), 2 * 8 * 9 * 128),
+             (_duplicate_variable(), 2 * 8 * 5 * 24),
+             (_tiny_independent_variable(), 2 * 8 * 5 * 24)]
     whole = [all_conditional_variances(model) for model, _ in cases]
     calls = _count_expand(monkeypatch)
     for (model, cap), one in zip(cases, whole):
@@ -319,7 +320,8 @@ def test_small_batch_cap_gives_the_same_table(monkeypatch):
         assert np.array_equal(chunked.values, one.values)
 
 
-@pytest.mark.parametrize("cap", [conditional.BATCH_BYTES, 8 * 6 * 4 * 20])
+@pytest.mark.parametrize("cap", [conditional.BATCH_BYTES,
+                                 2 * 8 * 6 * 4 * 20])
 def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
     # 20 states of four p = 6 models: 2 steps before the split, 4 chunks.
     models = [generate_random_instance(6, seed=s) for s in range(4)]
@@ -434,18 +436,18 @@ def test_indefinite_covariance_table_is_zero_without_warning():
 
 
 def test_chunked_table_matches_oracle_and_one_chunk(monkeypatch):
-    # At p = 14 the default BATCH_BYTES splits the frontier after the first
-    # steps into two chunks, and 64 KiB into 32; one chunk is the oracle of
-    # their bits.
+    # At p = 14 a cap of 2 MiB, half of which is states, splits the
+    # frontier after the first steps into two chunks, and 128 KiB into 32;
+    # one chunk is the oracle of their bits.
     model = generate_random_instance(14, seed=140)
     calls = _count_expand(monkeypatch)
     tables, chunks = [], []
-    for cap in (1 << 30, conditional.BATCH_BYTES, 1 << 16):
+    for cap in (1 << 30, 1 << 21, 1 << 17):
         monkeypatch.setattr(conditional, "BATCH_BYTES", cap)
         calls.clear()
         tables.append(all_conditional_variances(model).values)
         chunks.append(len(calls))
-    assert chunks[0] == 2 and chunks[1] > 2 and chunks[2] > 30
+    assert chunks == [2, 3, 33]
     var_y = total_variance(model)
     masks = np.random.default_rng(14).integers(0, 1 << 14, 200)
     oracle = [schur_variance(model, int(j)) for j in masks]

@@ -499,6 +499,63 @@ def _nonlinear(p):
         eval=lambda x: np.cos(x[:, 0]) * x[:, -1] + (x ** 2).sum(axis=1), p=p)
 
 
+def stepwise_nested(model, inp, factors, rng, steps, n_outer, n_inner):
+    """``montecarlo._nested`` adding each step's outer draws ``mu + F[:, :k]
+    w`` to its noise in turn, step by step: the oracle of the bits of its
+    one buffer of outer offsets and its one add per slice."""
+    c, p = factors.shape[:2]
+    ft = factors.swapaxes(-1, -2)
+    z = rng.standard_normal(
+        (c, n_outer * sum(n_inner * (p - k) + k for k in steps)))
+    x = np.empty((c, len(steps), n_inner, n_outer, p))
+    flat = x.reshape(c, len(steps), -1, p)
+    at = 0
+    for s, k in enumerate(steps):
+        mid = at + n_inner * n_outer * (p - k)
+        np.matmul(z[:, at:mid].reshape(c, -1, p - k), ft[:, k:],
+                  out=flat[:, s])
+        at = mid + n_outer * k
+        x[:, s] += (inp.mu + z[:, mid:at].reshape(c, n_outer, k)
+                    @ ft[:, :k])[:, None]
+    values = model(x.reshape(-1, p)).reshape(x.shape[:-1])
+    return np.var(values, axis=2, ddof=1).mean(axis=-1)
+
+
+def test_nested_matches_the_per_step_outer_add(monkeypatch):
+    # On the singular fixture with a non-zero mean and three inner draws,
+    # every point the model sees and every variance are the oracle's, bit
+    # for bit: for slices of orderings and any steps, in a buffer of their
+    # own or in a larger one that other slices left dirty, and for
+    # double_mc_cond_var, whose one ordering is given, then ascending.
+    model = _duplicate_variable()
+    p = model.p
+    inp = GaussianInput(mu=np.linspace(-2.0, 3.0, p), gamma=model.gamma)
+    points = []
+    bb = BlackBoxModel(eval=lambda x: points.append(x.copy())
+                       or _nonlinear(p)(x), p=p)
+    orders = np.random.default_rng(5).permuted(
+        np.broadcast_to(range(p), (7, p)), axis=1)
+    factors = conditional.ordered_factors(inp.factor, orders)
+    dirty = np.full(1 << 14, np.nan)
+    for steps in (range(1, p), [2], [4, 0, 1]):
+        want, *got = [
+            (nested(bb, inp, factors, np.random.default_rng(3), steps, 11, 3,
+                    *work), points.pop())
+            for nested, work in ((stepwise_nested, ()),
+                                 (montecarlo._nested, ()),
+                                 (montecarlo._nested, (dirty,)))]
+        for values, seen in got:
+            assert np.array_equal(values, want[0])
+            assert np.array_equal(seen, want[1])
+    for u in ((), (1, 4), (4, 1, 2), (4,), (3, 5, 1, 4)):
+        got = double_mc_cond_var(bb, inp, u, 11, 3, seed=7), points.pop()
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_nested", stepwise_nested)
+            want = double_mc_cond_var(bb, inp, u, 11, 3, seed=7), points.pop()
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert not points
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 7])
 def test_mc_shapley_matches_the_literal_walk(p):
     lin = generate_random_instance(p, seed=60 + p)
@@ -541,14 +598,18 @@ def test_small_chunk_cap_gives_the_same_estimate(monkeypatch):
 
 
 def test_mc_sweeps_each_stack_of_orderings_once(monkeypatch):
-    # At p = 9 with one outer and two inner draws, a sweep of 404
-    # orderings, which peaks at four times their factors, fits BATCH_BYTES:
-    # 2000 orderings take five sweeps, and each sweep's fills hold at most
-    # BATCH_BYTES of normals and points.
-    p, cfg = 9, McConfig(m=2000, n_var=500, n_outer=1, n_inner=2, seed=4)
+    # At p = 9 with one outer and two inner draws, a sweep of a stack of
+    # orderings, which peaks at four times their factors, fits BATCH_BYTES
+    # (809 orderings at 2 MiB): four and a half stacks take five sweeps,
+    # and each sweep's fills hold at most BATCH_BYTES of normals, points
+    # and outer means, all in one buffer per sweep.
+    p = 9
+    stack = conditional.BATCH_BYTES // (4 * 8 * p * p)
+    cfg = McConfig(m=4 * stack + stack // 2, n_var=500, n_outer=1,
+                   n_inner=2, seed=4)
     inp = GaussianInput(mu=np.zeros(p),
                         gamma=generate_random_instance(p, seed=9).gamma)
-    sweeps, fills = [], []
+    sweeps, fills, works = [], [], []
     ordered, nested = conditional.ordered_factors, montecarlo._nested
 
     def counted_sweep(factor, orders):
@@ -557,18 +618,21 @@ def test_mc_sweeps_each_stack_of_orderings_once(monkeypatch):
 
     def counted_fill(model, inp, factors, *args):
         fills.append(len(factors))
+        works.append(args[-1])
         return nested(model, inp, factors, *args)
 
     monkeypatch.setattr(conditional, "ordered_factors", counted_sweep)
     monkeypatch.setattr(montecarlo, "_nested", counted_fill)
     mc_shapley(_nonlinear(p), inp, cfg)
-    stack = conditional.BATCH_BYTES // (4 * 8 * p * p)
-    assert sweeps == [stack] * 4 + [cfg.m - 4 * stack]
-    per_order = 8 * ((p - 1) * cfg.n_inner * cfg.n_outer * p       # points
-                     + cfg.n_outer * sum(k + cfg.n_inner * (p - k)
-                                         for k in range(1, p)))  # normals
+    assert sweeps == [stack] * 4 + [stack // 2]
+    per_order = 8 * (
+        (p - 1) * (cfg.n_inner + 1) * cfg.n_outer * p   # points, outer means
+        + cfg.n_outer * sum(k + cfg.n_inner * (p - k)
+                            for k in range(1, p)))        # and normals
     assert sum(fills) == cfg.m and len(fills) > 2
     assert max(fills) * per_order <= conditional.BATCH_BYTES
+    assert len({id(work) for work in works}) == len(sweeps)
+    assert max(work.nbytes for work in works) <= conditional.BATCH_BYTES
 
 
 @pytest.mark.parametrize("make", [_duplicate_variable,
