@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs: ``compute`` (exact indices of a model file), ``estimate``
-(permutation estimators), ``generate`` (random benchmark instances),
+(the random-ordering estimator), ``generate`` (random benchmark instances),
 ``benchmark`` (timing table as CSV) and ``mc`` (black-box estimation from
 an expression file). Exit codes: 0 success, 2 validation error, 3 cap or
 budget error, 4 file parse error or a bad command line (an unknown verb or
@@ -29,9 +29,8 @@ from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
                      ModelValidationError)
 from .indices import lg_indices
 from .model import generate_block_instance, total_variance
-from .montecarlo import (MC_MINIMUMS, GaussianInput, McConfig,
-                         block_additive_shapley, check_block_terms,
-                         mc_shapley, output_variance)
+from .montecarlo import (MC_MINIMUMS, McConfig, block_additive_shapley,
+                         check_block_terms, mc_shapley, output_variance)
 from .permutations import (EXACT_ENUMERATION_CAP, cv_summary_from_replicates,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates)
@@ -84,9 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "detection (default 0)")
 
     p_estimate = sub.add_parser(
-        "estimate", help="permutation-based Shapley computation")
+        "estimate", help="random-ordering Shapley estimator")
     p_estimate.add_argument("--model", required=True)
-    p_estimate.add_argument("--method", choices=["exact-perm", "random-perm"],
+    # One method; the flag stays so that command lines naming it still parse.
+    p_estimate.add_argument("--method", choices=["random-perm"],
                             default="random-perm")
     p_estimate.add_argument("--m", type=int, default=100,
                             help="number of sampled orderings")
@@ -158,24 +158,18 @@ def _check_flag(dest: str, value, minimum) -> None:
 
 def cmd_estimate(args) -> int:
     model = files.read_model(args.model)
-    var_y = total_variance(model)
     summary = None
-    if args.method == "exact-perm":
-        doc = files.report_from_estimate(exact_permutation_shapley(model),
-                                         var_y, "exact-permutations",
-                                         config={"method": args.method})
+    if args.reps == 1:
+        shapley = random_permutation_shapley(model, args.m,
+                                             args.seed).shapley_hat
     else:
-        if args.reps == 1:
-            shapley = random_permutation_shapley(model, args.m,
-                                                 args.seed).shapley_hat
-        else:
-            samples = replicate_estimates(model, args.m, args.reps, args.seed)
-            summary = cv_summary_from_replicates(samples, args.m, args.seed)
-            shapley = samples.mean(axis=0)
-        doc = files.report_from_estimate(
-            shapley, var_y, "random-permutations", seed=args.seed,
-            config={"method": args.method, "m": args.m, "reps": args.reps},
-            cv=summary)
+        samples = replicate_estimates(model, args.m, args.reps, args.seed)
+        summary = cv_summary_from_replicates(samples, args.m, args.seed)
+        shapley = samples.mean(axis=0)
+    doc = files.report_from_estimate(
+        shapley, total_variance(model), "random-permutations", seed=args.seed,
+        config={"method": args.method, "m": args.m, "reps": args.reps},
+        cv=summary)
     files.write_report(doc, args.out)
     # The summary line follows a written report, so a failed write prints none.
     if summary is not None and args.out is not None:
@@ -281,9 +275,8 @@ def cmd_mc(args) -> int:
     if args.blocks:
         models, partition = files.build_block_functions(expr, p)
         check_block_terms(full_model, models, partition, inp, check_child)
-        idx = [np.asarray(group) - 1 for group in partition.groups]
-        pairs = [(bm, GaussianInput(inp.mu[i], inp.gamma[np.ix_(i, i)]))
-                 for bm, i in zip(models, idx)]
+        pairs = [(bm, inp.marginal(np.asarray(group) - 1))
+                 for bm, group in zip(models, partition.groups)]
         shapley = block_additive_shapley(pairs, cfg, partition)
         algorithm = "block-additive-mc"
     else:

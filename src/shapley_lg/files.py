@@ -36,7 +36,7 @@ import numpy as np
 
 from . import subsets
 from .blocks import BlockPartition
-from .errors import FileFormatError
+from .errors import DimensionCapError, FileFormatError
 from .expressions import FUNCTIONS, compile_expression
 from .indices import SensitivityReport
 # validate_covariance is not called here; perfbench/tracing.py wraps it by
@@ -423,8 +423,10 @@ def write_report(doc: dict, path=None) -> None:
 
     The text is ``json.dumps(doc, indent=2) + "\\n"`` with each
     :class:`SubsetRows` family spelled out as row dicts. The builders above
-    fix the document's layout, so the only check is that every number is
-    finite; it runs before the file is opened, and the rows are then
+    fix the document's layout, so the only checks are that every number is
+    finite and that each family's largest mask converts to text (a
+    :class:`DimensionCapError` past ``sys.get_int_max_str_digits()``); they
+    run before the file is opened, and the rows are then
     streamed in chunks of :data:`CHUNK_ROWS`. The row heads of the last
     chunk are kept, and a family that reads the same masks array at the
     same offset reuses them, so no more than one chunk's heads stay alive.
@@ -437,6 +439,13 @@ def write_report(doc: dict, path=None) -> None:
         if not np.isfinite(rows.values).all():
             raise FileFormatError(f"{where} is not a valid report file: "
                                   f"{family}: a row value is not finite")
+        try:
+            str(rows.masks[-1])                     # the largest mask
+        except ValueError:                          # past int_max_str_digits
+            raise DimensionCapError(
+                f"cannot write {where}: {family}: a mask of "
+                f"{int(rows.masks[-1]).bit_length()} bits has more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
     try:
         text = render_json({**doc, **dict.fromkeys(arrays, [])})
     except ValueError as err:                      # NaN or infinity

@@ -74,10 +74,24 @@ class GaussianInput:
 
     def __post_init__(self):
         gamma = validate_covariance(self.gamma)
+        self._keep(validate_mean(self.mu, len(gamma)), gamma)
+
+    def _keep(self, mu: np.ndarray, gamma: np.ndarray) -> None:
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "mu", validate_mean(self.mu, len(gamma)))
         object.__setattr__(self, "factor", conditional.ordered_factors(
             conditional.root(gamma), np.arange(len(gamma))[None])[0])
+
+    def marginal(self, idx: np.ndarray) -> GaussianInput:
+        """The input of the zero-based variables ``idx``: read-only slices
+        of this checked one, not checked again. A principal slice of a
+        checked ``gamma`` is positive semi-definite up to the whole
+        matrix's round-off, which may exceed the slice's own tolerance."""
+        mu, gamma = self.mu[idx], self.gamma[np.ix_(idx, idx)]
+        mu.flags.writeable = gamma.flags.writeable = False
+        out = object.__new__(GaussianInput)
+        out._keep(mu, gamma)
+        return out
 
     @property
     def p(self) -> int:

@@ -330,23 +330,19 @@ def test_mc_non_finite_estimate_exits_2_with_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_estimate_exact_matches_compute(tmp_path):
+def test_estimate_exact_perm_is_a_usage_error(tmp_path, capsys):
+    # Exact Shapley effects come from compute; estimate runs the
+    # random-ordering estimator only.
     model = tmp_path / "m.json"
     assert run(["generate", "--p", 5, "--seed", 7, "--out", model]) == 0
-    compute_out = tmp_path / "c.json"
-    estimate_out = tmp_path / "e.json"
-    assert run(["compute", "--model", model, "--out", compute_out]) == 0
+    out = tmp_path / "e.json"
     assert run(["estimate", "--model", model, "--method", "exact-perm",
-                "--out", estimate_out]) == 0
-    a = json.loads(compute_out.read_text())["shapley"]
-    b = json.loads(estimate_out.read_text())["shapley"]
-    assert np.abs(np.array(a) - np.array(b)).max() <= 1e-10
-
-
-def test_estimate_exact_guard(tmp_path):
-    model = tmp_path / "m.json"
-    assert run(["generate", "--p", 9, "--seed", 0, "--out", model]) == 0
-    assert run(["estimate", "--model", model, "--method", "exact-perm"]) == 3
+                "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "argument --method: invalid choice: 'exact-perm'" in captured.err
+    assert not out.exists()
 
 
 def test_estimate_random_is_byte_deterministic(tmp_path):
@@ -770,6 +766,23 @@ def test_mc_blocks_expression(tmp_path):
                 "--m", 50, "--n-outer", 50, "--seed", 1, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["metadata"]["algorithm"] == "block-additive-mc"
+    assert sum(doc["shapley"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_mc_blocks_reads_slices_of_the_checked_distribution(tmp_path):
+    # The second block's smallest eigenvalue, -1e-12, passes the whole
+    # matrix's PSD tolerance but not its own: slicing the checked input
+    # instead of checking each block again lets --blocks run as mc does.
+    expr = write_json(tmp_path / "expr.json", {
+        "f": "x1 + x2 + x3",
+        "blocks": [{"inputs": ["x1"], "expr": "x1"},
+                   {"inputs": ["x2", "x3"], "expr": "x2 + x3"}]})
+    dist = write_json(tmp_path / "dist.json", {
+        "gamma": [[1, 0, 0], [0, 1e-6, 1e-6], [0, 1e-6, 0.999998e-6]]})
+    out = tmp_path / "mc.json"
+    assert run(["mc", "--model", expr, "--dist", dist, "--blocks",
+                "--m", 20, "--n-outer", 20, "--out", out]) == 0
+    doc = json.loads(out.read_text())
     assert sum(doc["shapley"]) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from shapley_lg import (FileFormatError, ModelValidationError, ValidationKind,
+from shapley_lg import (DimensionCapError, FileFormatError,
+                        ModelValidationError, ValidationKind,
                         generate_block_instance, generate_random_instance,
                         lg_groups_indices, lg_indices, validate_model)
 from shapley_lg import files, subsets
@@ -429,6 +431,26 @@ def test_write_rejects_bad_arrays(index, tmp_path):
                 files.write_report(
                     {**doc, family: files.SubsetRows(rows.masks, bad)}, path)
             assert not path.exists()
+
+
+def test_mask_past_the_int_text_limit_is_a_cap_error(tmp_path):
+    # At the default limit of 4,300 digits a grouped model of more than
+    # about 14,280 variables reaches this; the writer raised ValueError
+    # after writing the report's head.
+    doc = files.report_from_estimate([1.0], 1.0, "mc-shapley")
+    doc["sobol"] = files.SubsetRows(np.array([0, 1 << 2200], dtype=object),
+                                    np.array([0.0, 1.0]))
+    path = tmp_path / "wide.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DimensionCapError,
+                           match="sobol: a mask of 2201 bits has more than "
+                                 "640 digits"):
+            files.write_report(doc, path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not path.exists()
 
 
 def test_write_rejects_non_finite_values_outside_rows(tmp_path):
