@@ -30,7 +30,7 @@ from .errors import (BudgetExceededError, DimensionCapError, FileFormatError,
 from .indices import lg_indices
 from .model import generate_block_instance, total_variance
 from .montecarlo import (MC_MINIMUMS, McConfig, block_additive_shapley,
-                         check_block_terms, mc_shapley, output_variance)
+                         mc_shapley, output_variance)
 from .permutations import (EXACT_ENUMERATION_CAP, cv_summary_from_replicates,
                            exact_permutation_shapley,
                            random_permutation_shapley, replicate_estimates)
@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument("--model", required=True)
     # One method; the flag stays so that command lines naming it still parse.
     p_estimate.add_argument("--method", choices=["random-perm"],
-                            default="random-perm")
+                            default="random-perm",
+                            help="estimator: random-perm (sampled "
+                                 "orderings), the only one and the default")
     p_estimate.add_argument("--m", type=int, default=100,
                             help="number of sampled orderings")
     p_estimate.add_argument("--seed", type=int, default=0)
@@ -120,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--dist", required=True,
                       help="Gaussian input distribution JSON file")
     p_mc.add_argument("--blocks", action="store_true",
-                      help="estimate per block and combine")
+                      help="estimate per block and combine; the blocks "
+                           "are f's top-level terms, joined where they share "
+                           "an input or the covariance links their inputs")
     p_mc.add_argument("--m", type=int, default=100)
     p_mc.add_argument("--n-var", type=int, default=McConfig.n_var)
     p_mc.add_argument("--n-outer", type=int, default=McConfig.n_outer)
@@ -253,12 +257,13 @@ def cmd_benchmark(args) -> int:
 def cmd_mc(args) -> int:
     expr = files.read_expression_file(args.model)
     inp = files.read_distribution(args.dist)
-    p = inp.p
-    full_model = files.build_function(expr, p)
+    if args.blocks:
+        full_model, models, partition = files.build_block_functions(
+            expr, inp.gamma)
+    else:
+        full_model = files.build_function(expr, inp.p)
 
-    # The third child checks the blocks: the estimate does not depend on it.
-    var_child, mc_child, check_child = np.random.SeedSequence(
-        args.seed).spawn(3)
+    var_child, mc_child = np.random.SeedSequence(args.seed).spawn(2)
     cfg = McConfig(
         m=args.m, n_var=args.n_var, n_outer=args.n_outer,
         n_inner=args.n_inner, budget=args.budget,
@@ -273,8 +278,6 @@ def cmd_mc(args) -> int:
         "blocks": bool(args.blocks),
     }
     if args.blocks:
-        models, partition = files.build_block_functions(expr, p)
-        check_block_terms(full_model, models, partition, inp, check_child)
         pairs = [(bm, inp.marginal(np.asarray(group) - 1))
                  for bm, group in zip(models, partition.groups)]
         shapley = block_additive_shapley(pairs, cfg, partition)

@@ -2,9 +2,11 @@
 
 Supports numbers, named inputs and constants, ``+ - * /``, powers (``^`` or
 ``**``), unary minus, parentheses and the functions ``sin``, ``cos`` and
-``exp``. Compiled expressions evaluate over numpy arrays, one column per
-input, so a batch of points is one call. Nothing is ever executed as
-Python code.
+``exp``. An expression compiles to its top-level terms: it is split at
+``+`` and ``-`` outside parentheses, a unary minus stays with its term,
+and each term names what it reads. Folded in order, the terms evaluate
+the whole expression over numpy arrays, one column per input, so a batch
+of points is one call. Nothing is ever executed as Python code.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +59,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+@dataclass(frozen=True)
+class Term:
+    """One top-level term: ``op`` is how the expression adds it to the
+    terms before it (``operator.add`` for the first), ``fn(env)`` its
+    value and ``reads`` the names it reads, through definitions too."""
+
+    op: Callable
+    fn: Callable
+    reads: frozenset[str]
+
+
 def _fold(first: Callable, rest: list) -> Callable:
     """One closure applying each ``(op, operand)`` of ``rest`` in turn, left
     to right, so a long chain does not nest one closure per operator."""
@@ -74,10 +87,12 @@ def _fold(first: Callable, rest: list) -> Callable:
 class _Parser:
     """Recursive descent over the token stream; builds evaluator closures."""
 
-    def __init__(self, tokens: list[_Token], names: frozenset[str]):
+    def __init__(self, tokens: list[_Token],
+                 names: Mapping[str, Iterable[str]]):
         self.tokens = tokens
         self.pos = 0
         self.names = names
+        self.read = []             # every name read so far, in order
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -97,20 +112,24 @@ class _Parser:
             )
         self.advance()
 
-    def parse(self) -> Callable:
-        fn = self.expression()
+    def parse(self) -> list[Term]:
+        terms = self.expression()
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionParseError(
                 f"unexpected trailing input {tok.text!r}", tok.line, tok.column
             )
-        return fn
+        return terms
 
-    def expression(self) -> Callable:
-        first, rest = self.term(), []
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            rest.append((_BINARY[self.advance().text], self.term()))
-        return _fold(first, rest)
+    def expression(self) -> list[Term]:
+        terms, op = [], operator.add
+        while True:
+            start = len(self.read)
+            terms.append(Term(op, self.term(),
+                              frozenset(self.read[start:])))
+            if not (self.peek().kind == "op" and self.peek().text in "+-"):
+                return terms
+            op = _BINARY[self.advance().text]
 
     def term(self) -> Callable:
         first, rest = self.factor(), []
@@ -152,16 +171,17 @@ class _Parser:
                         tok.line, tok.column,
                     )
                 self.advance()
-                arg = self.expression()
+                arg = fold(self.expression())
                 self.expect_op(")")
                 return lambda env, f=func, a=arg: f(a(env))
             if tok.text not in self.names:
                 raise ExpressionParseError(
                     f"unknown name {tok.text!r}", tok.line, tok.column
                 )
+            self.read.extend(self.names[tok.text])
             return lambda env, n=tok.text: env[n]
         if tok.kind == "op" and tok.text == "(":
-            inner = self.expression()
+            inner = fold(self.expression())
             self.expect_op(")")
             return inner
         where = f"{tok.text!r}" if tok.kind != "end" else "end of input"
@@ -169,15 +189,30 @@ class _Parser:
                                    tok.line, tok.column)
 
 
-def compile_expression(text: str, names: Iterable[str]) -> Callable:
-    """Compile one expression into ``fn(env) -> value``.
+def fold(terms: Sequence[Term]) -> Callable:
+    """``fn(env)`` summing ``terms`` in order, each by its ``op``, as the
+    expression they come from does. A first term that is subtracted is
+    negated; no terms sum to 0."""
+    if not terms:
+        return lambda env: np.float64(0.0)
+    first = terms[0].fn
+    if terms[0].op is operator.sub:
+        first = lambda env, a=first: -a(env)
+    return _fold(first, [(t.op, t.fn) for t in terms[1:]])
 
-    ``names`` lists the identifiers the expression may reference; ``env``
-    must map each referenced name to a float or numpy array. Parse and
+
+def compile_terms(text: str,
+                  names: Mapping[str, Iterable[str]]) -> list[Term]:
+    """Compile one expression into its top-level terms.
+
+    ``names`` maps each identifier the expression may reference to the
+    names a read of it stands for: itself, and for a definition every name
+    its body reads, so a term's ``reads`` follow definitions transitively.
+    ``env`` must map each referenced name to a float or numpy array. Parse and
     name-resolution failures raise :class:`ExpressionParseError` with a
     1-based line and column.
     """
-    parser = _Parser(_tokenize(text), frozenset(names))
+    parser = _Parser(_tokenize(text), names)
     try:
         return parser.parse()
     except RecursionError:

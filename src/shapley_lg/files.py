@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import subsets
-from .blocks import BlockPartition
+from .blocks import BlockPartition, detect_blocks
 from .errors import DimensionCapError, FileFormatError
-from .expressions import FUNCTIONS, compile_expression
+from .expressions import FUNCTIONS, compile_terms, fold
 from .indices import SensitivityReport
 # validate_covariance is not called here; perfbench/tracing.py wraps it by
 # this name.
@@ -276,40 +276,44 @@ def read_expression_file(path) -> dict:
     return obj
 
 
-def _compile_with_defs(expr_obj: dict, text: str, names,
-                       strict: bool) -> BlackBoxModel:
-    """Black-box model of ``text`` over the inputs ``names``, with the
-    file's constants and resolvable definitions in scope.
+def _parse(expr_obj: dict, p: int):
+    """The file's constants, its definitions and the top-level terms of
+    ``f``, parsed once over the inputs ``x1 .. xp``.
 
-    Definitions are evaluated in file order; in non-strict mode ones that
-    reference unavailable names (e.g. inputs outside a block) are dropped
-    from scope instead of failing. Evaluation ignores floating-point
-    warnings: a non-finite output is reported by the caller's checks.
+    Definitions come in file order as ``(name, fn)``; each term's
+    ``reads`` holds every name it reads, directly or through definitions.
     """
     consts = expr_obj.get("consts", {})
     # float64, so constant arithmetic gives inf or NaN like the inputs'
     consts = dict(zip(consts, _as_array("consts", list(consts.values()))))
-    names = tuple(names)
-    available = set(names) | set(consts)
-    resolved = []
+    scope = {name: (name,) for name in [*input_names(p), *consts]}
+    defs = []
     for name, body in expr_obj.get("defs", {}).items():
-        try:
-            fn = compile_expression(body, available)
-        except FileFormatError:
-            if strict:
-                raise
-            continue
-        resolved.append((name, fn))
-        available.add(name)
-    main = compile_expression(text, available)
+        terms = compile_terms(body, scope)
+        scope[name] = frozenset({name}.union(*(t.reads for t in terms)))
+        defs.append((name, fold(terms)))
+    return consts, defs, compile_terms(expr_obj["f"], scope)
+
+
+def _model(consts: dict, defs: list, terms: list, inputs) -> BlackBoxModel:
+    """Black-box model over the inputs ``inputs`` (1-based, ascending) of
+    ``terms`` folded in order, after the definitions they need.
+
+    Evaluation ignores floating-point warnings: a non-finite output is
+    reported by the caller's checks.
+    """
+    names = [f"x{i}" for i in inputs]
+    reads = set().union(*(t.reads for t in terms))
+    used = [(name, fn) for name, fn in defs if name in reads]
+    value_of = fold(terms)
 
     def eval_batch(x: np.ndarray):
         scope = dict(consts)
         scope.update(zip(names, x.T))
         with np.errstate(all="ignore"):
-            for name, fn in resolved:
+            for name, fn in used:
                 scope[name] = fn(scope)
-            value = main(scope)
+            value = value_of(scope)
         # constant subexpressions may collapse to a scalar
         return np.broadcast_to(np.asarray(value, dtype=float), (x.shape[0],))
 
@@ -318,45 +322,34 @@ def _compile_with_defs(expr_obj: dict, text: str, names,
 
 def build_function(expr_obj: dict, p: int) -> BlackBoxModel:
     """Black-box model of the full expression over inputs ``x1 .. xp``."""
-    return _compile_with_defs(expr_obj, expr_obj["f"], input_names(p),
-                              strict=True)
+    return _model(*_parse(expr_obj, p), range(1, p + 1))
 
 
-def build_block_functions(expr_obj: dict,
-                          p: int) -> tuple[list[BlackBoxModel], BlockPartition]:
-    """Per-group black-box models and the partition they induce.
+def build_block_functions(expr_obj: dict, gamma) -> tuple[
+        BlackBoxModel, list[BlackBoxModel], BlockPartition]:
+    """The full model, per-block models and the blocks, from one parse of
+    ``f`` over inputs with covariance ``gamma``.
 
-    Each block lists its inputs (ascending ``x<i>`` names) and an expression
-    over them; the input lists must partition ``x1 .. xp``.
+    The blocks are the groups :func:`detect_blocks` finds once each term's
+    inputs are linked in ``gamma``: terms that share an input, or read
+    inputs the covariance links, share a block. Each block's model folds
+    its terms in ``f``'s order, so the blocks add up to ``f`` up to its
+    constant terms, which read no input and join no block. A variable no
+    term reads is a block of its own whose model is 0. The ``blocks`` key
+    of the file is not read.
     """
-    if "blocks" not in expr_obj:
-        raise FileFormatError("expression file declares no blocks")
-    entries = []
-    for blk in expr_obj["blocks"]:
-        indices = []
-        for name in blk["inputs"]:
-            match = _INPUT_NAME_RE.match(name)
-            if match is None or int(match.group(1)) > p:
-                raise FileFormatError(
-                    f"block input {name!r} is not one of x1 .. x{p}"
-                )
-            indices.append(int(match.group(1)))
-        if indices != sorted(indices):
-            raise FileFormatError(
-                f"block inputs {blk['inputs']} must be listed in ascending order"
-            )
-        entries.append((tuple(indices), blk))
-    try:
-        partition = BlockPartition.from_groups([g for g, _ in entries], p)
-    except ValueError as err:
-        raise FileFormatError(f"block inputs do not partition x1 .. x{p}: "
-                              f"{err}") from err
-
-    # Models must line up with partition.groups, which sorts by first member.
-    entries.sort(key=lambda item: item[0][0])
-    models = [_compile_with_defs(expr_obj, blk["expr"], blk["inputs"],
-                                 strict=False) for _, blk in entries]
-    return models, partition
+    p = len(gamma)
+    consts, defs, terms = _parse(expr_obj, p)
+    index = {name: i for i, name in enumerate(input_names(p))}
+    reads = [[index[n] for n in t.reads if n in index] for t in terms]
+    linked = np.asarray(gamma) != 0
+    for at in reads:
+        linked[np.ix_(at, at)] = True
+    partition = detect_blocks(linked)
+    owner = [partition.group_of[at[0]] if at else -1 for at in reads]
+    models = [_model(consts, defs, [t for t, o in zip(terms, owner) if o == j],
+                     group) for j, group in enumerate(partition.groups)]
+    return _model(consts, defs, terms, range(1, p + 1)), models, partition
 
 
 def _metadata(algorithm: str, p: int, *, eval_count=None, partition=None,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import conditional, subsets
-from .blocks import BlockPartition, detect_blocks
+from .blocks import BlockPartition
 from .errors import (BudgetExceededError, ModelValidationError, ValidationKind,
                      allocation)
 from .model import validate_covariance, validate_mean
@@ -219,50 +219,6 @@ def output_variance(model: BlackBoxModel, inp: GaussianInput, n: int, seed,
     ``what`` names the model in the message.
     """
     return _check_variance(_sample_variance(model, inp, n, seed), what)
-
-
-#: Joint draws on which :func:`check_block_terms` compares the model with
-#: the sum of its block terms.
-ADDITIVITY_POINTS = 16
-
-
-def check_block_terms(model: BlackBoxModel,
-                      block_models: Sequence[BlackBoxModel],
-                      partition: BlockPartition, inp: GaussianInput,
-                      seed) -> None:
-    """Check the preconditions of :func:`block_additive_shapley`.
-
-    Every group of dependent inputs that :func:`detect_blocks` finds in
-    ``inp.gamma`` must lie inside one block of ``partition``, and ``model``
-    must equal the sum of ``block_models`` (aligned with
-    ``partition.groups``) within ``1e-8 * (1 + |f(x)|)`` on
-    ``ADDITIVITY_POINTS`` joint draws from ``seed``, where both must be
-    finite. Raises :class:`ModelValidationError` otherwise.
-    """
-    for group in detect_blocks(inp.gamma).groups:
-        owners = np.unique(partition.group_of[np.asarray(group) - 1])
-        if owners.size > 1:
-            names = ", ".join(f"x{i}" for i in group)
-            raise ModelValidationError(
-                ValidationKind.DEPENDENT_BLOCKS,
-                f"inputs {names} are dependent but split across "
-                f"{owners.size} blocks",
-            )
-    x = inp.sample(ADDITIVITY_POINTS, np.random.default_rng(seed))
-    f = model(x)
-    terms = sum(bb(x[:, np.asarray(group) - 1])
-                for bb, group in zip(block_models, partition.groups))
-    finite = np.isfinite(f) & np.isfinite(terms)
-    bad = ~finite if not finite.all() else \
-        ~(np.abs(f - terms) <= 1e-8 * (1.0 + np.abs(f)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ModelValidationError(
-            ValidationKind.NOT_ADDITIVE if finite.all()
-            else ValidationKind.NOT_FINITE,
-            f"f = {f[i]:.6g} and the block terms sum to {terms[i]:.6g} "
-            f"at a sampled point",
-        )
 
 
 #: Smallest accepted sampling sizes; the two variance sizes need 2 draws

@@ -72,6 +72,9 @@ CASES = {
                             "exact-perm", "--out", OUT],
     "mc": _MC,
     "mc-blocks": _MC + ["--blocks"],
+    # expr4.json without its blocks key, which --blocks does not read
+    "mc-blocks-no-key": ["mc", "--model", "expr4-no-key.json",
+                         *_MC[3:], "--blocks"],
     "mc-group-not-psd": _NOT_PSD,
     "mc-blocks-group-not-psd": _NOT_PSD + ["--blocks"],
     "exit-2-not-psd": ["compute", "--model", "not-psd.json", "--out", OUT],

@@ -689,53 +689,54 @@ def test_expression_defs_and_consts(tmp_path):
     np.testing.assert_allclose(model(x), [9.0 - 3.0])
 
 
-def test_block_functions_align_with_partition(tmp_path):
-    # blocks listed out of order in the file must still line up
+def _block_functions(tmp_path, obj, gamma):
     path = tmp_path / "expr.json"
-    path.write_text(json.dumps({
-        "f": "x1 + 2*x2 + 3*x3",
-        "blocks": [
-            {"inputs": ["x3"], "expr": "3*x3"},
-            {"inputs": ["x1", "x2"], "expr": "x1 + 2*x2"},
-        ],
-    }))
-    expr = files.read_expression_file(path)
-    models, partition = files.build_block_functions(expr, 3)
-    assert partition.groups == ((1, 2), (3,))
-    np.testing.assert_allclose(models[0](np.array([[1.0, 1.0]])), [3.0])
-    np.testing.assert_allclose(models[1](np.array([[2.0]])), [6.0])
+    path.write_text(json.dumps(obj))
+    return files.build_block_functions(files.read_expression_file(path),
+                                       np.asarray(gamma, dtype=float))
+
+
+def test_block_functions_align_with_partition(tmp_path):
+    # Terms out of input order, x1 and x3 correlated: the blocks are
+    # {x1, x3} and {x2}, each model folding its terms in f's order. The
+    # constant term joins no block.
+    gamma = np.eye(3)
+    gamma[0, 2] = gamma[2, 0] = 0.5
+    full, models, partition = _block_functions(
+        tmp_path, {"f": "3*x3 + 7 + x1 - 2*x2"}, gamma)
+    assert partition.groups == ((1, 3), (2,))
+    x = np.array([[1.0, 10.0, 2.0], [-1.0, 0.5, 4.0]])
+    np.testing.assert_array_equal(models[0](x[:, [0, 2]]), [7.0, 11.0])
+    np.testing.assert_array_equal(models[1](x[:, [1]]), [-20.0, -1.0])
+    np.testing.assert_array_equal(full(x), [-6.0, 17.0])
 
 
 def test_block_functions_validate_inputs(tmp_path):
-    path = tmp_path / "expr.json"
-    path.write_text(json.dumps({
-        "f": "x1 + x2",
-        "blocks": [{"inputs": ["x1"], "expr": "x1"}],
-    }))
-    expr = files.read_expression_file(path)
-    with pytest.raises(FileFormatError):
-        files.build_block_functions(expr, 2)
-    path.write_text(json.dumps({
-        "f": "x1 + x2",
-        "blocks": [{"inputs": ["x2", "x1"], "expr": "x1 + x2"}],
-    }))
-    with pytest.raises(FileFormatError):
-        files.build_block_functions(files.read_expression_file(path), 2)
-    path.write_text(json.dumps({"f": "x1 + x2"}))
-    with pytest.raises(FileFormatError):
-        files.build_block_functions(files.read_expression_file(path), 2)
+    # Every name a term or a definition reads is an input x1 .. xp, a
+    # constant or an earlier definition.
+    for obj in ({"f": "x1 + x3"}, {"defs": {"z": "x3"}, "f": "x1 + z"},
+                {"defs": {"z": "y"}, "f": "x1"}):
+        with pytest.raises(FileFormatError, match="unknown name"):
+            _block_functions(tmp_path, obj, np.eye(2))
+    # The blocks key is shape-checked but not read: neither a partition
+    # that misses x2 nor no key at all changes the blocks.
+    for blocks in ({"blocks": [{"inputs": ["x1"], "expr": "x1"}]}, {}):
+        _, models, partition = _block_functions(
+            tmp_path, {"f": "x1 + x2", **blocks}, np.eye(2))
+        assert partition.groups == ((1,), (2,)) and len(models) == 2
 
 
-def test_block_defs_outside_scope_are_dropped(tmp_path):
-    path = tmp_path / "expr.json"
-    path.write_text(json.dumps({
-        "defs": {"z": "x1 + x2"},
-        "f": "z",
-        "blocks": [
-            {"inputs": ["x1"], "expr": "x1"},
-            {"inputs": ["x2"], "expr": "x2^2"},
-        ],
-    }))
-    expr = files.read_expression_file(path)
-    models, _ = files.build_block_functions(expr, 2)
-    np.testing.assert_allclose(models[1](np.array([[3.0]])), [9.0])
+def test_block_terms_read_inputs_through_defs(tmp_path):
+    # w reads x3 and, through z, x1 and x2, so the terms w and z join one
+    # block; x5, which no term reads, is a block of its own whose model
+    # is 0, and the constant definition c joins no block.
+    full, models, partition = _block_functions(tmp_path, {
+        "consts": {"k": 2.0},
+        "defs": {"z": "x1 + x2", "w": "z * x3", "c": "k^2"},
+        "f": "w + x4 - z + c",
+    }, np.eye(5))
+    assert partition.groups == ((1, 2, 3), (4,), (5,))
+    x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    assert [float(m(x[:, np.asarray(g) - 1])[0])
+            for m, g in zip(models, partition.groups)] == [6.0, 4.0, 0.0]
+    assert full(x).tolist() == [14.0]

@@ -18,3 +18,8 @@ _spec.loader.exec_module(regen)
 
 def test_every_golden_case_keeps_its_bytes():
     assert list(regen.differences()) == []
+
+
+def test_mc_blocks_report_does_not_read_the_blocks_key():
+    # expr4-no-key.json is expr4.json without "blocks".
+    assert regen._kept("mc-blocks-no-key") == regen._kept("mc-blocks")
