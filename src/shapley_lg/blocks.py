@@ -18,8 +18,8 @@ import numpy as np
 from . import subsets
 # lg_indices and validate_model are not called here; perfbench/tracing.py
 # wraps both by these names.
-from .indices import NUM_TOL, SensitivityReport, exact_report, lg_indices
-from .model import LinearGaussianModel, validate_model
+from .indices import SensitivityReport, exact_report, lg_indices
+from .model import NUM_TOL, LinearGaussianModel, validate_model
 
 
 @dataclass(frozen=True, eq=False)

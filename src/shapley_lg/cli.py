@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_estimate = sub.add_parser(
         "estimate", help="random-ordering Shapley estimator")
-    p_estimate.add_argument("--model", required=True)
+    p_estimate.add_argument("--model", required=True, help="model JSON file")
     # One method; the flag stays so that command lines naming it still parse.
     p_estimate.add_argument("--method", choices=["random-perm"],
                             default="random-perm",
@@ -92,17 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  "orderings), the only one and the default")
     p_estimate.add_argument("--m", type=int, default=100,
                             help="number of sampled orderings")
-    p_estimate.add_argument("--seed", type=int, default=0)
+    p_estimate.add_argument("--seed", type=int, default=0, help="random seed")
     p_estimate.add_argument("--reps", type=int, default=1,
                             help="replicates; above 1 a CV summary is added")
-    p_estimate.add_argument("--out")
+    p_estimate.add_argument("--out", help="report path (default: stdout)")
 
     p_generate = sub.add_parser(
         "generate", help="random benchmark model files")
     p_generate.add_argument("--p", type=int, help="dense instance dimension")
     p_generate.add_argument("--k", type=int, help="number of independent groups")
     p_generate.add_argument("--n", type=int, help="variables per group")
-    p_generate.add_argument("--seed", type=int, default=0)
+    p_generate.add_argument("--seed", type=int, default=0, help="random seed")
     p_generate.add_argument("--out", help="model path (default: stdout)")
 
     p_bench = sub.add_parser(
@@ -112,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "with --groups (e.g. 3x3,4x4)")
     p_bench.add_argument("--groups", action="store_true",
                          help="compare the grouped route on block instances")
-    p_bench.add_argument("--repetitions", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--repetitions", type=int, default=3,
+                         help="timed calls per route; the median is kept")
+    p_bench.add_argument("--seed", type=int, default=0, help="instance seed")
     p_bench.add_argument("--out", help="CSV path (default: stdout)")
 
     p_mc = sub.add_parser(
@@ -125,14 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="estimate per block and combine; the blocks "
                            "are f's top-level terms, joined where they share "
                            "an input or the covariance links their inputs")
-    p_mc.add_argument("--m", type=int, default=100)
-    p_mc.add_argument("--n-var", type=int, default=McConfig.n_var)
-    p_mc.add_argument("--n-outer", type=int, default=McConfig.n_outer)
-    p_mc.add_argument("--n-inner", type=int, default=McConfig.n_inner)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--m", type=int, default=100, help="sampled orderings")
+    p_mc.add_argument("--n-var", type=int, default=McConfig.n_var,
+                      help="draws for the output variance")
+    p_mc.add_argument("--n-outer", type=int, default=McConfig.n_outer,
+                      help="outer draws per ordering step")
+    p_mc.add_argument("--n-inner", type=int, default=McConfig.n_inner,
+                      help="inner draws per outer draw")
+    p_mc.add_argument("--seed", type=int, default=0, help="random seed")
     p_mc.add_argument("--budget", type=int, default=McConfig.budget,
                       help="cap on m * n_outer * n_inner")
-    p_mc.add_argument("--out")
+    p_mc.add_argument("--out", help="report path (default: stdout)")
     return parser
 
 

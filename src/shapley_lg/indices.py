@@ -1,17 +1,16 @@
 """Sobol indices, closed Sobol indices and Shapley effects from the table.
 
-All three families are linear functionals of the conditional-variance table,
-so once the table is available each extraction is a pass over the subset
-lattice. The interaction (Sobol) indices use the Moebius transform over the
-lattice, which costs p * 2**p instead of the 3**p of the literal superset
-accumulation. :func:`exact_report` is the one exact route: a table per
-independent group, and a dense model is one group of all its variables.
+All three families are linear functionals of the conditional-variance table.
+The interaction (Sobol) indices are its Moebius transform over the subset
+lattice, p * 2**p steps where the literal superset sum takes 3**p, and the
+Shapley effects split each Sobol row equally among its members.
+:func:`exact_report` is the one exact route: a table per independent group,
+and a dense model is one group of all its variables.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,9 +25,6 @@ from .model import LinearGaussianModel, total_variance
 
 if TYPE_CHECKING:
     from .blocks import BlockPartition
-
-#: Absolute tolerance on normalized index identities (sums to one, ranges).
-NUM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,28 +114,13 @@ def closed_sobol_from_table(table: CondVarTable) -> np.ndarray:
 
 @_linear
 def shapley_from_table(table: CondVarTable) -> np.ndarray:
-    """Shapley effect of every variable from the conditional-variance table.
-
-    For variable ``i`` the pairs ``(u, u + {i})`` over all subsets ``u`` not
-    containing ``i`` are weighted by the inverse binomial coefficient of
-    ``|u|`` among ``p - 1`` and averaged. With ``w0[u] = table[u] / C(p -
-    1, |u|)`` and ``w1[u] = table[u] / C(p - 1, |u| - 1)``, that is the sum
-    of ``w0`` less the sum of ``w0 + w1`` over the subsets holding ``i``.
-    """
-    p = table.p
-    values = table.values
-    lead = values.shape[:-1]
-    # 1 / C(p - 1, k) at k = |u| and at k = |u| - 1, and 0 outside 0..p-1.
-    inv = [1.0 / math.comb(p - 1, k) for k in range(p)]
-    w = values[..., None, :] * np.array([inv + [0.0], [0.0] + inv])[
-        :, subsets.cardinality_table(p)]
-    w0, both = w[..., 0, :], w[..., 0, :] + w[..., 1, :]
-    held = np.empty(lead + (p,))
-    for i in range(p):
-        view = both.reshape(*lead, 1 << (p - i - 1), 2, 1 << i)
-        held[..., i] = view[..., 1, :].sum(axis=(-2, -1))
-    return (w0.sum(axis=-1)[..., None] - held) / (
-        p * np.asarray(table.var_y)[..., None])
+    """Shapley effect of every variable: each Sobol row split equally among
+    its members, entry ``i`` the sum of ``sobol[u] / |u|`` over the subsets
+    ``u`` holding ``i`` (Owen 2014), the upper halves of bit ``i``'s pairs."""
+    shares = sobol_from_table(table) / np.maximum(
+        subsets.cardinality_table(table.p), 1)
+    return np.stack([shares.reshape(*shares.shape[:-1], -1, 2, 1 << i)[
+        ..., 1, :].sum(axis=(-2, -1)) for i in range(table.p)], axis=-1)
 
 
 def exact_report(model: LinearGaussianModel,

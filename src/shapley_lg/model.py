@@ -17,6 +17,8 @@ from .errors import ModelValidationError, ValidationKind, allocation
 SYM_TOL = 1e-10
 #: Relative tolerance on negative eigenvalues before a matrix is rejected.
 PSD_TOL = 1e-8
+#: Tolerance on index identities (sums to one, ranges) and on var(y)'s shift.
+NUM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +83,10 @@ def validate_covariance(gamma) -> np.ndarray:
     whose symmetrisation or eigenvalues pass the float range are
     ``NotFinite``.
     """
+    return _covariance(gamma)[0]
+
+
+def _covariance(gamma) -> tuple[np.ndarray, float]:
     gamma = _as_array("gamma", gamma)
     if gamma.ndim != 2 or not gamma.shape[0] == gamma.shape[1] > 0:
         raise ModelValidationError(
@@ -110,7 +116,7 @@ def validate_covariance(gamma) -> np.ndarray:
             f"({largest:.3e})",
         )
     gamma.flags.writeable = False
-    return gamma
+    return gamma, smallest
 
 
 def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
@@ -125,7 +131,7 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
     ModelValidationError
         With kind ``DimensionMismatch``, ``NotFinite``, ``NotSymmetric``,
         ``NotPSD`` or ``ZeroOutputVariance`` depending on the violated
-        invariant.
+        invariant; ``NotPSD`` also when negative eigenvalues move var(y).
     """
     beta = _as_array("beta", beta).reshape(-1)
     gamma = _as_array("gamma", gamma)
@@ -141,16 +147,24 @@ def validate_model(beta, gamma, mu=None) -> LinearGaussianModel:
     if mu is not None:
         validate_mean(mu, p)
 
-    gamma = validate_covariance(gamma)
+    gamma, smallest = _covariance(gamma)
 
     with np.errstate(over="ignore", invalid="ignore"):
         var_y = float(beta @ gamma @ beta)
-    _require_finite("beta' gamma beta", var_y, "overflows")
-    if var_y <= 0.0:
-        raise ModelValidationError(
-            ValidationKind.ZERO_OUTPUT_VARIANCE,
-            f"beta' gamma beta = {var_y:.3e} is not positive",
-        )
+        _require_finite("beta' gamma beta", var_y, "overflows")
+        if var_y <= 0.0:
+            raise ModelValidationError(
+                ValidationKind.ZERO_OUTPUT_VARIANCE,
+                f"beta' gamma beta = {var_y:.3e} is not positive")
+        # var_y counts the negative eigenvalues that the root of every table
+        # clips at 0; -smallest * beta'beta bounds the shift they make.
+        if -smallest * float(beta @ beta) > NUM_TOL * var_y:
+            lam, q = np.linalg.eigh(gamma)
+            shift = float(lam[lam < 0.0] @ (beta @ q[:, lam < 0.0]) ** 2)
+            if -shift > NUM_TOL * var_y:
+                raise ModelValidationError(ValidationKind.NOT_PSD, (
+                    f"negative eigenvalues move beta' gamma beta = "
+                    f"{var_y:.3e} by {shift:.3e}, more than {NUM_TOL} of it"))
 
     beta.flags.writeable = False
     return LinearGaussianModel(beta=beta, gamma=gamma)

@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -32,6 +33,8 @@ INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected"
 #: The report file a case may write, named in its ``--out``.
 OUT = "out.json"
+#: A top-level key of a report, as ``json.dumps(..., indent=2)`` writes it.
+TOP_KEY = re.compile(r'  "([^"]+)":')
 
 _MC = ["mc", "--model", "expr4.json", "--dist", "dist4.json", "--m", "20",
        "--n-outer", "20", "--seed", "1", "--out", OUT]
@@ -111,8 +114,9 @@ def _kept(name: str) -> dict[str, bytes]:
 
 def _first_difference(name: str, got: dict[str, bytes],
                      want: dict[str, bytes]) -> str | None:
-    """Where case ``name``'s files ``got`` first differ from ``want``, or
-    None when every byte matches."""
+    """Where case ``name``'s files ``got`` first differ from ``want``, with
+    the top-level report key above that line and the number of differing
+    lines in that file, or None when every byte matches."""
     for file in sorted(set(got) | set(want)):
         if file not in want or file not in got:
             return (f"{name}: {file} is "
@@ -122,8 +126,13 @@ def _first_difference(name: str, got: dict[str, bytes],
             old = want[file].decode().splitlines(keepends=True)
             line = next((i for i, (a, b) in enumerate(zip(new, old))
                          if a != b), min(len(new), len(old)))
-            return (f"{name}: {file} line {line + 1}: expected "
-                    f"{(old[line:] or [''])[0]!r}, got "
+            count = (sum(a != b for a, b in zip(new, old))
+                     + abs(len(new) - len(old)))
+            key = next((m[1] for text in reversed(old[:line + 1])
+                        if (m := TOP_KEY.match(text))), None)
+            return (f"{name}: {file} line {line + 1}"
+                    f"{f' in {key!r}' if key else ''} ({count} differing "
+                    f"lines): expected {(old[line:] or [''])[0]!r}, got "
                     f"{(new[line:] or [''])[0]!r}")
     return None
 

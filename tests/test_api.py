@@ -6,6 +6,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import shapley_lg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +50,14 @@ def test_every_definition_has_a_user():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in users]
     assert unused == []
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Library quick start"))
+    block = text[start + len("```python\n"):text.index("```\n", start + 3)]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report = scope["report"]
+    assert np.abs(report.shapley - [0.5, 0.5]).max() <= 1e-12
+    assert np.abs(report.sobol - [0.0, 0.75, 0.75, -0.5]).max() <= 1e-12

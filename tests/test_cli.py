@@ -1,11 +1,14 @@
 import argparse
+import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 try:
@@ -15,10 +18,13 @@ except ImportError:                 # not on Windows
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapley_lg
 from shapley_lg import cli, conditional, lg_indices, validate_model
 from shapley_lg.cli import main
+from shapley_lg.model import NUM_TOL, PSD_TOL
 
 
 def run(args):
@@ -120,6 +126,22 @@ def test_compute_groups_says_when_eps_block_drops_covariance(
         assert "--eps-block 0.1" in err and f"{0.1 / 6.9:.6g}" in err
 
 
+@pytest.mark.parametrize("size, groups", [(["--p", 6], []),
+                                          (["--k", 3, "--n", 2], ["--groups"])],
+                         ids=["dense-6", "groups-3x2"])
+def test_report_proves_its_own_shapley_effects(tmp_path, size, groups):
+    # Each Sobol row split equally among its members sums to the effects.
+    model, out = tmp_path / "m.json", tmp_path / "r.json"
+    assert run(["generate", *size, "--seed", 3, "--out", model]) == 0
+    assert run(["compute", "--model", model, *groups, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    split = np.zeros(len(doc["shapley"]))
+    for row in doc["sobol"]:
+        for i in row["subset"]:
+            split[i - 1] += row["value"] / len(row["subset"])
+    assert np.abs(split - doc["shapley"]).max() <= 1e-15
+
+
 def test_compute_cap_error(tmp_path, capsys):
     # The message names the lattice's own size: all of p, or one group's.
     model = tmp_path / "big.json"
@@ -140,6 +162,73 @@ def test_compute_validation_error(tmp_path, capsys):
     })
     assert run(["compute", "--model", model]) == 2
     assert "NotPSD" in capsys.readouterr().err
+
+
+#: The verbs that read a model file, with the flags each needs.
+_MODEL_VERBS = [["compute"], ["compute", "--groups"], ["estimate", "--m", "100"]]
+
+
+@pytest.mark.parametrize("argv", _MODEL_VERBS, ids=" ".join)
+@pytest.mark.parametrize("beta", [[1.0, 1e-4], [1.0, 1.0]])
+def test_tolerated_negative_eigenvalue_that_moves_var_y_exits_2(
+        tmp_path, capsys, argv, beta):
+    # -1e-9 passes PSD_TOL, but var(y) counts it and every other table entry
+    # clips it: compute gave (-0.0556, 1.0556), --groups (0, 1.1111) and
+    # estimate (-0.061, 1.061); with beta (1, 1) the errors were about 1e-9.
+    model = write_json(tmp_path / "m.json", {
+        "beta": beta, "gamma": [[-1e-9, 0.0], [0.0, 1.0]]})
+    out = tmp_path / "r.json"
+    assert run([*argv, "--model", model, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotPSD: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _run_for_stderr(argv):
+    """Exit code and stderr of an in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.9), st.integers(0, 6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_tolerated_negative_eigenvalues_are_rejected_or_harmless(
+        p, split, seed, depth, scale):
+    # A covariance, block diagonal when split < p, with one eigenvalue of
+    # -depth * PSD_TOL * largest; beta's entries shrink by up to 10**scale,
+    # so var(y) can be small against that eigenvalue.
+    rng = np.random.default_rng(seed)
+    split = min(split, p)
+    lam = rng.uniform(0.1, 10.0, p)
+    lam[0] = -depth * PSD_TOL * lam.max()
+    gamma = np.zeros((p, p))
+    for block in (slice(0, split), slice(split, p)):
+        n = block.stop - block.start
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        gamma[block, block] = q * lam[block] @ q.T
+    beta = rng.standard_normal(p) * 10.0 ** -rng.uniform(0, scale, p)
+    with tempfile.TemporaryDirectory() as tmp:
+        model = write_json(Path(tmp) / "m.json", {
+            "beta": beta.tolist(), "gamma": gamma.tolist()})
+        outs = [Path(tmp) / "full.json", Path(tmp) / "grouped.json"]
+        runs = [_run_for_stderr([*argv, "--model", model, "--out", out])
+                for argv, out in zip(_MODEL_VERBS, outs)]
+        if runs[0][0] == 2:
+            for code, err in runs:
+                assert code == 2 and err.startswith("error: NotPSD: ")
+                assert err.count("\n") == 1
+            assert not any(out.exists() for out in outs)
+            return
+        assert runs == [(0, "")] * 2
+        full, grouped = (np.array(json.loads(out.read_text())["shapley"])
+                         for out in outs)
+    for shapley in (full, grouped):
+        assert shapley.min() >= -NUM_TOL
+        assert abs(shapley.sum() - 1.0) <= NUM_TOL
+    assert np.abs(full - grouped).max() <= 2 * NUM_TOL
 
 
 def test_compute_parse_error(tmp_path):
@@ -575,6 +664,16 @@ def test_help_exits_0_with_its_usage_on_stdout(capsys, args):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: shapley-lg") and captured.err == ""
+
+
+def test_every_flag_has_a_help_text():
+    parser = cli.build_parser()
+    verbs = next(action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices
+    bare = [f"{verb} {action.option_strings[-1]}"
+            for verb, sub in verbs.items() for action in sub._actions
+            if action.option_strings and not action.help]
+    assert bare == []
 
 
 @pytest.mark.parametrize("verb, flag", [

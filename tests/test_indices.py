@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from shapley_lg import (all_conditional_variances, closed_sobol_from_table,
 from shapley_lg import indices, subsets
 from shapley_lg.conditional import CondVarTable, conditional_variance_tables
 from shapley_lg.blocks import detect_blocks
-from conftest import assert_close
+from conftest import assert_close, quadratic_table
 
 
 def table_of(model):
@@ -44,6 +46,28 @@ def sobol_naive(table):
     return out
 
 
+def shapley_weighted(table):
+    """Pairs ``(u, u + {i})`` weighted by the inverse binomial of ``|u|``
+    among ``p - 1``, cost p * 2**p: the oracle for the split of the Sobol
+    rows. With ``w0[u] = table[u] / C(p - 1, |u|)`` and ``w1[u] = table[u]
+    / C(p - 1, |u| - 1)``, entry ``i`` is the sum of ``w0`` less the sum of
+    ``w0 + w1`` over the subsets holding ``i``, over ``p * var_y``."""
+    p = table.p
+    values = table.values
+    lead = values.shape[:-1]
+    # 1 / C(p - 1, k) at k = |u| and at k = |u| - 1, and 0 outside 0..p-1.
+    inv = [1.0 / math.comb(p - 1, k) for k in range(p)]
+    w = values[..., None, :] * np.array([inv + [0.0], [0.0] + inv])[
+        :, subsets.cardinality_table(p)]
+    w0, both = w[..., 0, :], w[..., 0, :] + w[..., 1, :]
+    held = np.empty(lead + (p,))
+    for i in range(p):
+        view = both.reshape(*lead, 1 << (p - i - 1), 2, 1 << i)
+        held[..., i] = view[..., 1, :].sum(axis=(-2, -1))
+    return (w0.sum(axis=-1)[..., None] - held) / (
+        p * np.asarray(table.var_y)[..., None])
+
+
 def test_sobol_independent_symmetric():
     model = validate_model([1.0, 1.0], np.eye(2))
     assert_close(sobol_from_table(table_of(model)), [0.0, 0.5, 0.5, 0.0],
@@ -73,6 +97,51 @@ def test_shapley_exchangeable_inputs():
         model = validate_model([1.0, 1.0], [[1.0, rho], [rho, 1.0]])
         assert_close(shapley_from_table(table_of(model)), [0.5, 0.5],
                      tol=1e-14)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("seed", range(3))
+def test_shapley_matches_the_weighted_pairs(p, seed):
+    table = table_of(generate_random_instance(p, seed))
+    assert_close(shapley_from_table(table), shapley_weighted(table),
+                 tol=1e-15)
+
+
+@pytest.mark.parametrize("fixture", ["correlated_p2", "skewed_p2"])
+def test_shapley_matches_the_weighted_pairs_on_fixtures(fixture, request):
+    table = table_of(request.getfixturevalue(fixture))
+    assert_close(shapley_from_table(table), shapley_weighted(table),
+                 tol=1e-15)
+
+
+@pytest.mark.parametrize("p", [3, 8])
+def test_shapley_matches_the_weighted_pairs_stacked(p):
+    models = [generate_random_instance(p, seed=s) for s in range(4)]
+    stacked = conditional_variance_tables(
+        np.array([m.gamma for m in models]), np.array([m.beta for m in models]))
+    assert_close(shapley_from_table(stacked), shapley_weighted(stacked),
+                 tol=1e-15)
+
+
+def test_shapley_matches_the_weighted_pairs_against_a_larger_var_y():
+    # A group's table read against the whole model's var(y), as
+    # exact_report reads it: the effects are the group's share of var(y).
+    model = generate_block_instance(3, 4, seed=2)
+    glob = CondVarTable(all_conditional_variances(validate_model(
+        model.beta[4:8], model.gamma[4:8, 4:8])).values,
+        float(model.beta @ model.gamma @ model.beta))
+    shapley = shapley_from_table(glob)
+    assert_close(shapley, shapley_weighted(glob), tol=1e-15)
+    assert shapley.sum() < 1.0
+
+
+def test_shapley_matches_the_weighted_pairs_on_the_quadratic_table():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    q = rng.standard_normal((4, 4))
+    table = quadratic_table(rng.standard_normal(4), q + q.T, a @ a.T)
+    assert_close(shapley_from_table(table), shapley_weighted(table),
+                 tol=1e-15)
 
 
 def test_shapley_hand_value(skewed_p2):
