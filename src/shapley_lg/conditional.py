@@ -15,6 +15,15 @@ for bit a sweep of that prefix alone; the single subset is the ordering of
 its members ascending, and the ``2**p`` tables take members in that order
 too, bit for bit alike. The Schur complement is the oracle in the tests.
 
+Every sweep state is ``(rows, columns, stack)``, contiguous with the stack
+last: the models and subsets of a table's frontier ``(t, w, models,
+states)``, or the orderings. Each step's two ``einsum`` calls then run
+along the stack, adding each state's terms in order whatever the stack's
+shape, as long as it is at least two wide; numpy reduces a stack one wide
+along its rows instead, in another order. So a single ordering is doubled
+once per call, and only a table step on one state doubles it in
+:func:`_step`.
+
 The Monte Carlo estimators sample from the same sweep, run along a whole
 ordering on the rows of :func:`root` by :func:`ordered_factors`; their
 sampling factor is the ordered factor along ``1..p``, the triangular root.
@@ -72,12 +81,13 @@ def root(gammas: np.ndarray) -> np.ndarray:
 
 
 def _roots(gammas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``(..., p + 1, p)`` rows of :func:`root` ``A`` then ``a = A'
-    beta`` of a stack of models, and each variable's cut: ``PINV_RTOL``
-    times its row's squared norm."""
+    """The rows of :func:`root` ``A`` then ``a = A' beta`` of a stack of
+    models as one sweep state ``(p + 1, p, models)``, and each variable's
+    cut ``(p, models)``: ``PINV_RTOL`` times its row's squared norm."""
     a = root(gammas)
-    return (np.concatenate([a, betas[..., None, :] @ a], axis=-2),
-            PINV_RTOL * np.einsum("...ij,...ij->...i", a, a))
+    rows = np.concatenate([a, betas[..., None, :] @ a], axis=-2)
+    return (np.ascontiguousarray(rows.transpose(1, 2, 0)),
+            PINV_RTOL * np.einsum("...ij,...ij->...i", a, a).T)
 
 
 #: :func:`_roots` of each model seen, so that a walk of many scalar calls
@@ -93,32 +103,43 @@ def _root(model: LinearGaussianModel) -> tuple[np.ndarray, ...]:
 
 
 def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt step of every state ``(models, n)``: the
-    first of its ``t`` residual rows is projected out of the others (the
-    rows to come, ``a`` last), unless its squared norm is at most ``cut``.
-    The dot products are an ``einsum`` reduction, so no bit depends on the
-    stack's shape. The rank-one update is one ``einsum`` product, with no
-    reduction, subtracted in place: the values of the broadcast ``rows[:,
-    :, 1:] - dots[:, :, 1:] / rr * r`` without its short inner loops and its
-    two temporaries. Only a zero may differ, in sign, since ``einsum`` adds
-    each product to 0; no later sum or square sees that."""
-    r = rows[:, :, :1]
-    dots = np.einsum("mnki,mnji->mnkj", rows, r)
-    rr = dots[:, :, :1]
+    """One modified Gram-Schmidt step of every state of ``rows`` ``(t, w,
+    ...)``, contiguous with the stack last: the first of each state's ``t``
+    residual rows is projected out of the others (the rows to come, ``a``
+    last), unless its squared norm is at most ``cut``. Both ``einsum`` calls
+    run along the stack: the dot products add their ``w`` terms in order,
+    one state at a time, so no bit depends on the stack's shape once it is
+    two wide; a stack one wide, which numpy would reduce along ``w`` in
+    another order, is doubled. The rank-one update is one product, with no
+    reduction, subtracted in place: the values of the broadcast ``rows[1:]
+    - dots[1:, None] / rr * r`` without its temporaries. Only a zero may
+    differ, in sign, since ``einsum`` adds each product to 0; no later sum
+    or square sees that."""
+    if rows[0, 0].size == 1:
+        return _step(np.concatenate([rows, rows], axis=-1), cut)[..., :1]
+    r = rows[0]
+    dots = np.einsum("ki...,i...->k...", rows, r)
+    rr = dots[0]
     rr[rr <= cut] = np.inf
-    out = np.einsum("mnk,mni->mnki", (dots[:, :, 1:] / rr)[..., 0], r[:, :, 0])
-    return np.subtract(rows[:, :, 1:], out, out=out)
+    out = np.einsum("k...,i...->ki...", dots[1:] / rr, r)
+    return np.subtract(rows[1:], out, out=out)
 
 
 def _sweep(state: np.ndarray, cut: np.ndarray):
-    """Yield the states ``(models, m, t, w)`` after each :func:`_step` with
-    the cuts ``(models, m, k)`` in turn: after step ``i`` row 0 is the
-    residual of the next pivot and every row, ``a`` last if it is there,
-    is bit for bit what a sweep of the first ``i + 1`` pivots alone gives."""
-    cut = cut[..., None, None]
-    for i in range(cut.shape[2]):
-        state = _step(state, cut[:, :, i])
+    """Yield the states ``(t, w, n)``, ``n`` at least two, after each
+    :func:`_step` with the cuts ``(k, n)`` in turn: after step ``i`` row 0
+    is the residual of the next pivot and every row, ``a`` last if it is
+    there, is bit for bit what a sweep of the first ``i + 1`` pivots alone
+    gives. A caller with one ordering doubles it, once per call."""
+    for c in cut:
+        state = _step(state, c)
         yield state
+
+
+def _stacked(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The sweep state ``(k, w, n)`` of the rows ``(t, w)`` along each row
+    of ``orders`` ``(n, k)``, contiguous with the orderings last."""
+    return np.ascontiguousarray(rows[orders.T].transpose(0, 2, 1))
 
 
 def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -134,26 +155,35 @@ def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
     (to round-off), with a non-negative diagonal and zero columns for the
     dependent variables, so it depends on ``gamma`` only, not on ``A``.
     """
+    m = len(orders)
+    if m == 1:
+        orders = np.repeat(orders, 2, axis=0)
     cut = PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
-    rows = factor[None, orders]
-    pivots = np.empty(rows.shape[1:])       # a copy: no state outlives its step
-    pivots[:, 0] = rows[0, :, 0]
-    for i, state in enumerate(_sweep(rows, cut[None, orders[:, :-1]]), 1):
-        pivots[:, i] = state[0, :, 0]
+    rows = _stacked(factor, orders)
+    pivots = np.empty((len(orders), *factor.shape))
+    pivots[:, 0] = rows[0].T
+    for i, state in enumerate(_sweep(rows, cut[orders[:, :-1].T]), 1):
+        pivots[:, i] = state[0].T
+    pivots = pivots[:m]
     rr = np.einsum("mji,mji->mj", pivots, pivots)
-    pivots /= np.sqrt(np.where(rr > cut[orders], rr, np.inf))[..., None]
+    pivots /= np.sqrt(np.where(rr > cut[orders[:m]], rr, np.inf))[..., None]
     return factor @ pivots.swapaxes(-1, -2)
 
 
 def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
     """Squared norm of ``a`` after each step along each zero-based row of
-    ``orders`` ``(m, k)``: the conditional variance given each prefix."""
+    ``orders`` ``(m, k)``: the conditional variance given each prefix. The
+    residuals of ``a`` land in one buffer, normed by one ``einsum``."""
+    m = len(orders)
+    if m == 1:
+        orders = np.repeat(orders, 2, axis=0)
     rows, cut = _root(model)
     at = np.column_stack([orders, np.full(len(orders), model.p)])  # ``a`` last
-    seen = np.empty((*orders.shape, model.p))
-    for i, state in enumerate(_sweep(rows[:, at], cut[:, orders])):
-        seen[:, i] = state[0, :, -1]
-    return np.einsum("...i,...i->...", seen, seen)
+    seen = np.empty((orders.shape[1], model.p, len(orders)))
+    for i, state in enumerate(_sweep(_stacked(rows[..., 0], at),
+                                     cut[:, 0][orders.T])):
+        seen[i] = state[-1]
+    return np.einsum("kin,kin->kn", seen, seen)[:, :m].T
 
 
 def conditional_variance(model: LinearGaussianModel, j: int) -> float:
@@ -175,12 +205,12 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
 
 
 def _expand(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Sweep the states ``rows`` over the variables of the ``(models, s)``
-    cuts: each step keeps the states and appends their children holding the
-    step's variable, so a frontier in mask order stays in mask order."""
-    cut = cut[:, :, None, None, None]
-    for i in range(cut.shape[1]):
-        rows = np.concatenate([rows[:, :, 1:], _step(rows, cut[:, i])], axis=1)
+    """Sweep the states ``rows`` ``(t, w, models, states)`` over the
+    variables of the ``(s, models)`` cuts: each step keeps the states and
+    appends their children holding the step's variable, so a frontier in
+    mask order stays in mask order."""
+    for c in cut[:, :, None]:
+        rows = np.concatenate([rows[1:], _step(rows, c)], axis=-1)
     return rows
 
 
@@ -190,19 +220,19 @@ def _tables(rows: np.ndarray, cut: np.ndarray, var_y) -> np.ndarray:
     then each chunk of that frontier over the other ``p - s`` variables,
     with ``s`` and the chunks sized to about half of ``BATCH_BYTES`` of
     states."""
-    models, p = cut.shape
+    p, models = cut.shape
     subsets.check_lattice_cap(p)
     states = max(1, BATCH_BYTES // (2 * 8 * p * models))
     s = p
     while s and (p - s + 1) << s > states:
         s -= 1
-    rows = _expand(rows[:, None], cut[:, :s])
+    rows = _expand(rows[..., None], cut[:s])
     values = np.empty((models, 1 << (p - s), 1 << s))
     step = max(1, states >> (p - s))
     for lo in range(0, 1 << s, step):
-        a = _expand(rows[:, lo:lo + step], cut[:, s:])[:, :, 0]
+        a = _expand(rows[..., lo:lo + step], cut[s:])[0]
         values[:, :, lo:lo + step] = np.einsum(
-            "mni,mni->mn", a, a).reshape(models, 1 << (p - s), -1)
+            "i...,i...->...", a, a).reshape(models, 1 << (p - s), -1)
     values = values.reshape(models, 1 << p)
     values[:, 0] = var_y
     values[:, -1] = 0.0

@@ -109,18 +109,27 @@ def sobol_from_table(table: CondVarTable) -> np.ndarray:
 def closed_sobol_from_table(table: CondVarTable) -> np.ndarray:
     """Explained-variance share of every subset: (table[0] - table) / var_y."""
     values = table.values
-    return (values[..., :1] - values) / np.asarray(table.var_y)[..., None]
+    out = values[..., :1] - values
+    out /= np.asarray(table.var_y)[..., None]
+    return out
+
+
+def _split(sobol: np.ndarray) -> np.ndarray:
+    """Shapley effect of every variable from the Sobol rows: each split
+    equally among its members, entry ``i`` the sum of ``sobol[u] / |u|``
+    over the subsets ``u`` holding ``i`` (Owen 2014), the upper halves of
+    bit ``i``'s pairs."""
+    p = sobol.shape[-1].bit_length() - 1
+    shares = sobol / np.maximum(subsets.cardinality_table(p), 1)
+    return np.stack([shares.reshape(*shares.shape[:-1], -1, 2, 1 << i)[
+        ..., 1, :].sum(axis=(-2, -1)) for i in range(p)], axis=-1)
 
 
 @_linear
 def shapley_from_table(table: CondVarTable) -> np.ndarray:
-    """Shapley effect of every variable: each Sobol row split equally among
-    its members, entry ``i`` the sum of ``sobol[u] / |u|`` over the subsets
-    ``u`` holding ``i`` (Owen 2014), the upper halves of bit ``i``'s pairs."""
-    shares = sobol_from_table(table) / np.maximum(
-        subsets.cardinality_table(table.p), 1)
-    return np.stack([shares.reshape(*shares.shape[:-1], -1, 2, 1 << i)[
-        ..., 1, :].sum(axis=(-2, -1)) for i in range(table.p)], axis=-1)
+    """Shapley effect of every variable: the split of
+    :func:`sobol_from_table`."""
+    return _split(sobol_from_table(table))
 
 
 def exact_report(model: LinearGaussianModel,
@@ -147,7 +156,9 @@ def exact_report(model: LinearGaussianModel,
         if table.var_y.min() <= 0.0:    # a group of no variance: all zero
             table.values[table.var_y <= 0.0] = 0.0
         glob = CondVarTable(table.values, var_y)
-        shapley[rows] = shapley_from_table(glob)    # first: it sets the peak
+        sobol = sobol_from_table(glob)      # one transform feeds both
+        shapley[rows] = (shapley_from_table(glob) if n <= SMALL_LATTICE
+                         else _split(sobol))
         # Each group's masks, ascending as its members are: the sums of the
         # masks of its low h members and of its high n - h members.
         h, weights = (n + 1) // 2, one << rows
@@ -155,8 +166,7 @@ def exact_report(model: LinearGaussianModel,
         low = weights[:, :h] @ bits
         high = weights[:, h:] @ bits[:n - h, :1 << n - h]
         masks = (high[:, :, None] + low[:, None, :]).reshape(len(rows), -1)
-        stacks.append((masks, sobol_from_table(glob),
-                       closed_sobol_from_table(glob)))
+        stacks.append((masks, sobol, closed_sobol_from_table(glob)))
     masks, sobol, closed = (np.concatenate(column, axis=None) if column[1:]
                             else column[0].ravel() for column in zip(*stacks))
     if len(groups) > 1:     # each group's row 0 is mask 0; sorted, keep one

@@ -35,6 +35,8 @@ EXPECTED = HERE / "expected"
 OUT = "out.json"
 #: A top-level key of a report, as ``json.dumps(..., indent=2)`` writes it.
 TOP_KEY = re.compile(r'  "([^"]+)":')
+#: A decimal number, as JSON and Python's ``repr`` write one.
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 _MC = ["mc", "--model", "expr4.json", "--dist", "dist4.json", "--m", "20",
        "--n-outer", "20", "--seed", "1", "--out", OUT]
@@ -112,11 +114,27 @@ def _kept(name: str) -> dict[str, bytes]:
             for path in sorted((EXPECTED / name).iterdir())}
 
 
+def _largest_difference(new: list[str], old: list[str]) -> float | None:
+    """The largest absolute difference between the numbers of the lines
+    ``new`` and ``old``, or None when a pair of them differs in more than
+    its numbers."""
+    if len(new) != len(old):
+        return None
+    largest = 0.0
+    for a, b in zip(new, old):
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            return None
+        largest = max([largest, *(abs(float(x) - float(y)) for x, y in
+                                  zip(NUMBER.findall(a), NUMBER.findall(b)))])
+    return largest
+
+
 def _first_difference(name: str, got: dict[str, bytes],
                      want: dict[str, bytes]) -> str | None:
     """Where case ``name``'s files ``got`` first differ from ``want``, with
-    the top-level report key above that line and the number of differing
-    lines in that file, or None when every byte matches."""
+    the top-level report key above that line, the number of differing
+    lines in that file and the largest absolute difference between their
+    numbers, or None when every byte matches."""
     for file in sorted(set(got) | set(want)):
         if file not in want or file not in got:
             return (f"{name}: {file} is "
@@ -130,9 +148,12 @@ def _first_difference(name: str, got: dict[str, bytes],
                      + abs(len(new) - len(old)))
             key = next((m[1] for text in reversed(old[:line + 1])
                         if (m := TOP_KEY.match(text))), None)
+            largest = _largest_difference(new, old)
             return (f"{name}: {file} line {line + 1}"
                     f"{f' in {key!r}' if key else ''} ({count} differing "
-                    f"lines): expected {(old[line:] or [''])[0]!r}, got "
+                    "lines, " + ("not numeric" if largest is None else
+                                 f"largest absolute difference {largest:.3g}")
+                    + f"): expected {(old[line:] or [''])[0]!r}, got "
                     f"{(new[line:] or [''])[0]!r}")
     return None
 

@@ -294,7 +294,7 @@ def _count_expand(monkeypatch):
     expand = conditional._expand
 
     def counted(rows, cut):
-        calls.append((rows.shape[1], cut.shape[1]))
+        calls.append((rows.shape[-1], cut.shape[0]))
         return expand(rows, cut)
 
     monkeypatch.setattr(conditional, "_expand", counted)
@@ -338,15 +338,16 @@ def test_stacked_tables_match_one_at_a_time(cap, monkeypatch):
 
 
 def broadcast_step(rows, cut):
-    """The Gram-Schmidt step as one broadcast, ``rows[:, :, 1:] - dots[:, :,
-    1:] / rr * r``: the oracle of :func:`conditional._step`. Its ``einsum``
+    """The Gram-Schmidt step of states ``(t, w, ...)`` as one broadcast,
+    ``rows[1:] - dots[1:, None] / rr * r``: the oracle of
+    :func:`conditional._step` on a stack at least two wide. Its ``einsum``
     product may give a zero of the other sign, which ``np.array_equal``
     allows and no later sum or square sees."""
-    r = rows[:, :, :1]
-    dots = np.einsum("mnki,mnji->mnkj", rows, r)
-    rr = dots[:, :, :1]
+    r = rows[0]
+    dots = np.einsum("ki...,i...->k...", rows, r)
+    rr = dots[0]
     rr[rr <= cut] = np.inf
-    return rows[:, :, 1:] - dots[:, :, 1:] / rr * r
+    return rows[1:] - (dots[1:] / rr)[:, None] * r
 
 
 def _checked_step(state, cut):
@@ -354,8 +355,8 @@ def _checked_step(state, cut):
     pivot was at or below its cut."""
     new = conditional._step(state, cut)
     assert np.array_equal(new, broadcast_step(state, cut))
-    return new, bool((np.einsum("mni,mni->mn", state[:, :, 0],
-                                state[:, :, 0])[..., None, None] <= cut).any())
+    return new, bool((np.einsum("i...,i...->...", state[0], state[0])
+                      <= cut).any())
 
 
 def test_step_matches_the_broadcast_on_a_table_frontier():
@@ -365,40 +366,64 @@ def test_step_matches_the_broadcast_on_a_table_frontier():
     dense, dup = generate_random_instance(5, seed=50), _duplicate_variable()
     rows, _ = conditional._roots(np.array([dense.gamma, dup.gamma, dense.gamma]),
                                  np.array([dense.beta, dup.beta, dense.beta]))
-    rows[2, 2] = 0.0
-    cut = conditional.PINV_RTOL * np.einsum("...ij,...ij->...i",
-                                            rows[:, :-1], rows[:, :-1])
-    state, hits = rows[:, None], []
+    rows[2, :, 2] = 0.0
+    cut = conditional.PINV_RTOL * np.einsum("ijm,ijm->im",
+                                            rows[:-1], rows[:-1])
+    state, hits = rows[..., None], []
     for i in range(5):                  # as _expand walks the frontier
-        new, hit = _checked_step(state, cut[:, i, None, None, None])
+        new, hit = _checked_step(state, cut[i, :, None])
         hits.append(hit)
-        state = np.concatenate([state[:, :, 1:], new], axis=1)
+        state = np.concatenate([state[1:], new], axis=-1)
     assert hits == [False, False, True, True, False]
+
+
+def _ordering_states(model):
+    """Every ordering of ``model``'s ``p`` variables, with the two stacks
+    of its sweep and their cuts ``(steps, 120)``: ``_along``'s, ``(p + 1,
+    p, 120)`` with ``a`` last, and that of ``ordered_factors`` on the
+    sampling factor, ``(p, p, 120)`` without it."""
+    p = model.p
+    orders = np.array(list(itertools.permutations(range(p))))
+    rows, cut = conditional._roots(model.gamma[None], model.beta[None])
+    factor = GaussianInput(mu=np.zeros(p), gamma=model.gamma).factor
+    f_cut = conditional.PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
+    at = np.column_stack([orders, np.full(len(orders), p)])
+    return [(conditional._stacked(rows[..., 0], at), cut[:, 0][orders.T]),
+            (conditional._stacked(factor, orders), f_cut[orders[:, :-1].T])]
 
 
 @pytest.mark.parametrize("make", [_duplicate_variable,
                                   _tiny_independent_variable],
                          ids=["duplicate", "tiny"])
 def test_step_matches_the_broadcast_along_orderings(make):
-    # Every ordering of the singular and the ill-conditioned fixture, in
-    # the stacks of _along, (1, 120, t, p) with ``a`` last, and of
-    # ordered_factors on the sampling factor, (1, 120, t, p) without it.
     # Only the copy of X1 falls to its cut; X3's tiny row stays above its.
-    model = make()
-    p = model.p
-    orders = np.array(list(itertools.permutations(range(p))))
-    rows, cut = conditional._roots(model.gamma[None], model.beta[None])
-    factor = GaussianInput(mu=np.zeros(p), gamma=model.gamma).factor
-    f_cut = conditional.PINV_RTOL * np.einsum("ij,ij->i", factor, factor)
-    for state, cuts in [
-            (rows[:, np.column_stack([orders, np.full(len(orders), p)])],
-             cut[:, orders]),
-            (factor[None, orders], f_cut[None, orders[:, :-1]])]:
+    for state, cuts in _ordering_states(make()):
         hits = False
-        for i in range(cuts.shape[2]):
-            state, hit = _checked_step(state, cuts[:, :, i, None, None])
+        for cut in cuts:
+            state, hit = _checked_step(state, cut)
             hits |= hit
         assert hits == (make is _duplicate_variable)
+
+
+@pytest.mark.parametrize("make", [_duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["duplicate", "tiny"])
+def test_a_stack_one_wide_steps_as_in_a_wider_one(make):
+    # On a stack one wide numpy reduces the dot products along ``w``, in
+    # another order than along the stack; _step doubles such a stack, so a
+    # state's step is its column of a stack of 2, 3 or 120, bit for bit,
+    # and the scalar call, one ordering, is its table entry.
+    model = make()
+    for state, cuts in _ordering_states(model):
+        for cut in cuts:
+            steps = {n: conditional._step(state[..., :n], cut[:n])
+                     for n in (1, 2, 3, 120)}
+            for n in (2, 3, 120):
+                assert steps[1].tobytes() == steps[n][..., :1].tobytes()
+            state = steps[120]
+    table = all_conditional_variances(model).values
+    for j in range(1 << model.p):
+        assert conditional_variance(model, j).hex() == float(table[j]).hex()
 
 
 @pytest.mark.parametrize("make", [lambda: generate_random_instance(7, 70),
