@@ -248,7 +248,8 @@ def cmd_benchmark(args) -> int:
         for algorithm, call in calls:
             seconds, result = _timed(call, args.repetitions)
             # The lattice routes count their table entries; the enumeration
-            # walks p steps of each of its p! orderings.
+            # counts p steps of each of its p! orderings, and sweeps each of
+            # their p! (p - 1) prefixes from scratch.
             rows.append((algorithm, label, f"{seconds:.6f}", getattr(
                 result, "eval_count", math.factorial(model.p) * model.p)))
     with files.open_output(args.out) as out:

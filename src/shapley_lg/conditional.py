@@ -3,9 +3,9 @@
 For a subset ``u`` of inputs the conditional variance of the output given
 ``X_u`` does not depend on the observed value of ``X_u``, so a single number
 per subset is the whole story. Every exact route computes it one way:
-``gamma`` is factored once as ``A A'`` by :func:`root` (``eigh``,
-eigenvalues clipped at 0), and ``Var(Y | X_u)`` is the squared norm of the
-part of ``a = A' beta`` orthogonal to the rows ``A[u]``. One modified
+``gamma`` is factored as ``A A'`` by :func:`root` (``eigh``, eigenvalues
+clipped at 0), once per call, and ``Var(Y | X_u)`` is the squared norm of
+the part of ``a = A' beta`` orthogonal to the rows ``A[u]``. One modified
 Gram-Schmidt :func:`_step` per member of ``u`` projects that member's
 residual row out of ``a`` and out of the rows still to come; a residual at
 or below ``PINV_RTOL`` times its row's own squared norm is dependent and
@@ -31,7 +31,6 @@ sampling factor is the ordered factor along ``1..p``, the triangular root.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +87,6 @@ def _roots(gammas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.concatenate([a, betas[..., None, :] @ a], axis=-2)
     return (np.ascontiguousarray(rows.transpose(1, 2, 0)),
             PINV_RTOL * np.einsum("...ij,...ij->...i", a, a).T)
-
-
-#: :func:`_roots` of each model seen, so that a walk of many scalar calls
-#: factors its model once.
-_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _root(model: LinearGaussianModel) -> tuple[np.ndarray, ...]:
-    roots = _ROOTS.get(model)
-    if roots is None:
-        roots = _ROOTS[model] = _roots(model.gamma[None], model.beta[None])
-    return roots
 
 
 def _step(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -170,16 +157,17 @@ def ordered_factors(factor: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return factor @ pivots.swapaxes(-1, -2)
 
 
-def _along(model: LinearGaussianModel, orders: np.ndarray) -> np.ndarray:
+def _along(rows: np.ndarray, cut: np.ndarray,
+           orders: np.ndarray) -> np.ndarray:
     """Squared norm of ``a`` after each step along each zero-based row of
-    ``orders`` ``(m, k)``: the conditional variance given each prefix. The
-    residuals of ``a`` land in one buffer, normed by one ``einsum``."""
-    m = len(orders)
+    ``orders`` ``(m, k)``, from one model's :func:`_roots`: the conditional
+    variance given each prefix. The residuals of ``a`` land in one buffer,
+    normed by one ``einsum``."""
+    m, p = len(orders), len(cut)
     if m == 1:
         orders = np.repeat(orders, 2, axis=0)
-    rows, cut = _root(model)
-    at = np.column_stack([orders, np.full(len(orders), model.p)])  # ``a`` last
-    seen = np.empty((orders.shape[1], model.p, len(orders)))
+    at = np.column_stack([orders, np.full(len(orders), p)])  # ``a`` last
+    seen = np.empty((orders.shape[1], p, len(orders)))
     for i, state in enumerate(_sweep(_stacked(rows[..., 0], at),
                                      cut[:, 0][orders.T])):
         seen[i] = state[-1]
@@ -201,7 +189,8 @@ def conditional_variance(model: LinearGaussianModel, j: int) -> float:
         return total_variance(model)
     if len(members) == model.p:
         return 0.0
-    return float(_along(model, np.array([[i - 1 for i in members]]))[0, -1])
+    return float(_along(*_roots(model.gamma[None], model.beta[None]),
+                        np.array([[i - 1 for i in members]]))[0, -1])
 
 
 def _expand(rows: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -242,7 +231,8 @@ def _tables(rows: np.ndarray, cut: np.ndarray, var_y) -> np.ndarray:
 def all_conditional_variances(model: LinearGaussianModel) -> CondVarTable:
     """Table of conditional variances for every subset mask of ``[1:p]``."""
     var_y = total_variance(model)
-    return CondVarTable(values=_tables(*_root(model), var_y)[0], var_y=var_y)
+    rows, cut = _roots(model.gamma[None], model.beta[None])
+    return CondVarTable(values=_tables(rows, cut, var_y)[0], var_y=var_y)
 
 
 def conditional_variance_tables(gammas: np.ndarray,

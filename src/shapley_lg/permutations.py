@@ -8,7 +8,7 @@ gives the Monte Carlo estimator whose accuracy the replicate harness
 measures. Its conditional variances are exact, one sweep along each
 ordering; the replicates read consecutive orderings of one stream. One
 loop, :func:`_ordering_shapley`, chunks and sums the orderings of this
-estimator, of the memoised enumeration and of ``montecarlo.mc_shapley``.
+estimator, of both enumeration modes and of ``montecarlo.mc_shapley``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import conditional
-from .conditional import all_conditional_variances, conditional_variance
+# Not called here; perfbench/tracing.py wraps this name.
+from .conditional import conditional_variance
 from .errors import DimensionCapError, allocation
 from .model import LinearGaussianModel, total_variance
 
@@ -55,6 +56,7 @@ class CvSummary:
     excluded: tuple[int, ...] = ()
 
 
+# Not called here; perfbench/tracing.py wraps this name.
 def _chain_update(acc: np.ndarray, order, value) -> None:
     """Walk one ordering, adding each variable's explained-variance increment."""
     mask = 0
@@ -68,13 +70,13 @@ def _chain_update(acc: np.ndarray, order, value) -> None:
 
 def exact_permutation_shapley(model: LinearGaussianModel, *,
                               memoize: bool = True) -> np.ndarray:
-    """Shapley effects by full enumeration of the p! variable orderings.
+    """Shapley effects by full enumeration of the p! variable orderings, as
+    one run of the sampled estimator's loop.
 
-    With ``memoize`` each conditional variance is computed once per subset,
-    in the ``2**p`` table, and the p! orderings are one run of the sampled
-    estimator's loop; without it every ordering recomputes its chain, the
-    factorial-cost behaviour the benchmark command measures. Both modes
-    return bit-identical vectors.
+    With ``memoize`` each prefix variance is read from the ``2**p`` table;
+    without it each of the ``p! (p - 1)`` prefixes is swept from scratch,
+    members ascending, one stack per size: the factorial-cost baseline the
+    benchmark command measures. Both modes return bit-identical vectors.
 
     Raises
     ------
@@ -87,17 +89,19 @@ def exact_permutation_shapley(model: LinearGaussianModel, *,
             f"exact enumeration of {p}! orderings refused; "
             f"the guard is p <= {EXACT_ENUMERATION_CAP}"
         )
-    var_y = total_variance(model)
     if memoize:
-        table = all_conditional_variances(model).values
-        return _ordering_shapley(
-            p, math.factorial(p), 1,
-            lambda n: np.array(list(itertools.permutations(range(p)))), var_y,
-            8 * p, lambda o: table[np.cumsum(1 << o[:, :-1], axis=1)])[0]
-    acc = np.zeros(p)
-    for order in itertools.permutations(range(p)):
-        _chain_update(acc, order, lambda j: conditional_variance(model, j))
-    return acc / (math.factorial(p) * var_y)
+        table = conditional.all_conditional_variances(model).values
+        per_order, fill = 8 * p, lambda o: table[
+            np.cumsum(1 << o[:, :-1], axis=1)]
+    else:   # residual rows in a quarter of the cap, as replicate_estimates
+        roots = conditional._roots(model.gamma[None], model.beta[None])
+        per_order, fill = 4 * 8 * p * (p + 1), lambda o: np.column_stack([
+            conditional._along(*roots, np.sort(o[:, :k], axis=1))[:, -1]
+            for k in range(1, p)])
+    return _ordering_shapley(
+        p, math.factorial(p), 1,
+        lambda n: np.array(list(itertools.permutations(range(p)))),
+        total_variance(model), per_order, fill)[0]
 
 
 def _uniform(p: int, rng: np.random.Generator):
@@ -112,7 +116,8 @@ def _ordering_shapley(p: int, m: int, reps: int, draw, var_y: float,
     Chunks of whole runs, at most ``BATCH_BYTES`` of prefix variances ``v``,
     draw in turn, so their bounds move no draw, and take one ``bincount``
     each; ``fill(orders)`` gives ``v[:, 1:p]`` of at most ``BATCH_BYTES //
-    per_order`` orderings a call."""
+    per_order`` orderings a call: one sweep along each ordering, reads of
+    the ``2**p`` table, or one sweep of the prefixes of each size."""
     step = max(1, conditional.BATCH_BYTES // (8 * m * (p + 1)))
     sub = max(1, conditional.BATCH_BYTES // per_order)
     with allocation():
@@ -153,10 +158,11 @@ def replicate_estimates(model: LinearGaussianModel, m: int, reps: int,
     if m < 1 or reps < 1:
         raise ValueError("m and reps must be >= 1")
     p = model.p
+    roots = conditional._roots(model.gamma[None], model.beta[None])
     return _ordering_shapley(   # residual rows in a quarter of the cap
         p, m, reps, _uniform(p, np.random.default_rng(seed)),
         total_variance(model), 4 * 8 * p * (p + 1),
-        lambda o: conditional._along(model, o[:, :-1]))
+        lambda o: conditional._along(*roots, o[:, :-1]))
 
 
 def cv_summary_from_replicates(samples: np.ndarray, m: int,

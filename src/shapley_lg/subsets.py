@@ -9,6 +9,7 @@ is what the lattice loops in :mod:`shapley_lg.indices` rely on.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -41,7 +42,7 @@ def encode(u: Iterable[int], p: int) -> int:
 
 def decode(j: int, p: int) -> tuple[int, ...]:
     """Sorted tuple of the variable indices in mask ``j``, in O(members)."""
-    j = int(j)
+    j = operator.index(j)
     if not 0 <= j < (1 << p):
         raise ValueError(f"mask {j} outside [0:2**{p}-1]")
     members = []

@@ -6,14 +6,6 @@ from shapley_lg import (BlackBoxModel, conditional, generate_random_instance,
 from shapley_lg.conditional import CondVarTable
 
 
-def pytest_collection_modifyitems(items):
-    """Mark the timing criterion ``slow``, so ``pytest -m "not slow"``
-    leaves out the one test that takes most of the suite's time."""
-    for item in items:
-        if item.name == "test_criterion_5_speed_orderings":
-            item.add_marker(pytest.mark.slow)
-
-
 @pytest.fixture
 def correlated_p2():
     """beta=(1,1), unit variances, correlation 0.5; hand-checked throughout."""
@@ -42,7 +34,9 @@ def prefix_variances(model, orders):
     m, p = orders.shape
     out = np.zeros((m, p + 1))
     out[:, 0] = total_variance(model)
-    out[:, 1:p] = conditional._along(model, orders[:, :-1])  # given all p: 0
+    out[:, 1:p] = conditional._along(      # given all p: 0
+        *conditional._roots(model.gamma[None], model.beta[None]),
+        orders[:, :-1])
     return out
 
 

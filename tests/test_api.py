@@ -26,14 +26,26 @@ def _reads(path):
             if type(node) in _USES}
 
 
+def _installed(tracing):
+    """The names ``Tracer.install`` patches by a string of its own, outside
+    ``PATCH_POINTS``."""
+    install = next(node for node in _nodes(Path(tracing.__file__))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    return {node.args[1].value for node in ast.walk(install)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_patch"
+            and isinstance(node.args[1], ast.Constant)}
+
+
 def _package_users():
-    """Names the package's modules and the tracer's patch points read."""
+    """Names the package's modules and the tracer's patches read."""
     spec = importlib.util.spec_from_file_location(
         "tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return {attr for _, attr, _ in tracing.PATCH_POINTS}.union(
-        *map(_reads, MODULES))
+        _installed(tracing), *map(_reads, MODULES))
 
 
 def test_every_public_name_has_a_user():

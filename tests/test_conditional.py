@@ -486,3 +486,6 @@ def test_mask_out_of_range_rejected(correlated_p2):
         conditional_variance(correlated_p2, 4)
     with pytest.raises(ValueError):
         conditional_variance(correlated_p2, -1)
+    for j in (1.5, 2.9, 1.0):
+        with pytest.raises(TypeError):
+            conditional_variance(correlated_p2, j)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -49,6 +50,54 @@ def test_exact_memoized_and_literal_are_bit_identical():
         a = exact_permutation_shapley(model, memoize=True)
         b = exact_permutation_shapley(model, memoize=False)
         assert np.array_equal(a, b)
+
+
+def _scalar_enumeration(model):
+    """Every ordering walked by ``_chain_update``, one scalar conditional
+    variance per step: the literal enumeration, one ordering at a time."""
+    acc = np.zeros(model.p)
+    for order in itertools.permutations(range(model.p)):
+        permutations._chain_update(
+            acc, order, lambda j: conditional_variance(model, j))
+    return acc / (math.factorial(model.p) * total_variance(model))
+
+
+@pytest.mark.parametrize("make", [lambda: generate_random_instance(5, 9),
+                                  lambda: generate_random_instance(6, 1),
+                                  _duplicate_variable,
+                                  _tiny_independent_variable],
+                         ids=["p5", "p6", "duplicate", "tiny"])
+def test_literal_enumeration_matches_the_scalar_walk(make):
+    # Each prefix size's stack of sorted prefixes sweeps each prefix as a
+    # scalar call sweeps it alone, so no bit moves.
+    model = make()
+    assert np.array_equal(exact_permutation_shapley(model, memoize=False),
+                          _scalar_enumeration(model))
+
+
+def test_literal_enumeration_split_into_sub_chunks_changes_no_bit(
+        monkeypatch):
+    # A cap under 50 orderings' residual rows: the 120 orderings of p = 5
+    # fill in sub-chunks of 49, 49 and 22, each one stack per prefix size,
+    # all from one factorisation of the model.
+    model = generate_random_instance(5, seed=3)
+    fills, factored = [], []
+    along, roots = conditional._along, conditional._roots
+
+    def counted_along(rows, cut, orders):
+        fills.append(len(orders))
+        return along(rows, cut, orders)
+
+    def counted_roots(gammas, betas):
+        factored.append(len(gammas))
+        return roots(gammas, betas)
+
+    monkeypatch.setattr(conditional, "BATCH_BYTES", 50 * 4 * 8 * 5 * 6 - 1)
+    monkeypatch.setattr(conditional, "_along", counted_along)
+    monkeypatch.setattr(conditional, "_roots", counted_roots)
+    split = exact_permutation_shapley(model, memoize=False)
+    assert fills == [49] * 4 + [49] * 4 + [22] * 4 and factored == [1]
+    assert np.array_equal(split, _scalar_enumeration(model))
 
 
 @pytest.mark.parametrize("make", [lambda: generate_random_instance(7, 40),
@@ -126,9 +175,9 @@ def test_replicates_split_into_chunks_change_no_bit(monkeypatch):
             return draw(n)
         return counted_draw
 
-    def counted_along(model, orders):
+    def counted_along(rows, cut, orders):
         sweeps.append(len(orders))
-        return along(model, orders)
+        return along(rows, cut, orders)
 
     monkeypatch.setattr(permutations, "_uniform", counted)
     split = replicate_estimates(model, m, 3, seed=8)

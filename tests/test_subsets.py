@@ -35,6 +35,10 @@ def test_decode_examples():
     assert subsets.decode(1 << 69 | 1 << 63 | 2, 70) == (2, 64, 70)
     with pytest.raises(ValueError):
         subsets.decode(1 << 70, 70)
+    # a fractional mask is no mask, and a whole float is not read as one
+    for j in (5.5, 4.9, 5.0, np.float64(5)):
+        with pytest.raises(TypeError):
+            subsets.decode(j, 3)
 
 
 def test_cardinality_examples():
